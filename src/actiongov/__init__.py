@@ -6,17 +6,13 @@ from .control_linalg import (
     LinearPlant,
     NominalGain,
     OutputMap,
-    closed_loop,
     dare_solve,
     dlyap_scaled,
     riccati_finite,
     spectral_radius,
 )
 from .convexset import (
-    Ellipsoid,
     HPolytope,
-    ellipsoid_contains,
-    ellipsoid_support,
     is_subset,
     lp_solve,
     nearest_affine_point,
@@ -34,19 +30,16 @@ from .discrete_safeset import (
     build_seed,
     compute_safe_set,
     compute_safe_set_sequential,
+    constraint_table,
     discretize,
-    make_oracle,
 )
 from .governor import (
     ActionDistance,
     Branch,
     GovernorOutcome,
     GovernorState,
-    SafeSetOracle,
-    TransitionPolicyModel,
-    adjust_action,
-    backup_reference,
     govern,
+    nearest_candidate,
 )
 from .lp import LpResult, LpStatus, Sense
 from .moas import LinearMoasOracle, Moas, build_moas, feasible_action_set, linear_ag_step

@@ -133,10 +133,6 @@ class ClosedLoop:
         return self.At @ x + self.Bt @ v + self.plant.E @ w
 
 
-def closed_loop(plant: LinearPlant, out: OutputMap, gain: NominalGain) -> ClosedLoop:
-    return ClosedLoop(plant, out, gain)
-
-
 def dlyap_scaled(At, E, alpha: float):
     """Solve ``(1/alpha) At P At' - P + (1/(1-alpha)) E E' = 0``.
 

@@ -16,11 +16,13 @@ because both class sets only ever grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .control_linalg import ClosedLoop, NominalGain, OutputMap, dlyap_scaled
 from .errors import SeedConstructionError
+from .governor import nearest_candidate
 
 REMAIN = 0
 SAFE_PLUS = 1
@@ -61,17 +63,19 @@ class GridSpec:
     @staticmethod
     def _axis(lo, hi, d):
         n = int(round((hi - lo) / d)) + 1
-        return lo + d * np.arange(n)
+        axis = lo + d * np.arange(n)
+        axis.flags.writeable = False
+        return axis
 
-    @property
+    @cached_property
     def x_axes(self):
-        return [self._axis(lo, hi, d) for lo, hi, d in zip(self.x_lo, self.x_hi, self.x_delta)]
+        return tuple(self._axis(lo, hi, d) for lo, hi, d in zip(self.x_lo, self.x_hi, self.x_delta))
 
-    @property
+    @cached_property
     def v_values(self):
         return self._axis(self.v_lo, self.v_hi, self.v_delta)
 
-    @property
+    @cached_property
     def w_values(self):
         return self._axis(self.w_lo, self.w_hi, self.w_delta)
 
@@ -126,9 +130,6 @@ class GridSpec:
 
     def snap_v(self, vals) -> np.ndarray:
         return self._snap_axis(vals, self.v_lo, self.v_hi, self.v_delta, self.n_v)
-
-    def snap_w(self, vals) -> np.ndarray:
-        return self._snap_axis(vals, self.w_lo, self.w_hi, self.w_delta, self.n_w)
 
 
 class TransitionTable:
@@ -192,8 +193,12 @@ def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:
     return seed
 
 
-def build_seed(cl: ClosedLoop, out: OutputMap, grid: GridSpec, alpha: float) -> np.ndarray:
+def build_seed(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, ok: np.ndarray,
+               alpha: float) -> np.ndarray:
     """Boolean mask (n_xpairs, n_v) of the certified safe invariant seed.
+
+    ``tt`` is the loop's transition table and ``ok`` its
+    :func:`constraint_table`.
 
     A reference is eligible when the worst case of every output constraint
     over its steady-state ellipsoid is admissible; the raw collection is the
@@ -212,6 +217,7 @@ def build_seed(cl: ClosedLoop, out: OutputMap, grid: GridSpec, alpha: float) -> 
     spread = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", HC, P, HC), 0.0))
     coef = (HC @ xv_dir + H @ cl.Dt).ravel()
     margin = h - spread
+    grid = tt.grid
     v_vals = grid.v_values
     eligible = np.all(coef[None, :] * v_vals[:, None] <= margin[None, :] + 1e-12, axis=1)
 
@@ -225,19 +231,13 @@ def build_seed(cl: ClosedLoop, out: OutputMap, grid: GridSpec, alpha: float) -> 
     if not members.any():
         raise SeedConstructionError("no grid pair passed the ellipsoid constraint check")
 
-    tt = discretize(cl, grid)
-    admissible = constraint_table(out, _gain_of(cl), grid)
-    invariant = _greatest_invariant_subset(admissible, tt.table)
+    invariant = _greatest_invariant_subset(ok, tt.table)
     core = members & invariant
     if not core.any():
         raise SeedConstructionError(
             "no ellipsoid member lies in any invariant admissible set"
         )
     return _forward_closure(core, tt.table)
-
-
-def _gain_of(cl: ClosedLoop) -> NominalGain:
-    return cl.gain
 
 
 class DiscreteSafeSet:
@@ -293,21 +293,17 @@ def constraint_table(out: OutputMap, gain: NominalGain, grid: GridSpec) -> np.nd
     return ok
 
 
-def compute_safe_set(
-    seed: np.ndarray,
-    tt: TransitionTable,
-    out: OutputMap,
-    gain: NominalGain,
-    grid: GridSpec,
-    k_max: int | None = None,
-) -> DiscreteSafeSet:
+def compute_safe_set(seed: np.ndarray, tt: TransitionTable, ok: np.ndarray,
+                     k_max: int | None = None) -> DiscreteSafeSet:
     """Classify all grid pairs by repeated sweeps until a fixed point.
 
-    A remaining pair becomes SAFE_PLUS when its own constraint holds and
-    every disturbance successor is already SAFE_PLUS; it becomes MINUS when
-    the constraint fails or some successor is MINUS or out of grid.  Pairs
-    that never resolve stay REMAIN and are excluded from the safe set.
+    ``ok`` is the :func:`constraint_table` of the loop.  A remaining pair
+    becomes SAFE_PLUS when its own constraint holds and every disturbance
+    successor is already SAFE_PLUS; it becomes MINUS when the constraint
+    fails or some successor is MINUS or out of grid.  Pairs that never
+    resolve stay REMAIN and are excluded from the safe set.
     """
+    grid = tt.grid
     if not seed.any():
         raise SeedConstructionError("seed is empty")
     if k_max is None:
@@ -315,7 +311,6 @@ def compute_safe_set(
     cls = np.zeros((grid.n_xpairs, grid.n_v), dtype=np.int8)
     cls[seed] = SAFE_PLUS
     witness = np.full(cls.shape, WITNESS_NONE, dtype=np.int16)
-    ok = constraint_table(out, gain, grid)
     vidx = np.arange(grid.n_v)[None, :, None]
     succ = tt.table
     valid = succ >= 0
@@ -346,20 +341,15 @@ def compute_safe_set(
     return DiscreteSafeSet(cls, seed, grid, witness, counts)
 
 
-def compute_safe_set_sequential(
-    seed: np.ndarray,
-    tt: TransitionTable,
-    out: OutputMap,
-    gain: NominalGain,
-    grid: GridSpec,
-    k_max: int | None = None,
-) -> DiscreteSafeSet:
+def compute_safe_set_sequential(seed: np.ndarray, tt: TransitionTable, ok: np.ndarray,
+                                k_max: int | None = None) -> DiscreteSafeSet:
     """Pair-at-a-time reference semantics of :func:`compute_safe_set`.
 
     Visits remaining pairs in index order and applies every reclassification
     immediately.  Intended for small grids and cross-checking; the batched
     sweep reaches the same fixed point.
     """
+    grid = tt.grid
     if not seed.any():
         raise SeedConstructionError("seed is empty")
     if k_max is None:
@@ -367,7 +357,6 @@ def compute_safe_set_sequential(
     cls = np.zeros((grid.n_xpairs, grid.n_v), dtype=np.int8)
     cls[seed] = SAFE_PLUS
     witness = np.full(cls.shape, WITNESS_NONE, dtype=np.int16)
-    ok = constraint_table(out, gain, grid)
     counts = [(int((cls == SAFE_PLUS).sum()), int((cls == MINUS).sum()),
                int((cls == REMAIN).sum()))]
     visits = 0
@@ -403,22 +392,20 @@ def compute_safe_set_sequential(
 
 
 class DiscreteGridOracle:
-    """Safe-set oracle over the grid classification for the governor loop.
+    """Governor oracle over the grid classification.
 
     Continuous queries are snapped to the grid; states outside the grid
     range are treated as outside the safe set.  Feasible actions are the
     configured action-grid values whose current constraint holds and whose
     successors stay inside the safe projection for every disturbance-grid
-    value.
+    value; both selections enumerate with :func:`nearest_candidate`.
     """
 
     def __init__(self, dss: DiscreteSafeSet, tt: TransitionTable, out: OutputMap,
-                 gain: NominalGain, grid: GridSpec, action_values: np.ndarray):
+                 action_values: np.ndarray):
         self.dss = dss
-        self.tt = tt
-        self.out = out
-        self.gain = gain
-        self.grid = grid
+        self.grid = grid = tt.grid
+        self.gain = tt.cl.gain
         self.action_values = np.asarray(action_values, dtype=float)
         if self.action_values.size == 0:
             raise ValueError("action grid must be nonempty")
@@ -434,16 +421,20 @@ class DiscreteGridOracle:
         self._Hy_d = (H @ out.D).ravel()
         self._h = out.constraint_set.offsets
 
+    def _index(self, x) -> int:
+        return int(self.grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
+
     def member(self, x, v) -> bool:
-        i = int(self.grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
+        i = self._index(x)
         j = int(self.grid.snap_v([float(np.atleast_1d(v)[0])])[0])
-        if i < 0 or j < 0:
-            return False
-        return bool(self.dss.pi[i, j])
+        return i >= 0 and j >= 0 and bool(self.dss.class_map[i, j] == SAFE_PLUS)
 
     def proj_member(self, x) -> bool:
-        i = int(self.grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
+        i = self._index(x)
         return bool(i >= 0 and self.dss.proj_mask[i])
+
+    def pi0(self, x, v):
+        return self.gain.policy(x, v)
 
     def feasible_actions(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
@@ -455,12 +446,12 @@ class DiscreteGridOracle:
         robust = ((succ >= 0) & proj[np.clip(succ, 0, None)]).all(axis=1)
         return self.action_values[now_ok & robust]
 
-    def candidate_refs(self, x) -> np.ndarray:
-        return self.grid.v_values
+    def adjust(self, x, u1, dist):
+        return nearest_candidate(self.feasible_actions(x), lambda u: dist(u1, u))
 
-
-def make_oracle(dss: DiscreteSafeSet, tt: TransitionTable, out: OutputMap,
-                gain: NominalGain, grid: GridSpec,
-                action_values: np.ndarray) -> DiscreteGridOracle:
-    """Bind the classification and table into a governor-facing oracle."""
-    return DiscreteGridOracle(dss, tt, out, gain, grid, action_values)
+    def backup(self, x, u1, dist):
+        i = self._index(x)
+        if i < 0:
+            return None
+        refs = self.grid.v_values[self.dss.class_map[i] == SAFE_PLUS]
+        return nearest_candidate(refs, lambda v: dist(u1, self.pi0(x, v)))

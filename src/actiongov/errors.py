@@ -2,7 +2,17 @@
 
 
 class ActionGovError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors.
+
+    ``step`` is the supervision step at which the error was raised, set by
+    the supervision step itself; when set, it prefixes the message.
+    """
+
+    step = None
+
+    def __str__(self):
+        msg = super().__str__()
+        return msg if self.step is None else f"step {self.step}: {msg}"
 
 
 class EmptySetError(ActionGovError):

@@ -1,4 +1,4 @@
-"""Generic action-supervision loop over an abstract safe-set oracle.
+"""One action-supervision step over a safe-set oracle.
 
 Each step the supervisor tries to minimally adjust the proposed action so
 that the current constraint holds and every disturbance outcome lands in
@@ -6,72 +6,45 @@ the projection of the safe set.  When no such action exists it falls back
 to the nominal policy, re-selecting the held reference whenever the state
 is still inside the projection and carrying the previous one otherwise.
 
-Oracles supply set membership and the per-state feasible-action
-description; the same loop drives both the polytopic carrier (LP-based)
-and the finite-grid carrier (enumeration-based).
+An oracle implements the whole contract:
+
+* ``adjust(x, u1, dist)``: the distance-minimizing safe action, or ``None``;
+* ``backup(x, u1, dist)``: the reference paired with ``x`` in the safe set
+  whose nominal action is nearest ``u1``, or ``None`` outside the projection;
+* ``pi0(x, v)``: the nominal policy.
+
+The polytopic oracle solves LPs; finite oracles enumerate candidates with
+:func:`nearest_candidate`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .convexset import HPolytope
-from .errors import UninitializedGovernorError
+from .errors import ActionGovError, UninitializedGovernorError
 
 
 class ActionDistance:
-    """Distance between actions; ``"l1"`` or ``"linf"``.
+    """Distance between actions; ``"l1"`` or ``"linf"``."""
 
-    An optional ``state_fn(x, u1, u)`` hook overrides the value (the loop
-    accepts state-dependent distances, none of the shipped oracles use one).
-    """
-
-    def __init__(self, norm: str = "l1", state_fn: Optional[Callable] = None):
+    def __init__(self, norm: str = "l1"):
         if norm not in ("l1", "linf"):
             raise ValueError(f"unsupported norm {norm!r}")
         self.norm = norm
-        self.state_fn = state_fn
 
-    def __call__(self, u1, u, x=None) -> float:
-        if self.state_fn is not None:
-            return float(self.state_fn(x, u1, u))
+    def __call__(self, u1, u) -> float:
         d = np.atleast_1d(np.asarray(u1, dtype=float)) - np.atleast_1d(
             np.asarray(u, dtype=float)
         )
         return float(np.sum(np.abs(d))) if self.norm == "l1" else float(np.max(np.abs(d)))
 
 
-@runtime_checkable
-class SafeSetOracle(Protocol):
-    """Capabilities the supervision loop needs from a safe set."""
-
-    def member(self, x, v) -> bool: ...
-
-    def proj_member(self, x) -> bool: ...
-
-    def feasible_actions(self, x): ...
-
-    def candidate_refs(self, x): ...
-
-
-@dataclass
-class TransitionPolicyModel:
-    """Bundle of the transition map, nominal policy and disturbance description.
-
-    ``f(x, u, w)`` must be evaluable for every ``w`` in ``disturbances``
-    (an array of grid values or a polytopic set, depending on the oracle).
-    """
-
-    f: Callable
-    pi0: Callable
-    disturbances: object = None
-
-
 class Branch(enum.Enum):
+    NONE = "none"
     ADJUSTED = "adjusted"
     BACKUP_FRESH = "backup_fresh"
     BACKUP_HELD = "backup_held"
@@ -79,104 +52,68 @@ class Branch(enum.Enum):
 
 @dataclass
 class GovernorState:
-    """Held reference; ``None`` until the backup branch first solves."""
+    """Held reference (``None`` until the backup branch first solves) and
+    the number of supervision steps taken."""
 
     v_hat: Optional[np.ndarray] = None
+    step: int = 0
 
 
 @dataclass(frozen=True)
 class GovernorOutcome:
     u: np.ndarray
     branch: Branch
-    eq8_feasible: bool = field(default=False)
-    eq9_feasible: bool = field(default=False)
 
 
-def _lex_argmin(candidates: np.ndarray, dvals: np.ndarray):
-    """Index of the minimum distance; exact ties go to the lexicographically
-    smallest candidate."""
-    best = dvals.min()
-    tied = np.nonzero(dvals == best)[0]
-    if tied.size == 1:
-        return int(tied[0])
-    rows = np.atleast_2d(candidates[tied])
-    order = np.lexsort(rows.T[::-1])
-    return int(tied[order[0]])
+def nearest_candidate(candidates, distance):
+    """Candidate minimizing ``distance(candidate)``, or ``None`` when there
+    are none; exact ties go to the lexicographically smallest candidate.
 
-
-def adjust_action(x, u1, oracle, model: TransitionPolicyModel, dist: ActionDistance):
-    """Distance-minimizing safe action at ``x``, or ``None`` when none exists.
-
-    Oracles may provide a specialized ``adjust`` (the polytopic one solves
-    an LP); otherwise the oracle's enumerated feasible actions are searched
-    exhaustively with a lexicographic tie-break.
+    Candidates are the rows of ``candidates`` (scalars become 1-vectors).
     """
-    specialized = getattr(oracle, "adjust", None)
-    if specialized is not None:
-        return specialized(x, u1, dist)
-    actions = oracle.feasible_actions(x)
-    if isinstance(actions, HPolytope):
-        raise TypeError(
-            "oracle returned a polytopic action description but provides no adjust()"
-        )
-    actions = np.atleast_1d(np.asarray(actions, dtype=float))
-    if actions.size == 0:
+    cands = np.asarray(candidates, dtype=float)
+    if cands.size == 0:
         return None
-    cands = actions.reshape(actions.shape[0], -1)
-    dvals = np.array([dist(u1, a, x) for a in cands])
-    idx = _lex_argmin(cands, dvals)
-    return cands[idx].copy()
+    cands = cands.reshape(cands.shape[0], -1)
+    dvals = np.array([distance(c) for c in cands])
+    tied = np.nonzero(dvals == dvals.min())[0]
+    if tied.size > 1:
+        tied = tied[np.lexsort(cands[tied].T[::-1])]
+    return cands[tied[0]].copy()
 
 
-def backup_reference(x, u1, oracle, model: TransitionPolicyModel, dist: ActionDistance):
-    """Reference minimizing the adjustment of ``u1`` through the nominal
-    policy among references paired with ``x`` in the safe set; ``None`` when
-    the state is outside the projection."""
-    specialized = getattr(oracle, "backup", None)
-    if specialized is not None:
-        return specialized(x, u1, dist)
-    refs = np.atleast_1d(np.asarray(oracle.candidate_refs(x), dtype=float))
-    feasible = [v for v in refs if oracle.member(x, v)]
-    if not feasible:
-        return None
-    cands = np.atleast_2d(np.asarray(feasible, dtype=float).reshape(len(feasible), -1))
-    dvals = np.array([dist(u1, model.pi0(x, v), x) for v in cands])
-    idx = _lex_argmin(cands, dvals)
-    return cands[idx].copy()
-
-
-def govern(
-    x,
-    u1,
-    gs: GovernorState,
-    oracle,
-    model: TransitionPolicyModel,
-    dist: ActionDistance = None,
-):
+def govern(x, u1, gs: GovernorState, oracle, dist: ActionDistance = None):
     """One supervision step; returns ``(outcome, gs)`` with ``gs`` updated.
 
-    Raises :class:`UninitializedGovernorError` when both the adjustment and
-    the backup selection are infeasible and no reference was ever held
+    ``oracle = None`` passes ``u1`` through unsupervised.  Raises
+    :class:`UninitializedGovernorError` when both the adjustment and the
+    backup selection are infeasible and no reference was ever held
     (supervision presumes the adjustment is feasible at the first step).
+    Library errors leave with ``step`` set to this step's index.
     """
+    step = gs.step
+    gs.step += 1
+    u1 = np.atleast_1d(np.asarray(u1, dtype=float))
+    if oracle is None:
+        return GovernorOutcome(u=u1, branch=Branch.NONE), gs
     if dist is None:
         dist = ActionDistance()
-    u = adjust_action(x, u1, oracle, model, dist)
-    if u is not None:
-        return GovernorOutcome(
-            u=np.atleast_1d(u),
-            branch=Branch.ADJUSTED,
-            eq8_feasible=True,
-            eq9_feasible=bool(oracle.proj_member(x)),
-        ), gs
-    v = backup_reference(x, u1, oracle, model, dist)
-    if v is not None:
-        gs.v_hat = np.atleast_1d(np.asarray(v, dtype=float))
-        u = np.atleast_1d(np.asarray(model.pi0(x, gs.v_hat), dtype=float))
-        return GovernorOutcome(u=u, branch=Branch.BACKUP_FRESH, eq9_feasible=True), gs
-    if gs.v_hat is None:
-        raise UninitializedGovernorError(
-            "no feasible adjustment or backup and no previously held reference"
-        )
-    u = np.atleast_1d(np.asarray(model.pi0(x, gs.v_hat), dtype=float))
-    return GovernorOutcome(u=u, branch=Branch.BACKUP_HELD), gs
+    try:
+        u = oracle.adjust(x, u1, dist)
+        if u is not None:
+            return GovernorOutcome(u=np.atleast_1d(u), branch=Branch.ADJUSTED), gs
+        v = oracle.backup(x, u1, dist)
+        if v is not None:
+            gs.v_hat = np.atleast_1d(np.asarray(v, dtype=float))
+            branch = Branch.BACKUP_FRESH
+        elif gs.v_hat is not None:
+            branch = Branch.BACKUP_HELD
+        else:
+            raise UninitializedGovernorError(
+                "no feasible adjustment or backup and no previously held reference"
+            )
+        u = np.atleast_1d(np.asarray(oracle.pi0(x, gs.v_hat), dtype=float))
+        return GovernorOutcome(u=u, branch=branch), gs
+    except ActionGovError as exc:
+        exc.step = step
+        raise

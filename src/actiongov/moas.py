@@ -8,7 +8,7 @@ stops at the first index where the next layer adds nothing.  A slightly
 tightened steady-state block keeps the recursion finitely determined.
 
 Also provides the one-step minimal-adjustment action rule for this set
-(an LP) and an oracle adapter so the generic governor loop can use it.
+(an LP) and the oracle through which the governor uses it.
 """
 
 from __future__ import annotations
@@ -167,15 +167,7 @@ def feasible_action_set(moas: Moas, plant: LinearPlant, out: OutputMap, x) -> HP
     return HPolytope(rows, offs)
 
 
-def linear_ag_step(
-    moas: Moas,
-    plant: LinearPlant,
-    out: OutputMap,
-    w_set: HPolytope,
-    x,
-    u1,
-    norm: str = "l1",
-):
+def linear_ag_step(moas: Moas, plant: LinearPlant, out: OutputMap, x, u1, norm: str = "l1"):
     """Minimal adjustment of ``u1`` keeping the current output admissible and
     the robust successor inside the admissible projection.
 
@@ -195,19 +187,18 @@ def linear_ag_step(
 
 
 class LinearMoasOracle:
-    """Safe-set oracle backed by a :class:`Moas` for the governor loop.
+    """Governor oracle backed by a :class:`Moas`.
 
     Membership checks are plain halfspace evaluations; action adjustment
     delegates to :func:`linear_ag_step` and the backup reference solves one
     LP over the ``v`` slice of the set.
     """
 
-    def __init__(self, moas: Moas, cl: ClosedLoop, out: OutputMap, w_set: HPolytope):
+    def __init__(self, moas: Moas, cl: ClosedLoop, out: OutputMap):
         self.moas = moas
         self.plant = cl.plant
         self.gain = cl.gain
         self.out = out
-        self.w_set = w_set
 
     def member(self, x, v) -> bool:
         z = np.concatenate([np.ravel(x), np.atleast_1d(np.asarray(v, dtype=float))])
@@ -216,21 +207,12 @@ class LinearMoasOracle:
     def proj_member(self, x) -> bool:
         return self.moas.proj_x.contains(np.asarray(x, dtype=float).ravel())
 
-    def feasible_actions(self, x) -> HPolytope:
-        return feasible_action_set(self.moas, self.plant, self.out, x)
-
-    def candidate_refs(self, x) -> HPolytope:
-        """References paired with ``x`` inside the set, as a polytope in v."""
-        x = np.asarray(x, dtype=float).ravel()
-        n = self.moas.n_states
-        normals = self.moas.set_xv.normals
-        return HPolytope(normals[:, n:], self.moas.set_xv.offsets - normals[:, :n] @ x)
+    def pi0(self, x, v):
+        return self.gain.policy(x, v)
 
     def adjust(self, x, u1, dist):
         try:
-            u, _ = linear_ag_step(
-                self.moas, self.plant, self.out, self.w_set, x, u1, norm=dist.norm
-            )
+            u, _ = linear_ag_step(self.moas, self.plant, self.out, x, u1, norm=dist.norm)
         except InfeasibleStateError:
             return None
         return u
@@ -238,9 +220,10 @@ class LinearMoasOracle:
     def backup(self, x, u1, dist):
         x = np.asarray(x, dtype=float).ravel()
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        sol = nearest_affine_point(
-            self.candidate_refs(x), self.gain.L, self.gain.K @ x, u1, norm=dist.norm
-        )
+        n = self.moas.n_states
+        normals = self.moas.set_xv.normals
+        refs = HPolytope(normals[:, n:], self.moas.set_xv.offsets - normals[:, :n] @ x)
+        sol = nearest_affine_point(refs, self.gain.L, self.gain.K @ x, u1, norm=dist.norm)
         if sol is None:
             return None
         return sol[0]

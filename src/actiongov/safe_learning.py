@@ -11,13 +11,13 @@ re-solves a regulator on the lifted state every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .control_linalg import dare_solve, riccati_finite
 from .errors import NoStabilizingSolutionError, NumericalError
-from .governor import ActionDistance, GovernorState, TransitionPolicyModel, govern
+from .governor import ActionDistance, GovernorState, govern
 from .trajectory import Trajectory
 
 
@@ -137,7 +137,6 @@ class SafeQEnv:
     cost: Callable = None
     violated: Callable = None
     oracle: object = None
-    model: Optional[TransitionPolicyModel] = None
     dist: ActionDistance = field(default_factory=ActionDistance)
 
 
@@ -162,22 +161,16 @@ def run_safe_q(env: SafeQEnv, q: QTable, t_max: int, big_t_max: int, rng):
             s = env.state_index(x)
             a = epsilon_greedy(q, s, rng)
             u1 = np.atleast_1d(np.asarray(env.actions[a], dtype=float))
-            if env.oracle is not None:
-                outcome, gs = govern(x, u1, gs, env.oracle, env.model, env.dist)
-                u = outcome.u
-                branch = outcome.branch.value
-                v_hat = gs.v_hat
-            else:
-                u = u1
-                branch = "none"
-                v_hat = None
+            outcome, gs = govern(x, u1, gs, env.oracle, env.dist)
+            u = outcome.u
             x_next, w = env.step(x, u, rng)
             r = env.reward(x, u)
             r_tilde = modified_reward(r, u1, u, q.penalty_m, env.dist)
             buffer.add(s, a, q_target(q, s, a, r_tilde, env.state_index(x_next)))
             cost = env.cost(x, u) if env.cost is not None else -r
             violated = env.violated(x, u) if env.violated is not None else False
-            traj.append(t, _as_state_vec(x), u1, u, branch, v_hat, w, cost, violated)
+            traj.append(t, _as_state_vec(x), u1, u, outcome.branch.value, gs.v_hat, w, cost,
+                        violated)
             x = x_next
             t += 1
         for s, a, val in buffer.drain():
@@ -319,22 +312,17 @@ def rls_update(km: KoopmanModel, x_prev, u1_prev, x_now) -> KoopmanModel:
     return KoopmanModel(theta[:, :nz], theta[:, nz:], new_cov, km.lam, g)
 
 
-def koopman_control(km: KoopmanModel, x, q_z, r_u, q_f=None, n_horizon: Optional[int] = None):
-    """First action of the lifted-state regulator at ``x``.
+def koopman_control(km: KoopmanModel, x, q_z, r_u):
+    """First action of the lifted-state infinite-horizon regulator at ``x``.
 
-    ``n_horizon = None`` requests the infinite-horizon gain; when the
-    current model admits no stabilizing solution the controller falls back
-    to a 50-step horizon with the state penalty as terminal cost.
+    When the current model admits no stabilizing solution the controller
+    falls back to a 50-step horizon with the state penalty as terminal cost.
     """
     z = km.observables(x)
-    if n_horizon is None:
-        try:
-            _, K = dare_solve(km.A, km.B, q_z, r_u)
-        except (NoStabilizingSolutionError, NumericalError):
-            K = riccati_finite(km.A, km.B, q_z, r_u, q_z, 50)
-    else:
-        terminal = q_z if q_f is None else q_f
-        K = riccati_finite(km.A, km.B, q_z, r_u, terminal, n_horizon)
+    try:
+        _, K = dare_solve(km.A, km.B, q_z, r_u)
+    except (NoStabilizingSolutionError, NumericalError):
+        K = riccati_finite(km.A, km.B, q_z, r_u, q_z, 50)
     return K @ z
 
 
@@ -352,12 +340,10 @@ class KoopmanEnv:
     q_z: np.ndarray
     r_u: np.ndarray
     oracle: object = None
-    model: Optional[TransitionPolicyModel] = None
     dist: ActionDistance = field(default_factory=ActionDistance)
     sample_reset: Callable = None
     cost: Callable = None
     violated: Callable = None
-    n_horizon: Optional[int] = None
 
 
 def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every, rng):
@@ -379,20 +365,13 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     for t in range(steps):
         if not no_resets and t > 0 and t % int(reset_every) == 0:
             x = np.asarray(env.sample_reset(rng), dtype=float)
-        u1 = np.atleast_1d(koopman_control(km, x, env.q_z, env.r_u, n_horizon=env.n_horizon))
-        if env.oracle is not None:
-            outcome, gs = govern(x, u1, gs, env.oracle, env.model, env.dist)
-            u = outcome.u
-            branch = outcome.branch.value
-            v_hat = gs.v_hat
-        else:
-            u = u1
-            branch = "none"
-            v_hat = None
+        u1 = np.atleast_1d(koopman_control(km, x, env.q_z, env.r_u))
+        outcome, gs = govern(x, u1, gs, env.oracle, env.dist)
+        u = outcome.u
         x_next, w = env.step(x, u)
         cost = env.cost(x, u) if env.cost is not None else float("nan")
         violated = env.violated(x, u) if env.violated is not None else False
-        traj.append(t, x, u1, u, branch, v_hat, w, cost, violated)
+        traj.append(t, x, u1, u, outcome.branch.value, gs.v_hat, w, cost, violated)
         km = rls_update(km, x, u1, x_next)
         x = np.asarray(x_next, dtype=float)
     return km, traj

@@ -16,22 +16,17 @@ from typing import Optional
 
 import numpy as np
 
-from .control_linalg import (
-    ClosedLoop,
-    LinearPlant,
-    NominalGain,
-    OutputMap,
-    closed_loop,
-)
+from .control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from .convexset import HPolytope, rejection_sample
 from .discrete_safeset import (
+    DiscreteGridOracle,
     GridSpec,
     build_seed,
     compute_safe_set,
+    constraint_table,
     discretize,
-    make_oracle,
 )
-from .governor import ActionDistance, GovernorState, TransitionPolicyModel, govern
+from .governor import ActionDistance, GovernorState, govern
 from .moas import LinearMoasOracle, Moas, build_moas
 from .safe_learning import (
     KoopmanEnv,
@@ -267,7 +262,7 @@ class ExampleRig:
 
 def build_rig(cfg: ScenarioConfig) -> ExampleRig:
     plant, out, gain, _ = example_system()
-    cl = closed_loop(plant, out, gain)
+    cl = ClosedLoop(plant, out, gain)
     return ExampleRig(plant, out, gain, cl, disturbance_bound(), ActionDistance(cfg.norm))
 
 
@@ -280,25 +275,19 @@ def build_moas_backend(cfg: ScenarioConfig, rig: ExampleRig):
         t_cap=cfg.moas_t_cap,
         v_bounds=HPolytope.from_bounds([-cfg.v_bound], [cfg.v_bound]),
     )
-    return LinearMoasOracle(moas, rig.cl, rig.out, rig.w_set), moas
+    return LinearMoasOracle(moas, rig.cl, rig.out), moas
 
 
 def build_grid_backend(cfg: ScenarioConfig, rig: ExampleRig):
+    """Grid classification of the nominal loop; the transition table and the
+    constraint table are computed once and shared by every stage."""
     grid = cfg.grid_spec()
     tt = discretize(rig.cl, grid)
-    seed = build_seed(rig.cl, rig.out, grid, cfg.alpha)
-    dss = compute_safe_set(seed, tt, rig.out, rig.gain, grid,
-                           k_max=cfg.k_max_factor * grid.n_pairs)
-    oracle = make_oracle(dss, tt, rig.out, rig.gain, grid, cfg.action_values())
+    ok = constraint_table(rig.out, rig.gain, grid)
+    seed = build_seed(rig.cl, rig.out, tt, ok, cfg.alpha)
+    dss = compute_safe_set(seed, tt, ok, k_max=cfg.k_max_factor * grid.n_pairs)
+    oracle = DiscreteGridOracle(dss, tt, rig.out, cfg.action_values())
     return oracle, dss, tt, grid
-
-
-def transition_model(rig: ExampleRig) -> TransitionPolicyModel:
-    return TransitionPolicyModel(
-        f=lambda x, u, w: rig.plant.step(x, u, w),
-        pi0=lambda x, v: rig.gain.policy(x, v),
-        disturbances=rig.w_set,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +327,18 @@ def _qtable_controller(cfg: ScenarioConfig, qtable: QTable, grid: GridSpec):
 
 def run_supervised(rig: ExampleRig, controller, oracle, x0, steps: int,
                    dist: ActionDistance) -> Trajectory:
-    """Step the true system under a controller with optional supervision."""
-    model = transition_model(rig)
+    """Step the true system under a controller, supervised unless ``oracle``
+    is None."""
     gs = GovernorState()
     traj = Trajectory()
     x = np.asarray(x0, dtype=float).copy()
     for t in range(steps):
         u1 = np.atleast_1d(np.asarray(controller(x), dtype=float))
-        if oracle is not None:
-            try:
-                outcome, gs = govern(x, u1, gs, oracle, model, dist)
-            except Exception as exc:
-                raise type(exc)(f"step {t}: {exc}") from exc
-            u = outcome.u
-            branch = outcome.branch.value
-            v_hat = gs.v_hat
-        else:
-            u = u1
-            branch = "none"
-            v_hat = None
+        outcome, gs = govern(x, u1, gs, oracle, dist)
+        u = outcome.u
         w = disturbance(x)
-        traj.append(t, x, u1, u, branch, v_hat, w, step_cost(x, u), is_violated(x, u))
+        traj.append(t, x, u1, u, outcome.branch.value, gs.v_hat, w, step_cost(x, u),
+                    is_violated(x, u))
         x = rig.plant.step(x, u, [w])
     return traj
 
@@ -419,7 +399,6 @@ def make_koopman_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, moas: Moas) -
         q_z=np.diag(cfg.koopman_q_diag),
         r_u=np.array([[cfg.koopman_r]]),
         oracle=oracle,
-        model=transition_model(rig),
         dist=rig.dist,
         sample_reset=sample_reset,
         cost=step_cost,
@@ -460,7 +439,6 @@ def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec
         cost=step_cost,
         violated=is_violated,
         oracle=oracle,
-        model=transition_model(rig),
         dist=rig.dist,
     )
 

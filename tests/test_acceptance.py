@@ -119,7 +119,7 @@ def test_criterion_4_recursive_feasibility(rig, moas_bundle):
             continue
         tested += 1
         u1 = rng.uniform(-8.0, 8.0, size=1)
-        u, _ = linear_ag_step(moas, rig.plant, rig.out, rig.w_set, x, u1)
+        u, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1)
         for w in (-1.0, 1.0):
             succ = rig.plant.step(x, u, [w])
             if feasible_action_set(moas, rig.plant, rig.out, succ).is_empty:

@@ -7,7 +7,6 @@ from actiongov.control_linalg import (
     LinearPlant,
     NominalGain,
     OutputMap,
-    closed_loop,
     dare_solve,
     dlyap_scaled,
     riccati_finite,
@@ -27,7 +26,7 @@ def example():
 class TestClosedLoop:
     def test_matrix_assembly_matches_direct_arithmetic(self, example):
         plant, out, gain = example
-        cl = closed_loop(plant, out, gain)
+        cl = ClosedLoop(plant, out, gain)
         # independent arithmetic oracle
         assert np.allclose(cl.At, plant.A + plant.B @ gain.K)
         assert np.allclose(cl.At, [[1.0, 1.0], [-0.2054, 0.2165]])
@@ -36,14 +35,14 @@ class TestClosedLoop:
 
     def test_reference_channel_value(self, example):
         plant, out, gain = example
-        cl = closed_loop(plant, out, gain)
+        cl = ClosedLoop(plant, out, gain)
         assert np.allclose(cl.Bt, [[0.0], [0.2054]])
 
     def test_zero_gain_rejected_for_integrator(self, example):
         plant, out, _ = example
         zero = NominalGain([[0.0, 0.0]], [[0.0]])
         with pytest.raises(InstabilityError):
-            closed_loop(plant, out, zero)
+            ClosedLoop(plant, out, zero)
 
 
 class TestDlyapScaled:
@@ -58,7 +57,7 @@ class TestDlyapScaled:
 
     def test_example_loop_residual(self, example):
         plant, out, gain = example
-        cl = closed_loop(plant, out, gain)
+        cl = ClosedLoop(plant, out, gain)
         P = dlyap_scaled(cl.At, plant.E, 0.75)
         res = cl.At @ P @ cl.At.T / 0.75 - P + 4.0 * plant.E @ plant.E.T
         assert np.linalg.norm(res, "fro") < 1e-10
@@ -66,7 +65,7 @@ class TestDlyapScaled:
 
     def test_alpha_domain_checked(self, example):
         plant, out, gain = example
-        cl = closed_loop(plant, out, gain)
+        cl = ClosedLoop(plant, out, gain)
         rho2 = spectral_radius(cl.At) ** 2
         with pytest.raises(ValueError):
             dlyap_scaled(cl.At, plant.E, rho2 * 0.5)
@@ -76,7 +75,7 @@ class TestDlyapScaled:
     def test_deviation_ellipsoid_invariant_under_disturbance(self, example):
         # boundary deviations stay inside the sublevel set for vertex noise
         plant, out, gain = example
-        cl = closed_loop(plant, out, gain)
+        cl = ClosedLoop(plant, out, gain)
         P = dlyap_scaled(cl.At, plant.E, 0.75)
         sqrt_p = scipy.linalg.sqrtm(P).real
         rng = np.random.default_rng(0)

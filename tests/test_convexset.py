@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from actiongov.convexset import (
-    Ellipsoid,
     HPolytope,
-    ellipsoid_contains,
-    ellipsoid_support,
     is_subset,
     lp_solve,
     nearest_affine_point,
@@ -17,6 +14,7 @@ from actiongov.convexset import (
 )
 from actiongov.errors import EmptySetError, UnboundedSetError
 from actiongov.lp import LpStatus, Sense
+from ellipsoids import Ellipsoid, ellipsoid_contains, ellipsoid_support
 
 
 def vertices_2d(poly: HPolytope, tol=1e-7):

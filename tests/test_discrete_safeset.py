@@ -1,31 +1,43 @@
 import numpy as np
 import pytest
 
-from actiongov.control_linalg import LinearPlant, NominalGain, OutputMap, closed_loop
-from actiongov.convexset import Ellipsoid, HPolytope, ellipsoid_support
+from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
+from actiongov.convexset import HPolytope
 from actiongov.control_linalg import dlyap_scaled
 from actiongov.discrete_safeset import (
     MINUS,
     REMAIN,
     SAFE_PLUS,
     WITNESS_CONSTRAINT,
+    DiscreteGridOracle,
     GridSpec,
     build_seed,
     compute_safe_set,
     compute_safe_set_sequential,
+    constraint_table,
     discretize,
-    make_oracle,
 )
+from actiongov.governor import ActionDistance
 from actiongov.simlab import example_system
+from ellipsoids import Ellipsoid, ellipsoid_support
 
 
 def small_example(w_hi=1.0, dw=0.5):
     """The worked example on a coarse grid, cheap enough for unit tests."""
     plant, out, gain, _ = example_system()
-    cl = closed_loop(plant, out, gain)
+    cl = ClosedLoop(plant, out, gain)
     grid = GridSpec((-25.0, -10.0), (25.0, 15.0), (1.0, 1.0),
                     -20.0, 20.0, 1.0, -w_hi, w_hi, dw)
     return plant, out, gain, cl, grid
+
+
+def grid_tables(cl, out, grid):
+    """Transition table and constraint table, the inputs of every stage."""
+    return discretize(cl, grid), constraint_table(out, cl.gain, grid)
+
+
+def seed_on(cl, out, grid, alpha=0.75):
+    return build_seed(cl, out, *grid_tables(cl, out, grid), alpha)
 
 
 class TestGridSpec:
@@ -35,6 +47,15 @@ class TestGridSpec:
         assert g.n_v == 5 and g.n_w == 5
         assert g.n_pairs == 125
         assert np.allclose(g.v_values, [-1, -0.5, 0, 0.5, 1])
+
+    def test_axes_are_built_once_and_read_only(self):
+        g = GridSpec((-1.0, -2.0), (1.0, 2.0), (0.5, 1.0), -1.0, 1.0, 0.5, -1.0, 1.0, 0.5)
+        assert g.x_axes is g.x_axes and g.v_values is g.v_values and g.w_values is g.w_values
+        with pytest.raises(ValueError):
+            g.v_values[0] = 3.0
+        assert g == GridSpec(*(getattr(g, f) for f in ("x_lo", "x_hi", "x_delta", "v_lo",
+                                                        "v_hi", "v_delta", "w_lo", "w_hi",
+                                                        "w_delta")))
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -78,7 +99,7 @@ class TestDiscretize:
         out = OutputMap(np.eye(2), np.zeros((2, 1)),
                         HPolytope.from_bounds([-30, -30], [30, 30]))
         gain = NominalGain([[0.0, 0.0]], [[0.0]])
-        cl = closed_loop(plant, out, gain)
+        cl = ClosedLoop(plant, out, gain)
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (0.5, 0.5), -1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         tt = discretize(cl, grid)
         expect = np.arange(grid.n_xpairs)
@@ -111,7 +132,7 @@ class TestBuildSeed:
         plant, out, gain, cl, grid = small_example(w_hi=1.0, dw=1.0)
         grid0 = GridSpec(grid.x_lo, grid.x_hi, grid.x_delta, grid.v_lo, grid.v_hi,
                          grid.v_delta, -0.0001, 0.0001, 0.0001)
-        seed = build_seed(cl, out, grid0, 0.75)
+        seed = seed_on(cl, out, grid0)
         # reproduce the collection with an independent membership check
         P = dlyap_scaled(cl.At, plant.E, 0.75)
         xv = np.linalg.solve(np.eye(2) - cl.At, cl.Bt).ravel()
@@ -132,7 +153,7 @@ class TestBuildSeed:
 
     def test_origin_pair_included(self):
         _, out, gain, cl, grid = small_example()
-        seed = build_seed(cl, out, grid, 0.75)
+        seed = seed_on(cl, out, grid)
         i = grid.snap_x([[0.0, 0.0]])[0]
         j = grid.snap_v([0.0])[0]
         assert seed[i, j]
@@ -141,7 +162,7 @@ class TestBuildSeed:
         # references whose ellipsoid worst case violates the position bound
         # contribute no pairs at all
         plant, out, gain, cl, grid = small_example()
-        seed = build_seed(cl, out, grid, 0.75)
+        seed = seed_on(cl, out, grid)
         P = dlyap_scaled(cl.At, plant.E, 0.75)
         r1 = np.sqrt(P[0, 0])
         for j, v in enumerate(grid.v_values):
@@ -150,8 +171,8 @@ class TestBuildSeed:
 
     def test_seed_is_invariant_under_the_table(self):
         _, out, gain, cl, grid = small_example()
-        seed = build_seed(cl, out, grid, 0.75)
-        tt = discretize(cl, grid)
+        tt, ok = grid_tables(cl, out, grid)
+        seed = build_seed(cl, out, tt, ok, 0.75)
         rows, cols = np.nonzero(seed)
         succ = tt.table[rows, cols, :]
         assert np.all(succ >= 0)
@@ -161,9 +182,9 @@ class TestBuildSeed:
 @pytest.fixture(scope="module")
 def bundle():
     plant, out, gain, cl, grid = small_example()
-    tt = discretize(cl, grid)
-    seed = build_seed(cl, out, grid, 0.75)
-    dss = compute_safe_set(seed, tt, out, gain, grid)
+    tt, ok = grid_tables(cl, out, grid)
+    seed = build_seed(cl, out, tt, ok, 0.75)
+    dss = compute_safe_set(seed, tt, ok)
     return plant, out, gain, cl, grid, tt, seed, dss
 
 
@@ -171,7 +192,7 @@ def bundle():
 def oracle(bundle):
     plant, out, gain, cl, grid, tt, seed, dss = bundle
     acts = np.arange(-6.0, 6.5, 0.5)
-    return make_oracle(dss, tt, out, gain, grid, acts), dss, grid
+    return DiscreteGridOracle(dss, tt, out, acts), dss, grid
 
 
 class TestComputeSafeSet:
@@ -201,10 +222,10 @@ class TestComputeSafeSet:
         plant, out, gain, cl, _ = small_example()
         grid = GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5),
                         -20.0, 20.0, 2.5, -1.0, 1.0, 1.0)
-        tt = discretize(cl, grid)
-        seed = build_seed(cl, out, grid, 0.75)
-        batched = compute_safe_set(seed, tt, out, gain, grid)
-        sequential = compute_safe_set_sequential(seed, tt, out, gain, grid)
+        tt, ok = grid_tables(cl, out, grid)
+        seed = build_seed(cl, out, tt, ok, 0.75)
+        batched = compute_safe_set(seed, tt, ok)
+        sequential = compute_safe_set_sequential(seed, tt, ok)
         assert np.array_equal(batched.class_map, sequential.class_map)
 
     def test_safe_rollouts_reach_the_seed(self, bundle):
@@ -291,3 +312,56 @@ class TestOracle:
                     succ = plant.step(x, [u], [w])
                     idx = grid.snap_x([succ])[0]
                     assert idx >= 0 and proj[idx]
+
+    def test_adjust_is_the_nearest_feasible_action(self, oracle):
+        orc, dss, grid = oracle
+        pts = grid.x_points()
+        dist = ActionDistance()
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            x = pts[rng.integers(grid.n_xpairs)]
+            u1 = float(rng.uniform(-8.0, 8.0))
+            got = orc.adjust(x, np.array([u1]), dist)
+            feas = orc.feasible_actions(x)
+            if feas.size == 0:
+                assert got is None
+            else:
+                assert got[0] == min(feas, key=lambda u: (abs(u1 - u), u))
+
+    def test_backup_matches_exhaustive_member_search(self, oracle):
+        orc, dss, grid = oracle
+        pts = grid.x_points()
+        dist = ActionDistance()
+        rng = np.random.default_rng(8)
+        inside = np.nonzero(dss.proj_mask)[0]
+        for i in np.concatenate([rng.choice(inside, 40), rng.integers(0, grid.n_xpairs, 40)]):
+            x = pts[i]
+            u1 = float(rng.uniform(-8.0, 8.0))
+            got = orc.backup(x, np.array([u1]), dist)
+            feas = [v for v in grid.v_values if orc.member(x, v)]
+            assert (got is None) == (not feas) == (not orc.proj_member(x))
+            if feas:
+                best = min(feas, key=lambda v: (abs(u1 - orc.pi0(x, [v])[0]), v))
+                assert got[0] == best
+
+
+class TestPipeline:
+    def test_grid_backend_builds_each_table_once(self, monkeypatch):
+        from actiongov import discrete_safeset, simlab
+
+        calls = {"discretize": 0, "constraint_table": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name, getattr(discrete_safeset, name))
+            for module in (discrete_safeset, simlab):
+                monkeypatch.setattr(module, name, wrapper)
+        cfg = simlab.ScenarioConfig(seed=0, grid_dx1=2.5, grid_dx2=2.5, grid_dv=2.5,
+                                    grid_dw=1.0, action_du=2.0)
+        simlab.build_grid_backend(cfg, simlab.build_rig(cfg))
+        assert calls == {"discretize": 1, "constraint_table": 1}

@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
 
-from actiongov.errors import UninitializedGovernorError
+from actiongov.errors import InfeasibleStateError, UninitializedGovernorError
 from actiongov.governor import (
     ActionDistance,
     Branch,
     GovernorState,
-    TransitionPolicyModel,
-    adjust_action,
-    backup_reference,
     govern,
+    nearest_candidate,
 )
+from enumerated_oracle import EnumeratedOracle
+
+
+def eq9_feasible(oracle, x):
+    """The backup problem at ``x`` is solvable exactly when ``x`` lies in the
+    projection of the safe set (see TestBackupReference)."""
+    return oracle.proj_member(x)
 
 
 # ---------------------------------------------------------------------------
 # ring system: the safe set is returnable but not positively invariant
 
 
-class RingOracle:
+class RingOracle(EnumeratedOracle):
     """Five states on a ring; the safe set covers states 0 and 1 only."""
 
     members = {(0, 0), (1, 0)}
@@ -47,30 +52,29 @@ class RingOracle:
     def candidate_refs(self, x):
         return np.array([0.0])
 
+    def pi0(self, x, v):
+        return np.array([0.0])
 
-def ring_model():
-    return TransitionPolicyModel(
-        f=lambda x, u, w: (int(x) + 1) % 5,
-        pi0=lambda x, v: np.array([0.0]),
-        disturbances=np.array([0.0]),
-    )
+
+def ring_step(x):
+    return (int(x) + 1) % 5
 
 
 class TestRing:
     def test_branch_sequence_around_the_ring(self):
-        oracle, model, dist = RingOracle(), ring_model(), ActionDistance()
+        oracle, dist = RingOracle(), ActionDistance()
         gs = GovernorState()
         branches = []
         x = 0
         for _ in range(10):
-            outcome, gs = govern(x, np.array([1.0]), gs, oracle, model, dist)
+            outcome, gs = govern(x, np.array([1.0]), gs, oracle, dist)
             branches.append(outcome.branch)
             if outcome.branch is Branch.BACKUP_FRESH:
                 # the freshly selected reference pairs with x inside the set
                 assert oracle.member(x, gs.v_hat)
             if outcome.branch is Branch.BACKUP_HELD:
-                assert np.array_equal(outcome.u, model.pi0(x, gs.v_hat))
-            x = model.f(x, outcome.u, 0.0)
+                assert np.array_equal(outcome.u, oracle.pi0(x, gs.v_hat))
+            x = ring_step(x)
         assert branches[:5] == [
             Branch.ADJUSTED,      # 0 -> 1 stays in the projection
             Branch.BACKUP_FRESH,  # at 1 no action keeps the successor inside
@@ -81,42 +85,45 @@ class TestRing:
         assert branches[5:] == branches[:5]
 
     def test_unsafe_action_filtered_at_state_4(self):
-        oracle, model, dist = RingOracle(), ring_model(), ActionDistance()
-        u = adjust_action(4, np.array([1.0]), oracle, model, dist)
+        oracle, dist = RingOracle(), ActionDistance()
+        u = oracle.adjust(4, np.array([1.0]), dist)
         assert u[0] == 0.0  # action 1 violates the constraint at state 4
 
     def test_held_branch_without_history_is_an_error(self):
-        oracle, model, dist = RingOracle(), ring_model(), ActionDistance()
+        oracle, dist = RingOracle(), ActionDistance()
         with pytest.raises(UninitializedGovernorError):
-            govern(2, np.array([0.0]), GovernorState(), oracle, model, dist)
+            govern(2, np.array([0.0]), GovernorState(), oracle, dist)
 
     def test_eventual_feasibility(self):
         # after any step with an available branch, another one occurs later
-        oracle, model, dist = RingOracle(), ring_model(), ActionDistance()
+        oracle, dist = RingOracle(), ActionDistance()
         gs = GovernorState()
         feasible = []
         x = 0
         for _ in range(12):
-            outcome, gs = govern(x, np.array([1.0]), gs, oracle, model, dist)
-            feasible.append(outcome.eq8_feasible or outcome.eq9_feasible)
-            x = model.f(x, outcome.u, 0.0)
+            outcome, gs = govern(x, np.array([1.0]), gs, oracle, dist)
+            eq8_feasible = outcome.branch is Branch.ADJUSTED
+            feasible.append(eq8_feasible or eq9_feasible(oracle, x))
+            x = ring_step(x)
         for t, ok in enumerate(feasible[:-5]):
             if ok:
                 assert any(feasible[t + 1 :])
 
     def test_outcome_flags_consistent_with_branch(self):
-        oracle, model, dist = RingOracle(), ring_model(), ActionDistance()
+        oracle, dist = RingOracle(), ActionDistance()
         gs = GovernorState()
         x = 0
         for _ in range(10):
-            outcome, gs = govern(x, np.array([1.0]), gs, oracle, model, dist)
+            outcome, gs = govern(x, np.array([1.0]), gs, oracle, dist)
+            eq8 = oracle.adjust(x, np.array([1.0]), dist) is not None
+            eq9 = eq9_feasible(oracle, x)
             if outcome.branch is Branch.ADJUSTED:
-                assert outcome.eq8_feasible
+                assert eq8
             elif outcome.branch is Branch.BACKUP_FRESH:
-                assert not outcome.eq8_feasible and outcome.eq9_feasible
+                assert not eq8 and eq9
             else:
-                assert not outcome.eq8_feasible and not outcome.eq9_feasible
-            x = model.f(x, outcome.u, 0.0)
+                assert not eq8 and not eq9
+            x = ring_step(x)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +168,7 @@ class WalkSystem:
         return safe
 
 
-class WalkOracle:
+class WalkOracle(EnumeratedOracle):
     def __init__(self, sys: WalkSystem):
         self.sys = sys
         self.proj = set().union(*sys.safe_by_v.values()) if sys.safe_by_v else set()
@@ -186,25 +193,24 @@ class WalkOracle:
     def candidate_refs(self, x):
         return self.sys.v_values
 
-
-def walk_model(sys: WalkSystem):
-    return TransitionPolicyModel(f=sys.f, pi0=sys.pi0, disturbances=sys.w_values)
+    def pi0(self, x, v):
+        return self.sys.pi0(x, v)
 
 
 class TestAdjustAction:
     def test_passthrough_when_feasible(self):
         sys = WalkSystem(9, [0], np.random.default_rng(0))
-        oracle, model, dist = WalkOracle(sys), walk_model(sys), ActionDistance()
-        u = adjust_action(4, np.array([1.0]), oracle, model, dist)
+        oracle, dist = WalkOracle(sys), ActionDistance()
+        u = oracle.adjust(4, np.array([1.0]), dist)
         assert u[0] == 1.0
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(1)
         sys = WalkSystem(10, [-1, 0, 1], rng)
-        oracle, model, dist = WalkOracle(sys), walk_model(sys), ActionDistance()
+        oracle, dist = WalkOracle(sys), ActionDistance()
         for x in range(10):
             for u1 in (-2.0, -0.4, 0.0, 0.7, 2.5):
-                got = adjust_action(x, np.array([u1]), oracle, model, dist)
+                got = oracle.adjust(x, np.array([u1]), dist)
                 # independent brute force over the raw definitions
                 feas = [
                     u
@@ -220,28 +226,28 @@ class TestAdjustAction:
 
     def test_equidistant_tie_takes_smaller_action(self):
         sys = WalkSystem(9, [0], np.random.default_rng(2))
-        oracle, model, dist = WalkOracle(sys), walk_model(sys), ActionDistance()
-        u = adjust_action(4, np.array([0.5]), oracle, model, dist)
+        oracle, dist = WalkOracle(sys), ActionDistance()
+        u = oracle.adjust(4, np.array([0.5]), dist)
         assert u[0] == 0.0  # 0 and 1 are both at distance 0.5
 
 
 class TestBackupReference:
     def test_zero_distance_reference_selected(self):
         sys = WalkSystem(10, [0], np.random.default_rng(3))
-        oracle, model, dist = WalkOracle(sys), walk_model(sys), ActionDistance()
+        oracle, dist = WalkOracle(sys), ActionDistance()
         x = 3
         v_star = 5.0
         u1 = sys.pi0(x, v_star)
-        v = backup_reference(x, u1, oracle, model, dist)
+        v = oracle.backup(x, u1, dist)
         # some feasible reference reproduces u1 exactly; distance is zero
         assert dist(u1, sys.pi0(x, v)) == 0.0
 
     def test_matches_exhaustive_search(self):
         sys = WalkSystem(10, [-1, 1], np.random.default_rng(4))
-        oracle, model, dist = WalkOracle(sys), walk_model(sys), ActionDistance()
+        oracle, dist = WalkOracle(sys), ActionDistance()
         for x in range(10):
             u1 = np.array([0.25])
-            got = backup_reference(x, u1, oracle, model, dist)
+            got = oracle.backup(x, u1, dist)
             feas = [v for v in sys.v_values if oracle.member(x, v)]
             if not feas:
                 assert got is None
@@ -251,9 +257,9 @@ class TestBackupReference:
 
     def test_infeasible_iff_outside_projection(self):
         sys = WalkSystem(10, [-1, 1], np.random.default_rng(5))
-        oracle, model, dist = WalkOracle(sys), walk_model(sys), ActionDistance()
+        oracle, dist = WalkOracle(sys), ActionDistance()
         for x in range(10):
-            v = backup_reference(x, np.array([0.0]), oracle, model, dist)
+            v = oracle.backup(x, np.array([0.0]), dist)
             assert (v is None) == (not oracle.proj_member(x))
 
 
@@ -266,23 +272,23 @@ class TestAllTimeSafety:
             n = int(rng.integers(7, 13))
             w_vals = [[0], [-1, 1], [-1, 0, 1]][int(rng.integers(3))]
             sys = WalkSystem(n, w_vals, rng)
-            oracle, model = WalkOracle(sys), walk_model(sys)
+            oracle = WalkOracle(sys)
             dist = ActionDistance()
             x = int(rng.integers(0, n))
-            if adjust_action(x, np.array([0.0]), oracle, model, dist) is None:
+            if oracle.adjust(x, np.array([0.0]), dist) is None:
                 continue
             scenarios += 1
             gs = GovernorState()
             for _ in range(50):
                 u1 = np.array([float(rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0]))])
-                outcome, gs = govern(x, u1, gs, oracle, model, dist)
+                outcome, gs = govern(x, u1, gs, oracle, dist)
                 assert sys.constraint_ok(x, outcome.u), (n, w_vals, x)
                 w = int(rng.choice(sys.w_values))
                 x = sys.f(x, outcome.u, w)
 
     def test_determinism(self):
         sys = WalkSystem(10, [-1, 0, 1], np.random.default_rng(7))
-        oracle, model, dist = WalkOracle(sys), walk_model(sys), ActionDistance()
+        oracle, dist = WalkOracle(sys), ActionDistance()
 
         def run():
             gs = GovernorState()
@@ -290,7 +296,7 @@ class TestAllTimeSafety:
             x = 4
             for k in range(30):
                 u1 = np.array([float((-1) ** k)])
-                outcome, gs = govern(x, u1, gs, oracle, model, dist)
+                outcome, gs = govern(x, u1, gs, oracle, dist)
                 out.append(float(outcome.u[0]))
                 x = sys.f(x, outcome.u, [-1, 0, 1][k % 3])
             return out
@@ -305,10 +311,65 @@ class TestDistance:
         assert l1([1.0, 2.0], [0.0, 0.0]) == 3.0
         assert linf([1.0, 2.0], [0.0, 0.0]) == 2.0
 
-    def test_state_hook(self):
-        d = ActionDistance("l1", state_fn=lambda x, u1, u: 42.0)
-        assert d([0.0], [5.0], x=None) == 42.0
-
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError):
             ActionDistance("l2")
+
+
+# ---------------------------------------------------------------------------
+# the step itself: pass-through, step count, error tagging
+
+
+class TestGovernStep:
+    def test_no_oracle_passes_through(self):
+        gs = GovernorState()
+        for k in range(3):
+            outcome, gs = govern(0, [float(k)], gs, None)
+            assert outcome.branch is Branch.NONE
+            assert outcome.u.tolist() == [float(k)]
+        assert gs.step == 3 and gs.v_hat is None
+
+    def test_library_error_carries_its_step(self):
+        class FailsAtThird(RingOracle):
+            calls = 0
+
+            def adjust(self, x, u1, dist):
+                self.calls += 1
+                if self.calls == 3:
+                    raise InfeasibleStateError("lost", 42)
+                return u1
+
+        oracle, gs = FailsAtThird(), GovernorState()
+        govern(0, [0.0], gs, oracle)
+        govern(1, [0.0], gs, oracle)
+        with pytest.raises(InfeasibleStateError) as info:
+            govern(2, [0.0], gs, oracle)
+        assert info.value.step == 2
+        assert info.value.args == ("lost", 42)
+        assert str(info.value).startswith("step 2: ")
+
+    def test_uninitialized_error_carries_its_step(self):
+        gs = GovernorState(step=7)
+        with pytest.raises(UninitializedGovernorError, match="step 7"):
+            govern(2, np.array([0.0]), gs, RingOracle())
+
+
+class TestNearestCandidate:
+    def test_empty_is_none(self):
+        assert nearest_candidate(np.array([]), lambda c: 0.0) is None
+        assert nearest_candidate([], lambda c: 0.0) is None
+
+    def test_minimum_distance_wins(self):
+        got = nearest_candidate([3.0, -1.0, 2.0], lambda c: abs(c[0] - 1.8))
+        assert got.tolist() == [2.0]
+
+    def test_ties_go_to_the_lexicographically_smallest_row(self):
+        cands = np.array([[1.0, 5.0], [0.0, 9.0], [0.0, 2.0], [-4.0, 0.0]])
+        got = nearest_candidate(cands, lambda c: 0.0 if c[0] >= 0.0 else 1.0)
+        assert got.tolist() == [0.0, 2.0]
+
+    def test_returns_a_copy(self):
+        cands = np.array([[1.0]])
+        got = nearest_candidate(cands, lambda c: 0.0)
+        got[0] = 5.0
+        assert cands[0, 0] == 1.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actiongov.control_linalg import LinearPlant, NominalGain, OutputMap, closed_loop
+from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from actiongov.convexset import HPolytope, lp_solve, rejection_sample
 from actiongov.errors import InfeasibleStateError, MoasNotDeterminedError
 from actiongov.lp import LpStatus, Sense
@@ -11,7 +11,6 @@ from actiongov.moas import (
     feasible_action_set,
     linear_ag_step,
 )
-from actiongov.simlab import disturbance_bound
 
 
 def scalar_toy():
@@ -19,7 +18,7 @@ def scalar_toy():
     plant = LinearPlant([[1.0]], [[1.0]], [[1.0]])
     out = OutputMap([[1.0]], [[0.0]], HPolytope([[1.0], [-1.0]], [1.0, 1.0]))
     gain = NominalGain([[-0.5]], [[0.5]])
-    return plant, out, gain, closed_loop(plant, out, gain)
+    return plant, out, gain, ClosedLoop(plant, out, gain)
 
 
 class TestBuild:
@@ -112,8 +111,7 @@ class TestBuild:
 class TestActionStep:
     def test_origin_passthrough(self, rig, moas_bundle):
         _, moas = moas_bundle
-        u, adjusted = linear_ag_step(moas, rig.plant, rig.out, rig.w_set,
-                                     [0.0, 0.0], [0.0])
+        u, adjusted = linear_ag_step(moas, rig.plant, rig.out, [0.0, 0.0], [0.0])
         assert not adjusted
         assert u[0] == 0.0
 
@@ -124,8 +122,7 @@ class TestActionStep:
         big = HPolytope.from_bounds([-100.0], [100.0])
         moas = Moas(0, HPolytope.from_bounds([-100.0, -100.0], [100.0, 100.0]),
                     big, big, 0.01, 1, 1)
-        u, adjusted = linear_ag_step(moas, plant, out, disturbance_bound(),
-                                     [0.0], [3.0])
+        u, adjusted = linear_ag_step(moas, plant, out, [0.0], [3.0])
         assert adjusted
         assert u[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -133,7 +130,7 @@ class TestActionStep:
         _, moas = moas_bundle
         x = np.array([12.0, 6.0])
         u1 = rig.gain.K @ x
-        u, adjusted = linear_ag_step(moas, rig.plant, rig.out, rig.w_set, x, u1)
+        u, adjusted = linear_ag_step(moas, rig.plant, rig.out, x, u1)
         assert adjusted
         # membership oracle on the returned action
         y = rig.out.C @ x + rig.out.D @ u
@@ -147,7 +144,7 @@ class TestActionStep:
         # committed by the current position and velocity
         _, moas = moas_bundle
         with pytest.raises(InfeasibleStateError):
-            linear_ag_step(moas, rig.plant, rig.out, rig.w_set, [14.0, 6.0], [0.0])
+            linear_ag_step(moas, rig.plant, rig.out, [14.0, 6.0], [0.0])
 
     def test_recursive_feasibility_sampled(self, rig, moas_bundle):
         _, moas = moas_bundle
@@ -155,7 +152,7 @@ class TestActionStep:
         xs = rejection_sample(moas.proj_x, rng, 200, margin=1e-9)
         for x in xs:
             u1 = rng.uniform(-8.0, 8.0, size=1)
-            u, _ = linear_ag_step(moas, rig.plant, rig.out, rig.w_set, x, u1)
+            u, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1)
             for w in (-1.0, 1.0):
                 succ = rig.plant.step(x, u, [w])
                 assert not feasible_action_set(moas, rig.plant, rig.out, succ).is_empty
@@ -164,8 +161,8 @@ class TestActionStep:
         _, moas = moas_bundle
         x = np.array([10.0, 5.0])
         for u1 in ([-9.0], [2.0], [7.5]):
-            ul1, _ = linear_ag_step(moas, rig.plant, rig.out, rig.w_set, x, u1, "l1")
-            uli, _ = linear_ag_step(moas, rig.plant, rig.out, rig.w_set, x, u1, "linf")
+            ul1, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1, "l1")
+            uli, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1, "linf")
             assert ul1[0] == pytest.approx(uli[0], abs=1e-9)
 
     def test_any_action_stream_stays_safe_for_500_steps(self, rig, moas_bundle):
@@ -178,7 +175,7 @@ class TestActionStep:
         x = np.array([12.0, 6.0])
         for _ in range(500):
             u1 = rng.uniform(-10.0, 10.0, size=1)
-            u, _ = linear_ag_step(moas, rig.plant, rig.out, rig.w_set, x, u1)
+            u, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1)
             assert not is_violated(x, u)
             x = rig.plant.step(x, u, [disturbance(x)])
 
@@ -186,12 +183,10 @@ class TestActionStep:
 class TestGovernWithLinearOracle:
     def test_interior_safe_proposal_passes_through(self, rig, moas_bundle):
         from actiongov.governor import Branch, GovernorState, govern
-        from actiongov.simlab import transition_model
 
         oracle, _ = moas_bundle
         gs = GovernorState()
-        outcome, gs = govern(np.zeros(2), np.array([0.3]), gs, oracle,
-                             transition_model(rig), rig.dist)
+        outcome, gs = govern(np.zeros(2), np.array([0.3]), gs, oracle, rig.dist)
         assert outcome.branch is Branch.ADJUSTED
         assert outcome.u[0] == pytest.approx(0.3, abs=1e-12)
         assert gs.v_hat is None  # the backup reference was never touched
@@ -199,11 +194,9 @@ class TestGovernWithLinearOracle:
     def test_backup_reference_polytope_route(self, rig, moas_bundle):
         # the reference slice at a member state is nonempty and the backup
         # selection lands inside it
-        from actiongov.governor import backup_reference
-
         oracle, moas = moas_bundle
         x = np.array([5.0, 2.0])
         assert oracle.proj_member(x)
-        v = backup_reference(x, np.array([0.0]), oracle, None, rig.dist)
+        v = oracle.backup(x, np.array([0.0]), rig.dist)
         assert v is not None
         assert oracle.member(x, v)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actiongov.errors import NumericalError
+from actiongov.errors import NumericalError, UninitializedGovernorError
 from actiongov.governor import ActionDistance
 from actiongov.control_linalg import dare_solve
 from actiongov.safe_learning import (
@@ -22,8 +22,25 @@ from actiongov.safe_learning import (
     run_safe_koopman,
     run_safe_q,
 )
+from enumerated_oracle import EnumeratedOracle
 
 dist_l1 = ActionDistance("l1")
+
+
+class GivesUpAfter(EnumeratedOracle):
+    """Passes the first ``n`` proposals through, then has no safe action and
+    no reference, so the next step has nothing to fall back on."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = 0
+
+    def feasible_actions(self, x):
+        self.calls += 1
+        return np.array([]) if self.calls > self.n else np.array([0.0, 1.0])
+
+    def candidate_refs(self, x):
+        return np.array([])
 
 
 class TestEpsilonGreedy:
@@ -151,7 +168,7 @@ class TestRunSafeQ:
 
     def test_penalized_target_when_supervisor_adjusts(self):
         # a one-state environment whose oracle forbids the proposed action
-        class Clamp:
+        class Clamp(EnumeratedOracle):
             def member(self, x, v):
                 return True
 
@@ -164,7 +181,8 @@ class TestRunSafeQ:
             def candidate_refs(self, x):
                 return np.array([0.0])
 
-        from actiongov.governor import TransitionPolicyModel
+            def pi0(self, x, v):
+                return np.array([0.0])
 
         env = SafeQEnv(
             n_states=1,
@@ -175,7 +193,6 @@ class TestRunSafeQ:
             step=lambda x, u, rng: (0, 0.0),
             reward=lambda x, u: 1.0,
             oracle=Clamp(),
-            model=TransitionPolicyModel(f=lambda x, u, w: 0, pi0=lambda x, v: np.array([0.0])),
         )
         q0 = QTable.zeros(1, 2, gamma=0.9, alpha=1.0, epsilon=1.0, penalty_m=100.0)
         q1, traj = run_safe_q(env, q0, 1, 200, np.random.default_rng(11))
@@ -183,6 +200,14 @@ class TestRunSafeQ:
         # target carries the -100 penalty and stays far below action 0's
         assert q1.values[0, 1] < q1.values[0, 0] - 50.0
         assert all(s.u[0] == 0.0 for s in traj.steps)
+
+    def test_governor_error_reports_its_step(self):
+        env, *_ = chain_env()
+        env.oracle = GivesUpAfter(4)
+        q0 = QTable.zeros(3, 2, epsilon=0.5)
+        with pytest.raises(UninitializedGovernorError, match="step 4") as info:
+            run_safe_q(env, q0, 1, 10, np.random.default_rng(0))
+        assert info.value.step == 4
 
 
 class TestReplayBuffer:
@@ -336,11 +361,6 @@ class TestKoopmanControl:
         u = koopman_control(km, np.array([1.0, 1.0]), np.eye(2), [[1.0]])
         assert np.all(np.isfinite(u))
 
-    def test_explicit_horizon(self):
-        km = KoopmanModel.initial(np.eye(2) * 0.9, [[0.0], [1.0]], identity_observables(2))
-        u = koopman_control(km, np.array([1.0, 1.0]), np.eye(2), [[1.0]], n_horizon=5)
-        assert np.all(np.isfinite(u))
-
 
 def linear_koopman_env(A, B, oracle=None):
     def step(x, u):
@@ -379,6 +399,15 @@ class TestRunSafeKoopman:
                 continue
             err = max(err, float(np.max(np.abs(xs[k + 1] - km.A @ xs[k] - km.B @ us[k]))))
         assert err < 1e-5
+
+    def test_governor_error_reports_its_step(self):
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        env = linear_koopman_env(A, B, oracle=GivesUpAfter(6))
+        km0 = KoopmanModel.initial(A, B, identity_observables(2))
+        with pytest.raises(UninitializedGovernorError, match="step 6") as info:
+            run_safe_koopman(env, km0, 20, 5, np.random.default_rng(0))
+        assert info.value.step == 6
 
     def test_no_resets_when_period_is_infinite(self):
         A = np.array([[0.9, 0.0], [0.0, 0.9]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from actiongov.control_linalg import dare_solve
+from actiongov.errors import InfeasibleStateError
 from actiongov.governor import GovernorState, govern
 from actiongov.safe_learning import koopman_control, run_safe_koopman
 from actiongov.simlab import (
@@ -87,6 +88,44 @@ class TestSimulate:
         cfg = ScenarioConfig(seed=0, steps=10, initial_state=(14.0, 6.0), governor="moas")
         with pytest.raises(Exception, match="step 0"):
             simulate(cfg)
+
+    def test_foreign_oracle_error_propagates_unchanged(self, rig):
+        class Oops(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+                self.code = code
+
+        class Broken:
+            def adjust(self, x, u1, dist):
+                raise Oops(7, "detail")
+
+        with pytest.raises(Oops) as info:
+            run_supervised(rig, _nominal_controller(rig), Broken(), (12.0, 6.0), 5, rig.dist)
+        assert info.value.code == 7
+        assert info.value.args == (7, "detail")
+        assert info.value.__cause__ is None
+
+    def test_library_error_keeps_type_and_attributes(self, rig):
+        class Lost(InfeasibleStateError):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+                self.code = code
+
+        class FailsLater:
+            calls = 0
+
+            def adjust(self, x, u1, dist):
+                self.calls += 1
+                if self.calls > 3:
+                    raise Lost(7, "detail")
+                return u1
+
+        with pytest.raises(Lost) as info:
+            run_supervised(rig, _nominal_controller(rig), FailsLater(), (12.0, 6.0), 5,
+                           rig.dist)
+        assert info.value.code == 7
+        assert info.value.step == 3
+        assert str(info.value) == "step 3: (7, 'detail')"
 
 
 class TestControllerAndBackendVariants:
