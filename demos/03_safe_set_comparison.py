@@ -1,8 +1,8 @@
 """Two routes to the same safe region: admissible-set recursion on the
 linear loop versus grid classification of the discretized loop.
 
-The grid run takes a minute at full resolution; pass --coarse for a quick
-look.
+Both routes take a few seconds at full resolution; pass --coarse for a
+quicker look.
 
 Run:  python demos/03_safe_set_comparison.py [--coarse]
 """
@@ -32,7 +32,7 @@ _, dss, _, grid = build_grid_backend(cfg, rig)
 counts = dss.counts()
 print(f"grid classification on {grid.n_pairs} pairs: "
       f"{counts['safe']} safe, {counts['minus']} unsafe, {counts['remain']} unresolved "
-      f"({len(dss.sweep_counts) - 1} sweeps)")
+      f"({len(dss.sweep_counts) - 1} sweeps growing the safe set)")
 
 pts = grid.x_points()
 in_moas = moas.proj_x.contains(pts)

@@ -29,9 +29,9 @@ from .discrete_safeset import (
     TransitionTable,
     build_seed,
     compute_safe_set,
-    compute_safe_set_sequential,
     constraint_table,
     discretize,
+    unsafe_witness,
 )
 from .governor import (
     ActionDistance,

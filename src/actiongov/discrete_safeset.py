@@ -2,15 +2,13 @@
 
 The closed loop is discretized onto a regular product grid (nearest grid
 point in Euclidean distance, which on a product grid reduces to nearest
-per coordinate; exact ties take the smaller index).  A seed of certified
-safe and invariant pairs is grown from steady-state ellipsoids, then a
-sweep-to-fixed-point classification sorts every ``(x, v)`` pair into
-provably-safe, provably-unsafe, or unresolved.
-
-Reference semantics of the classification is the sequential pair-by-pair
-sweep; the implementation evaluates each sweep in a vectorized batch and
-applies the updates at sweep end, which reaches the same fixed point
-because both class sets only ever grow.
+per coordinate; exact ties take the smaller index).  Each ``(x, v)`` pair
+is classified safe, unsafe or unresolved in three stages, each computed
+once: a backward fixed point marks the unsafe pairs, leaving the greatest
+invariant admissible set; a seed built from steady-state ellipsoids inside
+that set; and the growth of the safe set from the seed.  The fixed points
+apply each vectorized sweep at its end, which reaches the same sets as a
+pair-at-a-time sweep because the marked sets only ever grow.
 """
 
 from __future__ import annotations
@@ -161,18 +159,6 @@ def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
     return TransitionTable(table, grid, cl)
 
 
-def _greatest_invariant_subset(mask: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Largest subset of ``mask`` closed under every disturbance successor."""
-    vidx = np.arange(mask.shape[1])[None, :, None]
-    current = mask.copy()
-    while True:
-        ok = (table >= 0) & current[np.clip(table, 0, None), vidx]
-        stay = current & ok.all(axis=2)
-        if (stay == current).all():
-            return stay
-        current = stay
-
-
 def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Smallest superset of ``core`` closed under every disturbance successor.
 
@@ -193,20 +179,21 @@ def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:
     return seed
 
 
-def build_seed(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, ok: np.ndarray,
+def build_seed(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, invariant: np.ndarray,
                alpha: float) -> np.ndarray:
     """Boolean mask (n_xpairs, n_v) of the certified safe invariant seed.
 
-    ``tt`` is the loop's transition table and ``ok`` its
-    :func:`constraint_table`.
+    ``tt`` is the loop's transition table and ``invariant`` its greatest
+    invariant admissible pair set (the pairs :func:`unsafe_witness` leaves
+    at ``WITNESS_NONE``).
 
     A reference is eligible when the worst case of every output constraint
     over its steady-state ellipsoid is admissible; the raw collection is the
     grid states inside eligible ellipsoids.  Snapping the dynamics to the
     grid can make that collection non-invariant (worst-case disturbances
     drive boundary members just outside), so the collection is completed to
-    its forward closure inside the greatest invariant admissible pair set.
-    When the collection is already invariant the closure adds nothing.
+    its forward closure inside the invariant set.  When the collection is
+    already invariant the closure adds nothing.
     """
     P = dlyap_scaled(cl.At, cl.plant.E, alpha)
     n = cl.At.shape[0]
@@ -231,7 +218,6 @@ def build_seed(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, ok: np.ndarr
     if not members.any():
         raise SeedConstructionError("no grid pair passed the ellipsoid constraint check")
 
-    invariant = _greatest_invariant_subset(ok, tt.table)
     core = members & invariant
     if not core.any():
         raise SeedConstructionError(
@@ -244,11 +230,10 @@ class DiscreteSafeSet:
     """Classification of every grid pair plus the seed it grew from.
 
     ``class_map`` holds REMAIN / SAFE_PLUS / MINUS codes; ``pi`` is the
-    selected safe set (the full SAFE_PLUS class).  ``witness_w`` records,
-    for MINUS pairs, the disturbance-grid index that leads to a MINUS or
-    out-of-grid successor (or -1 when the pair itself violates the
-    constraints).  ``sweep_counts`` lists (safe, minus, remain) totals at
-    every sweep boundary.
+    selected safe set (the full SAFE_PLUS class).  ``witness_w`` is the
+    :func:`unsafe_witness` of every pair.  ``sweep_counts`` lists (safe,
+    minus, remain) totals once the seed and the MINUS class are known, then
+    after every sweep of the safe set's growth.
     """
 
     __slots__ = ("class_map", "seed", "grid", "witness_w", "sweep_counts", "_proj")
@@ -272,11 +257,8 @@ class DiscreteSafeSet:
         return self._proj
 
     def counts(self) -> dict:
-        return {
-            "safe": int((self.class_map == SAFE_PLUS).sum()),
-            "minus": int((self.class_map == MINUS).sum()),
-            "remain": int((self.class_map == REMAIN).sum()),
-        }
+        safe, minus, remain = _totals(self.class_map)
+        return {"safe": safe, "minus": minus, "remain": remain}
 
 
 def constraint_table(out: OutputMap, gain: NominalGain, grid: GridSpec) -> np.ndarray:
@@ -293,102 +275,59 @@ def constraint_table(out: OutputMap, gain: NominalGain, grid: GridSpec) -> np.nd
     return ok
 
 
-def compute_safe_set(seed: np.ndarray, tt: TransitionTable, ok: np.ndarray,
-                     k_max: int | None = None) -> DiscreteSafeSet:
-    """Classify all grid pairs by repeated sweeps until a fixed point.
+def unsafe_witness(tt: TransitionTable, ok: np.ndarray) -> np.ndarray:
+    """Witness of unsafety for every grid pair, int16 of shape (n_xpairs, n_v).
 
-    ``ok`` is the :func:`constraint_table` of the loop.  A remaining pair
-    becomes SAFE_PLUS when its own constraint holds and every disturbance
-    successor is already SAFE_PLUS; it becomes MINUS when the constraint
-    fails or some successor is MINUS or out of grid.  Pairs that never
-    resolve stay REMAIN and are excluded from the safe set.
+    ``WITNESS_CONSTRAINT`` where ``ok`` (the loop's :func:`constraint_table`)
+    fails; for an admissible pair, the first disturbance-grid index whose
+    successor leaves the grid or was marked in an earlier sweep, so every
+    witness chain ends at a violation or an exit; ``WITNESS_NONE`` on the
+    greatest invariant admissible set.
     """
-    grid = tt.grid
-    if not seed.any():
-        raise SeedConstructionError("seed is empty")
-    if k_max is None:
-        k_max = 50 * grid.n_pairs
-    cls = np.zeros((grid.n_xpairs, grid.n_v), dtype=np.int8)
-    cls[seed] = SAFE_PLUS
-    witness = np.full(cls.shape, WITNESS_NONE, dtype=np.int16)
-    vidx = np.arange(grid.n_v)[None, :, None]
-    succ = tt.table
-    valid = succ >= 0
-    succ_clip = np.clip(succ, 0, None)
-    counts = [(int((cls == SAFE_PLUS).sum()), int((cls == MINUS).sum()),
-               int((cls == REMAIN).sum()))]
-    visits = 0
-    while visits < k_max:
-        remain = cls == REMAIN
-        if not remain.any():
-            break
-        scls = np.where(valid, cls[succ_clip, vidx], MINUS)
-        all_safe = (scls == SAFE_PLUS).all(axis=2)
-        any_minus = (scls == MINUS).any(axis=2)
-        new_minus = remain & (~ok | any_minus)
-        new_safe = remain & ok & all_safe & ~new_minus
-        first_minus_w = np.argmax(scls == MINUS, axis=2).astype(np.int16)
-        witness[new_minus & ~ok] = WITNESS_CONSTRAINT
-        via_succ = new_minus & ok
-        witness[via_succ] = first_minus_w[via_succ]
-        cls[new_minus] = MINUS
-        cls[new_safe] = SAFE_PLUS
-        visits += int(remain.sum())
-        counts.append((int((cls == SAFE_PLUS).sum()), int((cls == MINUS).sum()),
-                       int((cls == REMAIN).sum())))
-        if not (new_minus.any() or new_safe.any()):
-            break
-    return DiscreteSafeSet(cls, seed, grid, witness, counts)
+    witness = np.where(ok, WITNESS_NONE, WITNESS_CONSTRAINT).astype(np.int16)
+    rows, cols = np.nonzero(ok)
+    succ = tt.table[rows, cols]
+    while True:
+        # an off-grid successor (-1) reads an arbitrary row; the exit test decides it
+        hit = (succ < 0) | (witness != WITNESS_NONE)[succ, cols[:, None]]
+        marked = hit.any(axis=1)
+        if not marked.any():
+            return witness
+        witness[rows[marked], cols[marked]] = np.argmax(hit[marked], axis=1)
+        rows, cols, succ = rows[~marked], cols[~marked], succ[~marked]
 
 
-def compute_safe_set_sequential(seed: np.ndarray, tt: TransitionTable, ok: np.ndarray,
-                                k_max: int | None = None) -> DiscreteSafeSet:
-    """Pair-at-a-time reference semantics of :func:`compute_safe_set`.
+def _totals(cls: np.ndarray) -> tuple:
+    remain, safe, minus = np.bincount(cls.ravel(), minlength=3)
+    return int(safe), int(minus), int(remain)
 
-    Visits remaining pairs in index order and applies every reclassification
-    immediately.  Intended for small grids and cross-checking; the batched
-    sweep reaches the same fixed point.
+
+def compute_safe_set(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, ok: np.ndarray,
+                     alpha: float) -> DiscreteSafeSet:
+    """Classify all grid pairs of the loop tabulated in ``tt``.
+
+    ``ok`` is the loop's :func:`constraint_table` and ``alpha`` the seed's
+    Lyapunov scaling.  Pairs with an :func:`unsafe_witness` are MINUS; the
+    seed is built inside the remaining invariant set, and a pair of that
+    set becomes SAFE_PLUS once every disturbance successor is SAFE_PLUS.
+    Invariant pairs that never reach the seed stay REMAIN.
     """
-    grid = tt.grid
-    if not seed.any():
-        raise SeedConstructionError("seed is empty")
-    if k_max is None:
-        k_max = 50 * grid.n_pairs
-    cls = np.zeros((grid.n_xpairs, grid.n_v), dtype=np.int8)
+    witness = unsafe_witness(tt, ok)
+    invariant = witness == WITNESS_NONE
+    seed = build_seed(cl, out, tt, invariant, alpha)
+    cls = np.where(invariant, REMAIN, MINUS).astype(np.int8)
     cls[seed] = SAFE_PLUS
-    witness = np.full(cls.shape, WITNESS_NONE, dtype=np.int16)
-    counts = [(int((cls == SAFE_PLUS).sum()), int((cls == MINUS).sum()),
-               int((cls == REMAIN).sum()))]
-    visits = 0
-    changed = True
-    while changed and visits < k_max:
-        changed = False
-        for i in range(grid.n_xpairs):
-            for j in range(grid.n_v):
-                if cls[i, j] != REMAIN:
-                    continue
-                visits += 1
-                if not ok[i, j]:
-                    cls[i, j] = MINUS
-                    witness[i, j] = WITNESS_CONSTRAINT
-                    changed = True
-                    continue
-                succ = tt.table[i, j]
-                s_cls = np.where(succ >= 0, cls[np.clip(succ, 0, None), j], MINUS)
-                if (s_cls == SAFE_PLUS).all():
-                    cls[i, j] = SAFE_PLUS
-                    changed = True
-                elif (s_cls == MINUS).any():
-                    cls[i, j] = MINUS
-                    witness[i, j] = int(np.argmax(s_cls == MINUS))
-                    changed = True
-                if visits >= k_max:
-                    break
-            if visits >= k_max:
-                break
-        counts.append((int((cls == SAFE_PLUS).sum()), int((cls == MINUS).sum()),
-                       int((cls == REMAIN).sum())))
-    return DiscreteSafeSet(cls, seed, grid, witness, counts)
+    counts = [_totals(cls)]
+    # successors of invariant pairs are invariant, hence on the grid
+    rows, cols = np.nonzero(cls == REMAIN)
+    succ = tt.table[rows, cols]
+    while True:
+        grown = (cls[succ, cols[:, None]] == SAFE_PLUS).all(axis=1)
+        cls[rows[grown], cols[grown]] = SAFE_PLUS
+        counts.append(_totals(cls))
+        if not grown.any():
+            return DiscreteSafeSet(cls, seed, tt.grid, witness, counts)
+        rows, cols, succ = rows[~grown], cols[~grown], succ[~grown]
 
 
 class DiscreteGridOracle:

@@ -155,10 +155,10 @@ def run_safe_q(env: SafeQEnv, q: QTable, t_max: int, big_t_max: int, rng):
     gs = GovernorState()
     traj = Trajectory()
     x = env.initial_state
+    s = env.state_index(x)
     t = 0
     for _ in range(big_t_max):
         for _ in range(t_max):
-            s = env.state_index(x)
             a = epsilon_greedy(q, s, rng)
             u1 = np.atleast_1d(np.asarray(env.actions[a], dtype=float))
             outcome, gs = govern(x, u1, gs, env.oracle, env.dist)
@@ -166,15 +166,16 @@ def run_safe_q(env: SafeQEnv, q: QTable, t_max: int, big_t_max: int, rng):
             x_next, w = env.step(x, u, rng)
             r = env.reward(x, u)
             r_tilde = modified_reward(r, u1, u, q.penalty_m, env.dist)
-            buffer.add(s, a, q_target(q, s, a, r_tilde, env.state_index(x_next)))
+            s_next = env.state_index(x_next)
+            buffer.add(s, a, q_target(q, s, a, r_tilde, s_next))
             cost = env.cost(x, u) if env.cost is not None else -r
             violated = env.violated(x, u) if env.violated is not None else False
             traj.append(t, _as_state_vec(x), u1, u, outcome.branch.value, gs.v_hat, w, cost,
                         violated)
-            x = x_next
+            x, s = x_next, s_next
             t += 1
-        for s, a, val in buffer.drain():
-            q.values[s, a] = val
+        for row, col, val in buffer.drain():
+            q.values[row, col] = val
     return q, traj
 
 

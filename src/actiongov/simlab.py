@@ -21,7 +21,6 @@ from .convexset import HPolytope, rejection_sample
 from .discrete_safeset import (
     DiscreteGridOracle,
     GridSpec,
-    build_seed,
     compute_safe_set,
     constraint_table,
     discretize,
@@ -177,7 +176,6 @@ class ScenarioConfig:
     grid_w_hi: float = 1.0
     grid_dw: float = 0.1
     alpha: float = 0.75
-    k_max_factor: int = 50
     action_lo: float = -6.0
     action_hi: float = 6.0
     action_du: float = 0.5
@@ -216,7 +214,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "seed" not in data:
             raise ValueError("config must set a seed")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ValueError(f"malformed config value: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -283,9 +284,8 @@ def build_grid_backend(cfg: ScenarioConfig, rig: ExampleRig):
     constraint table are computed once and shared by every stage."""
     grid = cfg.grid_spec()
     tt = discretize(rig.cl, grid)
-    ok = constraint_table(rig.out, rig.gain, grid)
-    seed = build_seed(rig.cl, rig.out, tt, ok, cfg.alpha)
-    dss = compute_safe_set(seed, tt, ok, k_max=cfg.k_max_factor * grid.n_pairs)
+    dss = compute_safe_set(rig.cl, rig.out, tt, constraint_table(rig.out, rig.gain, grid),
+                           cfg.alpha)
     oracle = DiscreteGridOracle(dss, tt, rig.out, cfg.action_values())
     return oracle, dss, tt, grid
 

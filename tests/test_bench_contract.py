@@ -1,10 +1,13 @@
 """The library API that the benchmark under ``bench/`` drives.
 
 ``bench/run.py --trace 1`` wraps the entry points listed in
-``bench/tracer.py`` and reads the supervision step's outcome; a refactor
-that moves one of them would otherwise only show when the benchmark runs.
+``bench/tracer.py`` and reads attributes of their results through the
+tracer's hooks (the supervision step's outcome, the grid build, the
+admissible-set build, the LP solve); a refactor that moves one of them
+would otherwise only show when the benchmark runs.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -16,6 +19,7 @@ import pytest
 
 from actiongov import safe_learning, simlab
 from actiongov.governor import GovernorState, govern
+from actiongov.lp import LpStatus, solve_lp
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,6 +63,39 @@ def test_govern_returns_outcome_and_state(tracer, oracle):
     branch, moved = tracer._govern_attrs(args, {}, result)
     assert branch == outcome.branch.value
     assert moved == (oracle is not None)
+
+
+def _tiny_grid():
+    """The ``TINY_GRID`` overrides of ``bench/run.py``, read without importing it
+    (the script pins thread-pool variables in the environment on import)."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TINY_GRID"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no TINY_GRID")
+
+
+def test_grid_build_hooks_read_a_real_build(tracer):
+    cfg = simlab.ScenarioConfig(seed=0, **_tiny_grid())
+    _, dss, tt, grid = simlab.build_grid_backend(cfg, simlab.build_rig(cfg))
+    assert tracer._discretize_attrs((), {}, tt) == (tt.table.nbytes, grid.n_pairs)
+    (sweeps,) = tracer._safe_set_attrs((), {}, dss)
+    assert sweeps == len(dss.sweep_counts) - 1 >= 1
+    assert all(sum(totals) == grid.n_pairs for totals in dss.sweep_counts)
+
+
+def test_moas_hook_reads_a_real_build(tracer, moas_bundle):
+    _, moas = moas_bundle
+    t_star, set_rows, proj_rows = tracer._moas_attrs((), {}, moas)
+    assert t_star == moas.t_star > 0
+    assert (set_rows, proj_rows) == (moas.set_xv.n_rows, moas.proj_x.n_rows)
+
+
+def test_lp_hook_reads_a_real_solve(tracer):
+    args = ([1.0, -1.0], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 2.0, 2.0])
+    result = solve_lp(*args)
+    assert result.status is LpStatus.OPTIMAL
+    assert tracer._lp_attrs(args, {}, result) == (2, 4)
 
 
 def test_workload_entry_points_exist():

@@ -38,9 +38,12 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert json.loads(err)["error"]
 
-    def test_bad_config_keys(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", [{"bogus": True}, {"steps": "ten"}, {"initial_state": 5},
+                                     {"koopman_q_diag": None}],
+                             ids=["unknown-key", "steps-text", "state-scalar", "q-diag-null"])
+    def test_bad_config_keys(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"seed": 0, "bogus": True}))
+        path.write_text(json.dumps({"seed": 0, **bad}))
         assert main(["simulate", "--config", str(path)]) == 2
 
     def test_infeasible_start_is_a_domain_error(self, tmp_path, capsys):

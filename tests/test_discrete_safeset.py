@@ -9,14 +9,17 @@ from actiongov.discrete_safeset import (
     REMAIN,
     SAFE_PLUS,
     WITNESS_CONSTRAINT,
+    WITNESS_NONE,
     DiscreteGridOracle,
+    DiscreteSafeSet,
     GridSpec,
     build_seed,
     compute_safe_set,
-    compute_safe_set_sequential,
     constraint_table,
     discretize,
+    unsafe_witness,
 )
+from actiongov.errors import SeedConstructionError
 from actiongov.governor import ActionDistance
 from actiongov.simlab import example_system
 from ellipsoids import Ellipsoid, ellipsoid_support
@@ -36,8 +39,55 @@ def grid_tables(cl, out, grid):
     return discretize(cl, grid), constraint_table(out, cl.gain, grid)
 
 
+def invariant_set(tt, ok):
+    """Greatest invariant admissible pair set, the domain of the seed."""
+    return unsafe_witness(tt, ok) == WITNESS_NONE
+
+
 def seed_on(cl, out, grid, alpha=0.75):
-    return build_seed(cl, out, *grid_tables(cl, out, grid), alpha)
+    tt, ok = grid_tables(cl, out, grid)
+    return build_seed(cl, out, tt, invariant_set(tt, ok), alpha)
+
+
+def compute_safe_set_sequential(seed, tt, ok):
+    """Pair-at-a-time reference semantics of :func:`compute_safe_set`.
+
+    Visits remaining pairs in index order and applies every reclassification
+    immediately.  Intended for small grids and cross-checking; the batched
+    sweep reaches the same fixed point.
+    """
+    grid = tt.grid
+    if not seed.any():
+        raise SeedConstructionError("seed is empty")
+    cls = np.zeros((grid.n_xpairs, grid.n_v), dtype=np.int8)
+    cls[seed] = SAFE_PLUS
+    witness = np.full(cls.shape, WITNESS_NONE, dtype=np.int16)
+    counts = [(int((cls == SAFE_PLUS).sum()), int((cls == MINUS).sum()),
+               int((cls == REMAIN).sum()))]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(grid.n_xpairs):
+            for j in range(grid.n_v):
+                if cls[i, j] != REMAIN:
+                    continue
+                if not ok[i, j]:
+                    cls[i, j] = MINUS
+                    witness[i, j] = WITNESS_CONSTRAINT
+                    changed = True
+                    continue
+                succ = tt.table[i, j]
+                s_cls = np.where(succ >= 0, cls[np.clip(succ, 0, None), j], MINUS)
+                if (s_cls == SAFE_PLUS).all():
+                    cls[i, j] = SAFE_PLUS
+                    changed = True
+                elif (s_cls == MINUS).any():
+                    cls[i, j] = MINUS
+                    witness[i, j] = int(np.argmax(s_cls == MINUS))
+                    changed = True
+        counts.append((int((cls == SAFE_PLUS).sum()), int((cls == MINUS).sum()),
+                       int((cls == REMAIN).sum())))
+    return DiscreteSafeSet(cls, seed, grid, witness, counts)
 
 
 class TestGridSpec:
@@ -172,7 +222,7 @@ class TestBuildSeed:
     def test_seed_is_invariant_under_the_table(self):
         _, out, gain, cl, grid = small_example()
         tt, ok = grid_tables(cl, out, grid)
-        seed = build_seed(cl, out, tt, ok, 0.75)
+        seed = build_seed(cl, out, tt, invariant_set(tt, ok), 0.75)
         rows, cols = np.nonzero(seed)
         succ = tt.table[rows, cols, :]
         assert np.all(succ >= 0)
@@ -183,9 +233,8 @@ class TestBuildSeed:
 def bundle():
     plant, out, gain, cl, grid = small_example()
     tt, ok = grid_tables(cl, out, grid)
-    seed = build_seed(cl, out, tt, ok, 0.75)
-    dss = compute_safe_set(seed, tt, ok)
-    return plant, out, gain, cl, grid, tt, seed, dss
+    dss = compute_safe_set(cl, out, tt, ok, 0.75)
+    return plant, out, gain, cl, grid, tt, dss.seed, dss
 
 
 @pytest.fixture(scope="module")
@@ -218,14 +267,20 @@ class TestComputeSafeSet:
                 assert safe >= prev[0] and minus >= prev[1] and remain <= prev[2]
             prev = (safe, minus, remain)
 
-    def test_sequential_reference_reaches_the_same_fixed_point(self):
+    @pytest.mark.parametrize("grid", [
+        GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), -20.0, 20.0, 2.5, -1.0, 1.0, 1.0),
+        GridSpec((-25.0, -10.0), (25.0, 15.0), (2.0, 1.25), -10.0, 10.0, 2.0, -1.0, 1.0, 0.5),
+        GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), -20.0, 20.0, 2.5, -0.5, 0.5, 0.25),
+        GridSpec((-25.0, -10.0), (25.0, 15.0), (5.0, 2.5), -15.0, 15.0, 5.0, -2.0, 2.0, 1.0),
+        GridSpec((-25.0, -10.0), (25.0, 15.0), (1.0, 2.5), -10.0, 10.0, 2.5, -1.5, 1.5, 0.5),
+        # inside the constraint box, so admissible pairs also exit the grid
+        GridSpec((-15.0, -3.0), (15.0, 8.0), (2.5, 1.0), -25.0, 25.0, 5.0, -1.0, 1.0, 0.5),
+    ])
+    def test_sequential_reference_reaches_the_same_fixed_point(self, grid):
         plant, out, gain, cl, _ = small_example()
-        grid = GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5),
-                        -20.0, 20.0, 2.5, -1.0, 1.0, 1.0)
         tt, ok = grid_tables(cl, out, grid)
-        seed = build_seed(cl, out, tt, ok, 0.75)
-        batched = compute_safe_set(seed, tt, ok)
-        sequential = compute_safe_set_sequential(seed, tt, ok)
+        batched = compute_safe_set(cl, out, tt, ok, 0.75)
+        sequential = compute_safe_set_sequential(batched.seed, tt, ok)
         assert np.array_equal(batched.class_map, sequential.class_map)
 
     def test_safe_rollouts_reach_the_seed(self, bundle):
@@ -245,23 +300,21 @@ class TestComputeSafeSet:
 
     def test_minus_witness_chains_reach_violation_or_exit(self, bundle):
         plant, out, gain, cl, grid, tt, seed, dss = bundle
-        rng = np.random.default_rng(4)
-        minus_pairs = np.argwhere(dss.class_map == MINUS)
         ok_table = dss_constraint_oracle(out, gain, grid)
-        for _ in range(200):
-            i, j = minus_pairs[rng.integers(len(minus_pairs))]
-            steps = 0
-            while True:
-                w = dss.witness_w[i, j]
-                if w == WITNESS_CONSTRAINT:
-                    assert not ok_table[i, j]
-                    break
-                succ = tt.table[i, j, int(w)]
-                if succ < 0:
-                    break  # left the verified range
-                i = succ
-                steps += 1
-                assert steps <= grid.n_xpairs
+        # follow every MINUS pair's chain at once
+        i, j = np.nonzero(dss.class_map == MINUS)
+        steps = 0
+        while True:
+            w = dss.witness_w[i, j]
+            violation = w == WITNESS_CONSTRAINT
+            assert not ok_table[i[violation], j[violation]].any()
+            i, j, w = i[~violation], j[~violation], w[~violation]
+            if not i.size:
+                break
+            succ = tt.table[i, j, w]
+            i, j = succ[succ >= 0], j[succ >= 0]  # the others left the verified range
+            steps += 1
+            assert steps <= grid.n_xpairs
 
 
 def dss_constraint_oracle(out, gain, grid):

@@ -201,6 +201,15 @@ class TestRunSafeQ:
         assert q1.values[0, 1] < q1.values[0, 0] - 50.0
         assert all(s.u[0] == 0.0 for s in traj.steps)
 
+    def test_each_state_is_indexed_once(self):
+        env, *_ = chain_env()
+        calls = []
+        index = env.state_index
+        env.state_index = lambda x: calls.append(x) or index(x)
+        q0 = QTable.zeros(3, 2, epsilon=0.5)
+        _, traj = run_safe_q(env, q0, 1, 25, np.random.default_rng(2))
+        assert len(calls) == len(traj) + 1
+
     def test_governor_error_reports_its_step(self):
         env, *_ = chain_env()
         env.oracle = GivesUpAfter(4)
