@@ -19,12 +19,12 @@ DEFAULT_TOL = 1e-9
 class HPolytope:
     """Convex polytope ``{z : normals z <= offsets}``.
 
-    Values are immutable after construction; emptiness and boundedness are
-    decided lazily through the module's own LP and cached.  A polytope with
-    zero rows represents the whole space.
+    Values are immutable after construction; emptiness, boundedness and the
+    bounding box are decided lazily through the module's own LP and cached.
+    A polytope with zero rows represents the whole space.
     """
 
-    __slots__ = ("normals", "offsets", "_empty", "_bounded")
+    __slots__ = ("normals", "offsets", "_empty", "_bounded", "_bbox")
 
     def __init__(self, normals, offsets):
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -45,6 +45,7 @@ class HPolytope:
         self.offsets = offsets
         self._empty = None
         self._bounded = None
+        self._bbox = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -115,15 +116,20 @@ class HPolytope:
         return self._bounded
 
     def bounding_box(self):
-        """Tight axis-aligned bounds ``(lo, hi)``; requires nonempty and bounded."""
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for d in range(self.dim):
-            e = np.zeros(self.dim)
-            e[d] = 1.0
-            hi[d] = support(self, e)
-            lo[d] = -support(self, -e)
-        return lo, hi
+        """Tight axis-aligned bounds ``(lo, hi)`` as read-only arrays, solved
+        once and cached; requires nonempty and bounded."""
+        if self._bbox is None:
+            lo = np.empty(self.dim)
+            hi = np.empty(self.dim)
+            for d in range(self.dim):
+                e = np.zeros(self.dim)
+                e[d] = 1.0
+                hi[d] = support(self, e)
+                lo[d] = -support(self, -e)
+            lo.flags.writeable = False
+            hi.flags.writeable = False
+            self._bbox = (lo, hi)
+        return self._bbox
 
     # -- serialization ---------------------------------------------------------
 

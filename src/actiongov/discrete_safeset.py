@@ -30,6 +30,7 @@ WITNESS_NONE = -3
 WITNESS_CONSTRAINT = -1
 
 _SNAP_TIE = 1e-9
+_SNAP_HALF = 0.5 + _SNAP_TIE  # a fraction above this rounds up
 
 
 @dataclass(frozen=True)
@@ -103,31 +104,48 @@ class GridSpec:
         g1, g2 = np.meshgrid(a1, a2, indexing="ij")
         return np.column_stack([g1.ravel(), g2.ravel()])
 
+    @cached_property
+    def _snap_axes(self):
+        """Per-axis snapping constants ``(lo, delta, lo - tol, hi + tol, n - 1)``
+        for x1, x2 and v."""
+        def consts(lo, hi, d, n):
+            tol = _SNAP_TIE * max(1.0, abs(hi), abs(lo))
+            return lo, d, lo - tol, hi + tol, n - 1
+
+        (n1, n2) = self.n_x
+        return (consts(self.x_lo[0], self.x_hi[0], self.x_delta[0], n1),
+                consts(self.x_lo[1], self.x_hi[1], self.x_delta[1], n2),
+                consts(self.v_lo, self.v_hi, self.v_delta, self.n_v))
+
     @staticmethod
-    def _snap_axis(vals, lo, hi, delta, n):
-        """Nearest index per coordinate; ties round down; -1 out of range."""
-        vals = np.asarray(vals, dtype=float)
+    def _snap_axis(vals, axis):
+        """Nearest index per coordinate (ties round down, clamped into the
+        axis) and the mask of coordinates outside the axis range."""
+        lo, delta, lo_tol, hi_tol, top = axis
+        # out of place: on small arrays ``out=`` and ``np.clip`` cost more
         t = (vals - lo) / delta
         k = np.floor(t)
-        frac = t - k
-        k = k + (frac > 0.5 + _SNAP_TIE)
-        k = k.astype(np.int64)
-        tol = _SNAP_TIE * max(1.0, abs(hi), abs(lo))
-        oob = (vals < lo - tol) | (vals > hi + tol)
-        k = np.clip(k, 0, n - 1)
-        return np.where(oob, -1, k)
+        k = (k + (t - k > _SNAP_HALF)).astype(np.int64)
+        return np.minimum(np.maximum(k, 0), top), (vals < lo_tol) | (vals > hi_tol)
 
     def snap_x(self, points) -> np.ndarray:
-        """Flat x-pair indices of the nearest grid states; -1 when outside."""
+        """Flat x-pair indices of the nearest grid states; -1 when outside.
+
+        ``points`` is one state or a stack of them.  Each coordinate snaps on
+        its own axis with constants computed once per grid.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n1, n2 = self.n_x
-        i1 = self._snap_axis(pts[:, 0], self.x_lo[0], self.x_hi[0], self.x_delta[0], n1)
-        i2 = self._snap_axis(pts[:, 1], self.x_lo[1], self.x_hi[1], self.x_delta[1], n2)
-        flat = i1 * n2 + i2
-        return np.where((i1 < 0) | (i2 < 0), -1, flat)
+        ax1, ax2, _ = self._snap_axes
+        i1, out1 = self._snap_axis(pts[:, 0], ax1)
+        i2, out2 = self._snap_axis(pts[:, 1], ax2)
+        flat = i1 * (ax2[4] + 1) + i2
+        flat[out1 | out2] = -1
+        return flat
 
     def snap_v(self, vals) -> np.ndarray:
-        return self._snap_axis(vals, self.v_lo, self.v_hi, self.v_delta, self.n_v)
+        k, out = self._snap_axis(np.asarray(vals, dtype=float), self._snap_axes[2])
+        k[out] = -1
+        return k
 
 
 class TransitionTable:
@@ -135,6 +153,7 @@ class TransitionTable:
 
     ``table[i, j, k]`` is the flat index of the grid state nearest to the
     closed-loop successor, or -1 when the successor leaves the grid range.
+    Indices are int16 when every x-pair index fits, int32 otherwise.
     """
 
     __slots__ = ("table", "grid", "cl")
@@ -151,7 +170,8 @@ def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
     base = pts @ cl.At.T
     bt = cl.Bt.ravel()
     ew = cl.plant.E.ravel()
-    table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w), dtype=np.int32)
+    narrow = grid.n_xpairs <= np.iinfo(np.int16).max
+    table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w), dtype=np.int16 if narrow else np.int32)
     for j, v in enumerate(grid.v_values):
         shift_v = base + bt * v
         for k, w in enumerate(grid.w_values):
@@ -337,7 +357,10 @@ class DiscreteGridOracle:
     range are treated as outside the safe set.  Feasible actions are the
     configured action-grid values whose current constraint holds and whose
     successors stay inside the safe projection for every disturbance-grid
-    value; both selections enumerate with :func:`nearest_candidate`.
+    value.  Both selections score every candidate at once with
+    :meth:`ActionDistance.many` and pick with :func:`nearest_candidate`;
+    the backup scores each safe reference by its nominal action
+    ``K x + L v``.
     """
 
     def __init__(self, dss: DiscreteSafeSet, tt: TransitionTable, out: OutputMap,
@@ -350,15 +373,14 @@ class DiscreteGridOracle:
             raise ValueError("action grid must be nonempty")
         plant = tt.cl.plant
         self._A = plant.A
-        self._B = plant.B.ravel()
-        self._E = plant.E.ravel()
-        # successor offsets per (action, disturbance) pair, shape (A, W, 2)
-        self._shift = (self._B[None, None, :] * self.action_values[:, None, None]
-                       + self._E[None, None, :] * grid.w_values[None, :, None])
+        # successor offsets B u + E w, one row per (action, disturbance) pair
+        shift = (plant.B.ravel()[None, None, :] * self.action_values[:, None, None]
+                 + plant.E.ravel()[None, None, :] * grid.w_values[None, :, None])
+        self._shift = shift.reshape(-1, 2)
         H = out.constraint_set.normals
         self._Hy_c = H @ out.C
-        self._Hy_d = (H @ out.D).ravel()
-        self._h = out.constraint_set.offsets
+        self._Hy_u = np.outer(self.action_values, (H @ out.D).ravel())  # one row per action
+        self._h_tol = out.constraint_set.offsets + 1e-9
 
     def _index(self, x) -> int:
         return int(self.grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
@@ -377,20 +399,21 @@ class DiscreteGridOracle:
 
     def feasible_actions(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
-        now_ok = self._Hy_c @ x + np.outer(self.action_values, self._Hy_d) <= self._h + 1e-9
-        now_ok = now_ok.all(axis=1)
-        succ = self.grid.snap_x(((self._A @ x)[None, None, :] + self._shift).reshape(-1, 2))
-        succ = succ.reshape(self.action_values.size, self.grid.n_w)
-        proj = self.dss.proj_mask
-        robust = ((succ >= 0) & proj[np.clip(succ, 0, None)]).all(axis=1)
+        now_ok = (self._Hy_c @ x + self._Hy_u <= self._h_tol).all(axis=1)
+        succ = self.grid.snap_x(self._A @ x + self._shift).reshape(self.action_values.size, -1)
+        # an off-grid successor (-1) reads an arbitrary entry; the first test decides it
+        robust = ((succ >= 0) & self.dss.proj_mask[succ]).all(axis=1)
         return self.action_values[now_ok & robust]
 
     def adjust(self, x, u1, dist):
-        return nearest_candidate(self.feasible_actions(x), lambda u: dist(u1, u))
+        feas = self.feasible_actions(x)
+        return nearest_candidate(feas, dist.many(u1, feas))
 
     def backup(self, x, u1, dist):
         i = self._index(x)
         if i < 0:
             return None
         refs = self.grid.v_values[self.dss.class_map[i] == SAFE_PLUS]
-        return nearest_candidate(refs, lambda v: dist(u1, self.pi0(x, v)))
+        x = np.asarray(x, dtype=float).ravel()
+        nominal = self.gain.K @ x + refs[:, None] @ self.gain.L.T
+        return nearest_candidate(refs, dist.many(u1, nominal))

@@ -13,7 +13,8 @@ An oracle implements the whole contract:
   whose nominal action is nearest ``u1``, or ``None`` outside the projection;
 * ``pi0(x, v)``: the nominal policy.
 
-The polytopic oracle solves LPs; finite oracles enumerate candidates with
+The polytopic oracle solves LPs; finite oracles score all their candidates
+at once with :meth:`ActionDistance.many` and pick with
 :func:`nearest_candidate`.
 """
 
@@ -29,18 +30,25 @@ from .errors import ActionGovError, UninitializedGovernorError
 
 
 class ActionDistance:
-    """Distance between actions; ``"l1"`` or ``"linf"``."""
+    """Distance between actions; ``"l1"`` or ``"linf"``.
+
+    ``dist(u1, u)`` is the distance from ``u1`` to one action;
+    ``dist.many(u1, us)`` the distances to every row of ``us`` (scalars
+    are 1-vectors), evaluated by the same formula.
+    """
 
     def __init__(self, norm: str = "l1"):
         if norm not in ("l1", "linf"):
             raise ValueError(f"unsupported norm {norm!r}")
         self.norm = norm
 
+    def many(self, u1, us) -> np.ndarray:
+        u1 = np.ravel(np.asarray(u1, dtype=float))
+        d = np.abs(np.reshape(np.asarray(us, dtype=float), (-1, u1.size)) - u1)
+        return d.sum(axis=1) if self.norm == "l1" else d.max(axis=1)
+
     def __call__(self, u1, u) -> float:
-        d = np.atleast_1d(np.asarray(u1, dtype=float)) - np.atleast_1d(
-            np.asarray(u, dtype=float)
-        )
-        return float(np.sum(np.abs(d))) if self.norm == "l1" else float(np.max(np.abs(d)))
+        return float(self.many(u1, u)[0])
 
 
 class Branch(enum.Enum):
@@ -65,18 +73,19 @@ class GovernorOutcome:
     branch: Branch
 
 
-def nearest_candidate(candidates, distance):
-    """Candidate minimizing ``distance(candidate)``, or ``None`` when there
-    are none; exact ties go to the lexicographically smallest candidate.
+def nearest_candidate(candidates, distances):
+    """Candidate of least distance, or ``None`` when there are none; exact
+    ties go to the lexicographically smallest candidate.
 
-    Candidates are the rows of ``candidates`` (scalars become 1-vectors).
+    Candidates are the rows of ``candidates`` (scalars become 1-vectors);
+    ``distances`` holds one distance per candidate, in the same order.
     """
     cands = np.asarray(candidates, dtype=float)
     if cands.size == 0:
         return None
     cands = cands.reshape(cands.shape[0], -1)
-    dvals = np.array([distance(c) for c in cands])
-    tied = np.nonzero(dvals == dvals.min())[0]
+    dvals = np.asarray(distances, dtype=float)
+    tied = np.flatnonzero(dvals == dvals.min())
     if tied.size > 1:
         tied = tied[np.lexsort(cands[tied].T[::-1])]
     return cands[tied[0]].copy()

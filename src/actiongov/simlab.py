@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -149,6 +150,10 @@ def average_cost(traj: Trajectory) -> np.ndarray:
 # configuration
 
 
+# annotation of a numeric config field -> the values it accepts (never bools)
+_NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
 @dataclass
 class ScenarioConfig:
     """Flat run configuration; every tunable default is explicit here so a
@@ -197,6 +202,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is mandatory")
+        for f in fields(self):
+            kind, noun = _NUMERIC_FIELDS.get(f.type, (None, None))
+            value = getattr(self, f.name)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         if self.governor not in ("moas", "grid", "none"):
             raise ValueError(f"unknown governor backend {self.governor!r}")
         if self.controller not in ("nominal", "qlearning", "koopman"):
@@ -411,19 +421,30 @@ def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec
 
     The state lives on the grid (each true successor is snapped back), so
     the grid supervisor's guarantees apply verbatim; the disturbance is
-    still the true state-dependent law.
+    still the true state-dependent law.  ``state_index`` reuses the index of
+    the successor ``step`` just returned, so each successor is snapped once.
     """
     pts = grid.x_points()
+    pts.flags.writeable = False
+    last = [None, -1]  # the grid point the last step returned, and its index
 
-    def snap_state(x):
-        idx = int(grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
+    def snap_index(x):
+        return int(grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
+
+    def snap(x):
+        idx = snap_index(x)
         if idx < 0:
             raise ValueError("state left the learning grid")
-        return pts[idx]
+        return pts[idx], idx
 
     def step(x, u, rng):
         w = disturbance(x)
-        return snap_state(rig.plant.step(x, u, [w])), w
+        last[:] = snap(rig.plant.step(x, u, [w]))
+        return last[0], w
+
+    def state_index(x):
+        # a successor the last step returned was snapped there already
+        return last[1] if x is last[0] else snap_index(x)
 
     def reward(x, u):
         return -step_cost(x, u)
@@ -432,8 +453,8 @@ def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec
         n_states=grid.n_xpairs,
         n_actions=cfg.action_values().size,
         actions=cfg.action_values(),
-        initial_state=snap_state(np.asarray(cfg.initial_state, dtype=float)),
-        state_index=lambda x: int(grid.snap_x(np.atleast_2d(np.ravel(x)))[0]),
+        initial_state=snap(cfg.initial_state)[0],
+        state_index=state_index,
         step=step,
         reward=reward,
         cost=step_cost,

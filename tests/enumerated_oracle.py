@@ -13,8 +13,9 @@ class EnumeratedOracle:
     """
 
     def adjust(self, x, u1, dist):
-        return nearest_candidate(self.feasible_actions(x), lambda u: dist(u1, u))
+        feas = self.feasible_actions(x)
+        return nearest_candidate(feas, [dist(u1, u) for u in feas])
 
     def backup(self, x, u1, dist):
         refs = [v for v in self.candidate_refs(x) if self.member(x, v)]
-        return nearest_candidate(refs, lambda v: dist(u1, self.pi0(x, v)))
+        return nearest_candidate(refs, [dist(u1, self.pi0(x, v)) for v in refs])

@@ -39,12 +39,16 @@ class TestExitCodes:
         assert json.loads(err)["error"]
 
     @pytest.mark.parametrize("bad", [{"bogus": True}, {"steps": "ten"}, {"initial_state": 5},
-                                     {"koopman_q_diag": None}],
-                             ids=["unknown-key", "steps-text", "state-scalar", "q-diag-null"])
+                                     {"koopman_q_diag": None},
+                                     {"grid_dx1": "x", "governor": "grid"},
+                                     {"moas_epsilon": "x"}, {"steps": 2.5}],
+                             ids=["unknown-key", "steps-text", "state-scalar", "q-diag-null",
+                                  "grid-step-text", "epsilon-text", "steps-fraction"])
     def test_bad_config_keys(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 0, **bad}))
         assert main(["simulate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
 
     def test_infeasible_start_is_a_domain_error(self, tmp_path, capsys):
         path = write_config(tmp_path, governor="moas", initial_state=[14.0, 6.0],

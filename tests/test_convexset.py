@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from actiongov import convexset
 from actiongov.convexset import (
     HPolytope,
     is_subset,
@@ -259,6 +260,22 @@ class TestHPolytope:
         big_w = HPolytope.from_bounds([-2, -2], [2, 2])
         diff = pontryagin_diff(unit_box, np.eye(2), big_w)
         assert diff.is_empty
+
+    def test_bounding_box_is_solved_once_and_read_only(self, monkeypatch):
+        poly = HPolytope(triangle.normals, triangle.offsets)
+        lo, hi = poly.bounding_box()
+        verts = vertices_2d(poly)
+        assert np.allclose(lo, verts.min(axis=0), atol=1e-9)
+        assert np.allclose(hi, verts.max(axis=0), atol=1e-9)
+
+        def no_more_lps(*args):
+            raise AssertionError("bounding box solved again")
+
+        monkeypatch.setattr(convexset, "support", no_more_lps)
+        again = poly.bounding_box()
+        assert again[0] is lo and again[1] is hi
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
 
     def test_json_round_trip(self):
         data = triangle.to_dict()

@@ -34,6 +34,19 @@ def small_example(w_hi=1.0, dw=0.5):
     return plant, out, gain, cl, grid
 
 
+def reference_snap(c, lo, hi, d):
+    """Nearest index of ``c`` on the axis ``lo, lo + d, ..., hi``, one value at
+    a time: -1 outside the range widened by 1e-9 * max(1, |lo|, |hi|), and
+    scaled distances within 2e-9 of the least count as ties, which go to the
+    smaller index."""
+    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if not lo - tol <= c <= hi + tol:
+        return -1
+    axis = lo + d * np.arange(int(round((hi - lo) / d)) + 1)
+    dist = np.abs(axis - c) / d
+    return int(np.flatnonzero(dist <= dist.min() + 2e-9)[0])
+
+
 def grid_tables(cl, out, grid):
     """Transition table and constraint table, the inputs of every stage."""
     return discretize(cl, grid), constraint_table(out, cl.gain, grid)
@@ -130,6 +143,36 @@ class TestGridSpec:
         assert g.snap_x([[-0.2, 0.0]])[0] == -1
         assert g.snap_x([[4.0, 4.0]])[0] == g.n_xpairs - 1
 
+    def test_snap_matches_a_per_point_reference(self):
+        # distinct axes, so a swapped or shared axis constant shows
+        g = GridSpec((-3.0, -1.0), (2.0, 4.0), (0.25, 0.5), -2.0, 3.0, 0.5, -1.0, 1.0, 0.5)
+        rng = np.random.default_rng(12)
+
+        def coords(lo, hi, d):
+            tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+            n = int(round((hi - lo) / d))
+            # exact half steps, and half steps moved inside the tie tolerance
+            halves = lo + (np.arange(n)[:, None] + [0.5, 0.5 + 2e-10, 0.5 - 2e-10]).ravel() * d
+            edges = [lo - 2 * tol, lo - tol / 2, lo + tol / 2, hi - tol / 2, hi + tol / 2,
+                     hi + 2 * tol, lo - 10.0, hi + 10.0]
+            return np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, 150), halves, edges])
+
+        c1 = coords(g.x_lo[0], g.x_hi[0], g.x_delta[0])
+        c2 = coords(g.x_lo[1], g.x_hi[1], g.x_delta[1])
+        special = np.array([(a, b) for a in c1[150:] for b in c2[150:]])
+        pts = np.concatenate([np.column_stack([c1[:150], c2[:150]]), special])
+        n2 = g.n_x[1]
+        expect = []
+        for p in pts:
+            i1 = reference_snap(p[0], g.x_lo[0], g.x_hi[0], g.x_delta[0])
+            i2 = reference_snap(p[1], g.x_lo[1], g.x_hi[1], g.x_delta[1])
+            expect.append(-1 if min(i1, i2) < 0 else i1 * n2 + i2)
+        assert np.array_equal(g.snap_x(pts), expect)
+        assert all(g.snap_x(p)[0] == e for p, e in zip(pts[::37], expect[::37]))
+        vals = coords(g.v_lo, g.v_hi, g.v_delta)
+        assert np.array_equal(g.snap_v(vals),
+                              [reference_snap(v, g.v_lo, g.v_hi, g.v_delta) for v in vals])
+
     def test_snap_matches_brute_force_nearest(self):
         g = GridSpec((-3.0, -2.0), (3.0, 2.0), (0.5, 0.5), -1.0, 1.0, 0.5, -1.0, 1.0, 0.5)
         pts = g.x_points()
@@ -156,6 +199,22 @@ class TestDiscretize:
         for j in range(grid.n_v):
             for k in range(grid.n_w):
                 assert np.array_equal(tt.table[:, j, k], expect)
+
+    @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
+    def test_index_width_follows_the_grid_size(self, n1, dtype):
+        # 181 x 181 = 32,761 x-pairs fit int16; 182 x 182 = 33,124 do not
+        _, _, _, cl, _ = small_example()
+        half = (n1 - 1) / 2 * 0.25
+        grid = GridSpec((-half, -half), (half, half), (0.25, 0.25),
+                        -1.0, 1.0, 2.0, -1.0, 1.0, 2.0)
+        tt = discretize(cl, grid)
+        assert tt.table.dtype == dtype
+        assert (tt.table == -1).any() and tt.table.max() > 30000
+        base = grid.x_points() @ cl.At.T
+        for j, v in enumerate(grid.v_values):
+            for k, w in enumerate(grid.w_values):
+                succ = base + cl.Bt.ravel() * v + cl.plant.E.ravel() * w
+                assert np.array_equal(tt.table[:, j, k], grid.snap_x(succ))
 
     def test_entries_match_direct_nearest_scan(self):
         _, out, gain, cl, grid = small_example()
@@ -366,10 +425,11 @@ class TestOracle:
                     idx = grid.snap_x([succ])[0]
                     assert idx >= 0 and proj[idx]
 
-    def test_adjust_is_the_nearest_feasible_action(self, oracle):
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_adjust_is_the_nearest_feasible_action(self, oracle, norm):
         orc, dss, grid = oracle
         pts = grid.x_points()
-        dist = ActionDistance()
+        dist = ActionDistance(norm)
         rng = np.random.default_rng(7)
         for _ in range(50):
             x = pts[rng.integers(grid.n_xpairs)]
@@ -381,10 +441,11 @@ class TestOracle:
             else:
                 assert got[0] == min(feas, key=lambda u: (abs(u1 - u), u))
 
-    def test_backup_matches_exhaustive_member_search(self, oracle):
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_backup_matches_exhaustive_member_search(self, oracle, norm):
         orc, dss, grid = oracle
         pts = grid.x_points()
-        dist = ActionDistance()
+        dist = ActionDistance(norm)
         rng = np.random.default_rng(8)
         inside = np.nonzero(dss.proj_mask)[0]
         for i in np.concatenate([rng.choice(inside, 40), rng.integers(0, grid.n_xpairs, 40)]):

@@ -311,6 +311,24 @@ class TestDistance:
         assert l1([1.0, 2.0], [0.0, 0.0]) == 3.0
         assert linf([1.0, 2.0], [0.0, 0.0]) == 2.0
 
+    @pytest.mark.parametrize("norm, reduce", [("l1", sum), ("linf", max)])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_many_is_bitwise_the_scalar_call(self, norm, reduce, dim):
+        dist = ActionDistance(norm)
+        rng = np.random.default_rng(dim)
+        u1 = rng.normal(size=dim) * 1e3
+        us = np.concatenate([rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-8, 8, (40, 1)),
+                             u1[None, :], -u1[None, :]])
+        got = dist.many(u1, us)
+        assert got.shape == (us.shape[0],)
+        for d, u in zip(got, us):
+            assert d == dist(u1, u)
+            assert d == reduce(abs(float(a) - float(b)) for a, b in zip(u1, u))
+        if dim == 1:
+            assert np.array_equal(dist.many(u1, us.ravel()), got)
+            assert dist(float(u1[0]), float(us[0, 0])) == got[0]
+        assert dist.many(u1, np.empty((0, dim))).shape == (0,)
+
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError):
             ActionDistance("l2")
@@ -356,20 +374,21 @@ class TestGovernStep:
 
 class TestNearestCandidate:
     def test_empty_is_none(self):
-        assert nearest_candidate(np.array([]), lambda c: 0.0) is None
-        assert nearest_candidate([], lambda c: 0.0) is None
+        assert nearest_candidate(np.array([]), np.array([])) is None
+        assert nearest_candidate([], []) is None
 
     def test_minimum_distance_wins(self):
-        got = nearest_candidate([3.0, -1.0, 2.0], lambda c: abs(c[0] - 1.8))
+        cands = [3.0, -1.0, 2.0]
+        got = nearest_candidate(cands, [abs(c - 1.8) for c in cands])
         assert got.tolist() == [2.0]
 
     def test_ties_go_to_the_lexicographically_smallest_row(self):
         cands = np.array([[1.0, 5.0], [0.0, 9.0], [0.0, 2.0], [-4.0, 0.0]])
-        got = nearest_candidate(cands, lambda c: 0.0 if c[0] >= 0.0 else 1.0)
+        got = nearest_candidate(cands, [0.0 if c[0] >= 0.0 else 1.0 for c in cands])
         assert got.tolist() == [0.0, 2.0]
 
     def test_returns_a_copy(self):
         cands = np.array([[1.0]])
-        got = nearest_candidate(cands, lambda c: 0.0)
+        got = nearest_candidate(cands, [0.0])
         got[0] = 5.0
         assert cands[0, 0] == 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from actiongov.control_linalg import dare_solve
 from actiongov.errors import InfeasibleStateError
 from actiongov.governor import GovernorState, govern
-from actiongov.safe_learning import koopman_control, run_safe_koopman
+from actiongov.discrete_safeset import GridSpec
+from actiongov.safe_learning import koopman_control, run_safe_koopman, run_safe_q
 from actiongov.simlab import (
     ScenarioConfig,
     average_cost,
@@ -17,6 +19,8 @@ from actiongov.simlab import (
     example_system,
     is_violated,
     koopman_model_from_dict,
+    make_example_qtable,
+    make_grid_q_env,
     make_koopman_env,
     run_supervised,
     simulate,
@@ -208,6 +212,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(seed=0, controller="magic")
 
+    def test_numeric_fields_are_type_checked(self):
+        cfg = ScenarioConfig(seed=np.int64(3), steps=np.int64(5), grid_dx1=1, alpha=np.float64(0.5))
+        assert cfg.steps == 5 and cfg.grid_dx1 == 1
+        for bad in ({"steps": 2.5}, {"steps": True}, {"seed": 1.0}, {"grid_dx1": "x"},
+                    {"moas_epsilon": None}, {"alpha": False}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ScenarioConfig(**{"seed": 0, **bad})
+
     def test_round_trip(self, tmp_path):
         cfg = ScenarioConfig(seed=5, steps=7)
         p = tmp_path / "c.json"
@@ -235,6 +247,45 @@ class TestModelSerialization:
             z,
             [0.7, -0.3, np.sin(7.0), np.sin(10 * 0.7 + 10 * -0.3)],
         )
+
+
+class TestGridQEnv:
+    def test_each_state_is_snapped_once(self, base_cfg, rig, grid_bundle, monkeypatch):
+        # one snap per env step, one per oracle step and one per episode start;
+        # the result equals that of an env whose index re-snaps every state
+        oracle, dss, _, grid = grid_bundle
+        pts = grid.x_points()
+        starts = pts[np.nonzero(dss.proj_mask)[0][::400][:3]]
+        env0 = make_grid_q_env(base_cfg, rig, oracle, grid)
+        resnap = dataclasses.replace(
+            env0, state_index=lambda x: int(grid.snap_x(np.atleast_2d(x))[0]))
+        calls = []
+        snap_x = GridSpec.snap_x
+
+        def counting(self, points):
+            calls.append(len(np.atleast_2d(points)))
+            return snap_x(self, points)
+
+        runs = []
+        for env in (env0, resnap):
+            q = make_example_qtable(base_cfg, grid)
+            rng = np.random.default_rng(4)
+            trajs = []
+            calls.clear()
+            monkeypatch.setattr(GridSpec, "snap_x", counting)
+            for x0 in starts:
+                q, traj = run_safe_q(dataclasses.replace(env, initial_state=x0), q, 1, 40, rng)
+                trajs.append(traj)
+            monkeypatch.setattr(GridSpec, "snap_x", snap_x)
+            runs.append((q.values, "".join(t.to_csv() for t in trajs), list(calls)))
+        (q_once, csv_once, calls_once), (q_ref, csv_ref, calls_ref) = runs
+        steps = len(starts) * 40
+        assert len(starts) == 3
+        assert all(s.branch == "adjusted" for t in trajs for s in t.steps)
+        assert len(calls_once) == steps + steps + len(starts)
+        assert calls_once.count(1) == steps + len(starts)
+        assert len(calls_ref) == len(calls_once) + steps
+        assert np.array_equal(q_once, q_ref) and csv_once == csv_ref
 
 
 class TestLearningIntegration:
