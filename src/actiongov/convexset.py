@@ -1,9 +1,12 @@
 """Halfspace polytopes and the set algebra built on them.
 
-All sets are carried in H-representation ``{z : normals z <= offsets}``.
-Every query (support, containment, emptiness, redundancy, projection)
-reduces to the dense simplex in :mod:`actiongov.lp`; no vertex
-representation is maintained anywhere.
+All sets are carried in H-representation ``{z : normals z <= offsets}``;
+no vertex representation is maintained anywhere.  Queries whose floats
+are returned (support, bounding box, emptiness, nearest point) are solved
+by the dense simplex :func:`actiongov.lp.solve_lp`.  Redundancy removal
+(and through it projection) only needs a yes/no answer per row, which
+:func:`actiongov.lp.max_exceeds` gives from a certified dual bound and
+falls back to the same simplex when the bound is too close to call.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError, UnboundedSetError
-from .lp import LpResult, LpStatus, Sense, solve_lp
+from .lp import LpResult, LpStatus, Sense, max_exceeds, solve_lp
 
 DEFAULT_TOL = 1e-9
 
@@ -27,8 +30,9 @@ class HPolytope:
     __slots__ = ("normals", "offsets", "_empty", "_bounded", "_bbox")
 
     def __init__(self, normals, offsets):
-        normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        offsets = np.asarray(offsets, dtype=float).ravel()
+        # copies, frozen below: the caller's own arrays stay writable
+        normals = np.atleast_2d(np.array(normals, dtype=float))
+        offsets = np.array(offsets, dtype=float).ravel()
         if normals.size == 0:
             normals = normals.reshape(0, normals.shape[1] if normals.ndim == 2 else 0)
         if normals.shape[0] != offsets.size:
@@ -239,8 +243,9 @@ def _dedupe_rows(normals, offsets, tol=1e-10):
 def remove_redundancy(poly: HPolytope) -> HPolytope:
     """Minimal H-representation of the same point set.
 
-    Each retained halfspace is certified non-redundant by an LP (its bound
-    can be activated).  Deterministic and idempotent.
+    Each retained halfspace is certified non-redundant by an LP decision:
+    relaxing its bound by 1 lets its value exceed the bound.  Deterministic
+    and idempotent.
     """
     if poly.is_empty:
         raise EmptySetError("cannot reduce an empty polytope")
@@ -252,11 +257,10 @@ def remove_redundancy(poly: HPolytope) -> HPolytope:
         others = [r for r in active if r != row]
         test_n = np.vstack([normals[others], normals[row][None, :]])
         test_b = np.concatenate([offsets[others], [offsets[row] + 1.0]])
-        res = solve_lp(normals[row], test_n, test_b, Sense.MAX)
-        if res.status is LpStatus.OPTIMAL and res.value <= offsets[row] + DEFAULT_TOL:
-            active.pop(i)
-        else:
+        if max_exceeds(normals[row], test_n, test_b, offsets[row] + DEFAULT_TOL):
             i += 1
+        else:
+            active.pop(i)
     return HPolytope(normals[active], offsets[active])
 
 

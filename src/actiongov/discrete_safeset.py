@@ -120,13 +120,14 @@ class GridSpec:
     @staticmethod
     def _snap_axis(vals, axis):
         """Nearest index per coordinate (ties round down, clamped into the
-        axis) and the mask of coordinates outside the axis range."""
+        axis) and the mask of coordinates outside the axis range or NaN."""
         lo, delta, lo_tol, hi_tol, top = axis
         # out of place: on small arrays ``out=`` and ``np.clip`` cost more
         t = (vals - lo) / delta
         k = np.floor(t)
         k = (k + (t - k > _SNAP_HALF)).astype(np.int64)
-        return np.minimum(np.maximum(k, 0), top), (vals < lo_tol) | (vals > hi_tol)
+        # written as "not inside" so that NaN counts as outside
+        return np.minimum(np.maximum(k, 0), top), ~((vals >= lo_tol) & (vals <= hi_tol))
 
     def snap_x(self, points) -> np.ndarray:
         """Flat x-pair indices of the nearest grid states; -1 when outside.

@@ -1,14 +1,21 @@
-"""Dense two-phase simplex for small inequality-form linear programs.
+"""Small inequality-form linear programs: a dense two-phase simplex and a
+certified decision routine built on it.
 
-Solves ``min/max c.z  s.t.  A z <= b`` with free variables, by splitting
-``z = p - q`` (``p, q >= 0``), adding one slack per row and one artificial
-per row for phase 1.  Pivot columns follow Dantzig's rule until progress
-stalls, then switch to Bland's rule, which rules out cycling; the pivot
-sequence is deterministic either way, so reported optimizers are
-reproducible.
+:func:`solve_lp` solves ``min/max c.z  s.t.  A z <= b`` with free variables,
+by splitting ``z = p - q`` (``p, q >= 0``), adding one slack per row and one
+artificial per row for phase 1.  Pivot columns follow Dantzig's rule until
+progress stalls, then switch to Bland's rule, which rules out cycling; the
+pivot sequence is deterministic either way, so reported optimizers are
+reproducible.  Intended scale is tens of variables and a few hundred rows;
+everything is kept as a dense numpy tableau with vectorized pivots.
 
-Intended scale is tens of variables and a few hundred rows; everything is
-kept as a dense numpy tableau with vectorized pivots.
+:func:`max_exceeds` answers only whether ``max c.z`` exceeds a threshold.
+It runs the same simplex on the standard-form dual, whose tableau has one
+row per variable, and bounds the optimum from both sides with explicitly
+checked residuals (weak duality, as in Neumaier & Shcherbina, Math. Prog.
+2004).  When the threshold is not clear of those bounds by
+``DECISION_MARGIN`` it falls back to :func:`solve_lp`, so its answers are
+the ones :func:`solve_lp` gives.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .errors import NumericalError
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
+DECISION_MARGIN = 1e-6  # relative gap a certified bound must keep from a threshold
 _BLAND_AFTER = 60  # pivots without objective progress before anti-cycling kicks in
 
 
@@ -100,23 +108,30 @@ def _run_simplex(T, basis, cost, n_cols, max_iter):
     raise NumericalError("simplex exceeded iteration limit")
 
 
-def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
-    """Solve ``min`` (or ``max``) ``c.z`` over ``{z : a_ub z <= b_ub}``.
-
-    Free variables; no implicit bounds.  Infeasibility and unboundedness
-    are reported through the result status, never raised.
-    """
+def _lp_data(c, a_ub, b_ub):
+    """Validated float arrays ``(c, a_ub, b_ub)`` with ``a_ub`` of shape (m, n)."""
     c = np.asarray(c, dtype=float).ravel()
     a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
     b_ub = np.asarray(b_ub, dtype=float).ravel()
     n = c.size
     if a_ub.size == 0:
         a_ub = a_ub.reshape(0, n)
-    m = a_ub.shape[0]
-    if a_ub.shape[1] != n or b_ub.size != m:
+    if a_ub.shape[1] != n or b_ub.size != a_ub.shape[0]:
         raise ValueError("inconsistent LP dimensions")
     if not (np.all(np.isfinite(a_ub)) and np.all(np.isfinite(b_ub)) and np.all(np.isfinite(c))):
         raise ValueError("LP data must be finite")
+    return c, a_ub, b_ub
+
+
+def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
+    """Solve ``min`` (or ``max``) ``c.z`` over ``{z : a_ub z <= b_ub}``.
+
+    Free variables; no implicit bounds.  Infeasibility and unboundedness
+    are reported through the result status, never raised.
+    """
+    c, a_ub, b_ub = _lp_data(c, a_ub, b_ub)
+    n = c.size
+    m = a_ub.shape[0]
 
     obj = c if sense is Sense.MIN else -c
     if m == 0:
@@ -178,3 +193,97 @@ def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
     z = x[:n] - x[n : 2 * n]
     value = float(c @ z)
     return LpResult(LpStatus.OPTIMAL, value, z)
+
+
+def _dual_bounds(c, a_ub, b_ub):
+    """Bounds ``(lo, hi)`` on ``max c.z`` over ``{a_ub z <= b_ub}`` from the
+    dual simplex basis, or ``None`` when no basis certifies them.
+
+    The two-phase simplex runs on ``min b.y  s.t.  a_ub^T y = c, y >= 0``
+    (n rows, m + n columns with the phase-1 artificials).  Its final basis
+    names n rows of ``a_ub``; the vertex ``z`` and the multiplier ``y`` are
+    solved afresh from those rows, so the tableau's rounding does not carry
+    over.  The basis certifies only if ``y >= 0`` and ``z`` satisfies every
+    row, each up to ``FEAS_TOL`` relative to the data; then
+
+    * ``lo = c.z - (1.y) max(a_ub z - b_ub)_+``: ``z`` is feasible once the
+      rows are loosened by its largest violation, which moves the optimum
+      by at most ``1.y`` times that amount;
+    * ``hi = b.y + |a_ub^T y - c|.|z|``: weak duality, widened by the dual
+      residual at the vertex.
+
+    An empty set, an unbounded objective, a rank-deficient ``a_ub`` or a
+    basis that fails the checks gives ``None``.
+    """
+    m, n = a_ub.shape
+    n_cols = m + n
+    T = np.zeros((n, n_cols + 1))
+    T[:, :m] = a_ub.T
+    T[:, -1] = c
+    T[c < 0.0] *= -1.0
+    T[:, m:n_cols] = np.eye(n)
+    basis = list(range(m, n_cols))
+    max_iter = 5000 + 50 * (n + n_cols)
+
+    cost1 = np.zeros(n_cols + 1)
+    cost1[m:n_cols] = 1.0
+    cost1 -= T.sum(axis=0)
+    if (_run_simplex(T, basis, cost1, n_cols, max_iter) == "unbounded"
+            or -cost1[-1] > FEAS_TOL * (1.0 + np.abs(c).max())):
+        return None  # no dual point: the set is empty or the maximum is unbounded
+    for r in range(n):
+        if basis[r] >= m:
+            structural = np.nonzero(np.abs(T[r, :m]) > FEAS_TOL)[0]
+            if not structural.size:
+                return None  # a_ub has rank below n: no vertex
+            _pivot(T, basis, r, int(structural[0]))
+    cost2 = np.zeros(n_cols + 1)
+    cost2[:m] = b_ub
+    rows = np.asarray(basis)
+    cost2 -= cost2[rows] @ T
+    if _run_simplex(T, basis, cost2, m, max_iter) == "unbounded":
+        return None  # the dual is unbounded: the set is empty
+
+    rows = np.asarray(basis)
+    a_b = a_ub[rows]
+    try:
+        z = np.linalg.solve(a_b, b_ub[rows])
+        y = np.linalg.solve(a_b.T, c)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
+        return None
+    violation = max(float(np.max(a_ub @ z - b_ub)), 0.0)
+    if y.min() < -FEAS_TOL * (1.0 + np.abs(y).max()) or violation > FEAS_TOL * (
+        1.0 + np.abs(b_ub).max()
+    ):
+        return None  # the basis is not optimal: y < 0 or z outside the set
+    y = np.maximum(y, 0.0)
+    lo = float(c @ z) - violation * float(y.sum())
+    hi = float(b_ub[rows] @ y) + float(np.abs(a_b.T @ y - c) @ np.abs(z))
+    return lo, hi
+
+
+def max_exceeds(c, a_ub, b_ub, threshold) -> bool:
+    """Decide whether ``sup {c.z : a_ub z <= b_ub}`` exceeds ``threshold``.
+
+    The supremum of an empty set is -inf and that of an unbounded objective
+    +inf, so those answer False and True.  Sized for few variables: the
+    dual tableau has one row per variable.  The certified bounds of
+    :func:`_dual_bounds` decide when the threshold lies more than
+    ``DECISION_MARGIN * (1 + |threshold|)`` outside them; otherwise
+    :func:`solve_lp` decides.
+    """
+    c, a_ub, b_ub = _lp_data(c, a_ub, b_ub)
+    threshold = float(threshold)
+    bounds = _dual_bounds(c, a_ub, b_ub) if a_ub.size else None
+    if bounds is not None:
+        margin = DECISION_MARGIN * (1.0 + abs(threshold))
+        if bounds[0] > threshold + margin:
+            return True
+        if bounds[1] < threshold - margin:
+            return False
+    res = solve_lp(c, a_ub, b_ub, Sense.MAX)
+    if res.status is LpStatus.OPTIMAL:
+        return res.value > threshold
+    return res.status is LpStatus.UNBOUNDED

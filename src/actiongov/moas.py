@@ -21,7 +21,6 @@ from .convexset import (
     pontryagin_diff,
     project_out,
     remove_redundancy,
-    support,
 )
 from .control_linalg import ClosedLoop, LinearPlant, OutputMap
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     MoasConstructionError,
     MoasNotDeterminedError,
 )
+from .lp import max_exceeds
 
 
 class Moas:
@@ -119,15 +119,15 @@ def build_moas(
         a_pow = a_pow @ cl.At
         h_t = y_t.offsets
         cand_rows, cand_offs = layer_rows(a_pow, geo_sum, h_t)
-        current = HPolytope(np.vstack(all_rows), np.concatenate(all_offs))
-        if current.is_empty:
-            raise MoasConstructionError("admissible set became empty during construction")
+        cur_rows, cur_offs = np.vstack(all_rows), np.concatenate(all_offs)
         # keep only rows that actually cut; determination is the first layer
-        # where none do (same test as is_subset(current, candidate layer))
+        # where none do (same test as is_subset(current, candidate layer)).
+        # An empty current set cuts nothing, so it ends the recursion and is
+        # caught by the emptiness check after it.
         cutting = [
             i
             for i, (a, b) in enumerate(zip(cand_rows, cand_offs))
-            if support(current, a) > b + 1e-9
+            if max_exceeds(a, cur_rows, cur_offs, b + 1e-9)
         ]
         if not cutting:
             t_star = t
@@ -146,7 +146,7 @@ def build_moas(
 
     stacked = HPolytope(np.vstack(all_rows), np.concatenate(all_offs))
     if stacked.is_empty:
-        raise MoasConstructionError("admissible set is empty after steady-state tightening")
+        raise MoasConstructionError("admissible set is empty")
     set_xv = remove_redundancy(stacked)
     proj_x = project_out(set_xv, list(range(n, n + r)))
     proj_x_shrunk = pontryagin_diff(proj_x, E, w_set)

@@ -249,6 +249,19 @@ class TestHPolytope:
         with pytest.raises(ValueError):
             HPolytope([[np.inf, 0.0]], [1.0])
 
+    def test_caller_arrays_stay_writable(self):
+        normals = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        offsets = np.array([1.0, 1.0])
+        poly = HPolytope(normals, offsets)
+        assert normals.flags.writeable and offsets.flags.writeable
+        normals[0, 0] = 2.0
+        offsets[0] = 3.0
+        assert poly.normals[0, 0] == 1.0 and poly.offsets[0] == 1.0
+        with pytest.raises(ValueError):
+            poly.normals[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            poly.offsets[0] = 0.0
+
     def test_emptiness_and_boundedness_flags(self):
         assert not unit_box.is_empty
         assert unit_box.is_bounded

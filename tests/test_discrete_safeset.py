@@ -143,6 +143,14 @@ class TestGridSpec:
         assert g.snap_x([[-0.2, 0.0]])[0] == -1
         assert g.snap_x([[4.0, 4.0]])[0] == g.n_xpairs - 1
 
+    def test_snap_nan_is_outside(self):
+        g = GridSpec((0.0, 0.0), (4.0, 4.0), (1.0, 1.0), 0.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        nan = np.nan
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(g.snap_x([[nan, 0.0], [0.0, nan], [nan, nan], [1.0, 1.0]]),
+                                  [-1, -1, -1, 6])
+            assert np.array_equal(g.snap_v([nan, 0.0]), [-1, 0])
+
     def test_snap_matches_a_per_point_reference(self):
         # distinct axes, so a swapped or shared axis constant shows
         g = GridSpec((-3.0, -1.0), (2.0, 4.0), (0.25, 0.5), -2.0, 3.0, 0.5, -1.0, 1.0, 0.5)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from actiongov.lp import LpStatus, Sense, solve_lp
+from actiongov import lp
+from actiongov.errors import NumericalError
+from actiongov.lp import DECISION_MARGIN, LpStatus, Sense, max_exceeds, solve_lp
 
 
 def test_box_support_max_x1():
@@ -80,3 +84,153 @@ def test_deterministic_minimizer():
     first = solve_lp([-1, -1], A, b, Sense.MIN)
     second = solve_lp([-1, -1], A, b, Sense.MIN)
     assert np.array_equal(first.point, second.point)
+
+
+# -- max_exceeds: the certified decision ------------------------------------------
+
+
+def solve_lp_decision(c, a_ub, b_ub, threshold):
+    """The decision as :func:`solve_lp` states it (sup of an empty set is -inf)."""
+    res = solve_lp(c, a_ub, b_ub, Sense.MAX)
+    if res.status is LpStatus.OPTIMAL:
+        return res.value > threshold
+    return res.status is LpStatus.UNBOUNDED
+
+
+def highs_max(c, a_ub, b_ub):
+    """HiGHS's ``(status, max c.z)``; status 0 optimal, 2 infeasible, 3 unbounded."""
+    ref = linprog(-np.asarray(c), A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * len(c),
+                  method="highs")
+    return ref.status, (-ref.fun if ref.status == 0 else np.nan)
+
+
+def test_max_exceeds_small_cases():
+    interval = ([[1.0], [-1.0]], [2.0, 1.0])  # -1 <= z <= 2
+    assert max_exceeds([1.0], *interval, 1.9)
+    assert not max_exceeds([1.0], *interval, 2.1)
+    assert not max_exceeds([1.0], [[1.0], [-1.0]], [0.0, -1.0], -1e9)  # empty set
+    assert max_exceeds([1.0, 0.0], [[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0], 1e9)  # unbounded
+    assert not max_exceeds([0.0, 0.0], np.zeros((0, 2)), [], 0.0)
+    assert max_exceeds([1.0, 0.0], np.zeros((0, 2)), [], 0.0)
+    with pytest.raises(ValueError):
+        max_exceeds([1.0], [[np.nan]], [1.0], 0.0)
+
+
+def test_max_exceeds_falls_back_at_the_threshold(monkeypatch):
+    # the certified bounds of max z over [-1, 2] are tight at 2, so only a
+    # threshold inside the margin reaches the simplex
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    interval = ([[1.0], [-1.0]], [2.0, 1.0])
+    assert max_exceeds([1.0], *interval, 2.0 - 10 * DECISION_MARGIN)
+    assert not max_exceeds([1.0], *interval, 2.0 + 10 * DECISION_MARGIN)
+    assert not calls
+    assert not max_exceeds([1.0], *interval, 2.0)
+    assert len(calls) == 1
+
+
+KINDS = ("random", "degenerate", "redundant", "scaled", "infeasible", "unbounded")
+# thresholds as offsets from the optimum, relative to 1 + |optimum|
+OFFSETS = (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-5, -1e-5, 0.1, -0.1, 3.0, -3.0)
+
+
+@st.composite
+def lp_instances(draw):
+    """``(kind, c, a_ub, b_ub, offset)`` with 1-3 variables."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from(OFFSETS))
+    a = rng.normal(size=(m, n))
+    b = rng.uniform(0.1, 2.0, m)
+    c = rng.normal(size=n)
+    if kind == "degenerate":
+        # small integers: many rows meet at one vertex, objectives tie
+        a = rng.integers(-1, 2, size=(m + n, n)).astype(float)
+        b = rng.integers(0, 2, size=m + n).astype(float)
+        c = rng.integers(-1, 2, size=n).astype(float)
+    elif kind == "redundant":
+        # a box plus positively scaled copies of its rows, equal or looser
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        copies = rng.integers(0, 2 * n, size=m)
+        scale = rng.uniform(0.5, 3.0, m)
+        a = np.vstack([box, box[copies] * scale[:, None]])
+        b = np.concatenate([np.ones(2 * n), scale * rng.choice([1.0, 1.5], m)])
+    elif kind == "scaled":
+        rows = 10.0 ** rng.uniform(-6, 6, m)
+        a, b = a * rows[:, None], b * rows
+        c = c * 10.0 ** rng.uniform(-6, 6)
+    elif kind == "infeasible":
+        a = np.vstack([a, a[:1], -a[:1]])
+        b = np.concatenate([b, [-1.0, -1.0]])
+    elif kind == "unbounded":
+        # every row decreases along d, so the objective d grows without end
+        d = rng.normal(size=n)
+        a = a - np.outer(a @ d / (d @ d), d) - rng.uniform(0.1, 1.0, (m, 1)) * d
+        c = d
+    return kind, c, a, b, offset
+
+
+def threshold_near_optimum(status, opt, offset):
+    base = opt if status == 0 else 0.0
+    return base + offset * (1.0 + abs(base))
+
+
+def certified_decision(c, a_ub, b_ub, threshold):
+    """``(decided, bounds)``: whether the fast path decides, and its bounds."""
+    bounds = lp._dual_bounds(*lp._lp_data(c, a_ub, b_ub))
+    if bounds is None:
+        return False, None
+    margin = DECISION_MARGIN * (1.0 + abs(threshold))
+    return not (bounds[0] - margin <= threshold <= bounds[1] + margin), bounds
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY_SETTINGS
+@given(lp_instances())
+def test_max_exceeds_matches_solve_lp(instance):
+    kind, c, a, b, offset = instance
+    status, opt = highs_max(c, a, b)
+    threshold = threshold_near_optimum(status, opt, offset)
+    try:
+        want = solve_lp_decision(c, a, b, threshold)
+    except NumericalError:
+        # solve_lp gives no answer; max_exceeds must then either fail the
+        # same way or decide by its certificate, in agreement with HiGHS
+        decided, _ = certified_decision(c, a, b, threshold)
+        if not decided:
+            with pytest.raises(NumericalError):
+                max_exceeds(c, a, b, threshold)
+            return
+        want = status == 3 or (status == 0 and opt > threshold)
+    assert max_exceeds(c, a, b, threshold) == want
+
+
+@PROPERTY_SETTINGS
+@given(lp_instances())
+def test_certified_bounds_contain_the_highs_optimum(instance):
+    kind, c, a, b, offset = instance
+    status, opt = highs_max(c, a, b)
+    threshold = threshold_near_optimum(status, opt, offset)
+    decided, bounds = certified_decision(c, a, b, threshold)
+    if bounds is None:
+        return
+    # a certificate exists only for a bounded, nonempty set
+    assert status in (0, 4), f"{kind}: certified bounds {bounds} but HiGHS status {status}"
+    if status != 0:
+        return  # HiGHS gave no optimum to compare with
+    # HiGHS is accurate to its own feasibility tolerance (1e-7), ten times
+    # below the decision margin, so a certified decision is also HiGHS's
+    slack = 1e-7 * (1.0 + abs(opt))
+    assert bounds[0] - slack <= opt <= bounds[1] + slack
+    if decided:
+        assert (bounds[0] > threshold) == (opt > threshold)

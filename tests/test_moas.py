@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+from actiongov import convexset, lp
 from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from actiongov.convexset import HPolytope, lp_solve, rejection_sample
-from actiongov.errors import InfeasibleStateError, MoasNotDeterminedError
+from actiongov.errors import (
+    EmptySetError,
+    InfeasibleStateError,
+    MoasConstructionError,
+    MoasNotDeterminedError,
+)
 from actiongov.lp import LpStatus, Sense
 from actiongov.moas import (
     Moas,
@@ -11,6 +17,7 @@ from actiongov.moas import (
     feasible_action_set,
     linear_ag_step,
 )
+from actiongov.simlab import build_moas_backend
 
 
 def scalar_toy():
@@ -80,6 +87,36 @@ class TestBuild:
             build_moas(rig.cl, rig.out, rig.w_set, epsilon=base_cfg.moas_epsilon,
                        t_cap=moas.t_star,
                        v_bounds=HPolytope.from_bounds([-25.0], [25.0]))
+
+    def test_empty_reference_box_raises_construction_error(self):
+        # no LP checks the growing set for emptiness: an empty set cuts no
+        # candidate row, and the check after the recursion still names it
+        plant, out, gain, cl = scalar_toy()
+        w_set = HPolytope([[1.0], [-1.0]], [0.1, 0.1])
+        empty_v = HPolytope([[1.0], [-1.0]], [-1.0, -1.0])  # v <= -1 and v >= 1
+        with pytest.raises(MoasConstructionError) as info:
+            build_moas(cl, out, w_set, v_bounds=empty_v)
+        assert not isinstance(info.value, EmptySetError)
+
+    def test_shipped_build_lp_budget_and_fallback_reference(self, base_cfg, rig, monkeypatch):
+        # certified decisions keep the shipped build under 450 simplex solves
+        # (1,009 when every decision was a solve) and change no output byte
+        calls = []
+        solve = lp.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_lp", counting)
+        monkeypatch.setattr(convexset, "solve_lp", counting)
+        _, fast = build_moas_backend(base_cfg, rig)
+        n_fast = len(calls)
+        assert n_fast <= 450
+        monkeypatch.setattr(lp, "_dual_bounds", lambda *args: None)  # every decision falls back
+        _, reference = build_moas_backend(base_cfg, rig)
+        assert len(calls) - n_fast > 2 * n_fast
+        assert fast.to_dict() == reference.to_dict()
 
     def test_positive_invariance_sampled(self, rig, moas_bundle):
         _, moas = moas_bundle
