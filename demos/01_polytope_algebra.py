@@ -7,7 +7,6 @@ import numpy as np
 
 from actiongov import (
     HPolytope,
-    is_subset,
     pontryagin_diff,
     project_out,
     remove_redundancy,
@@ -25,7 +24,8 @@ print("support of the box in direction (1, 1):", support(box, [1.0, 1.0]))
 gain_into_state = np.array([[0.0], [1.0]])  # noise enters the second axis
 core = pontryagin_diff(box, gain_into_state, noise)
 print("eroded bounds:", core.bounding_box())
-assert is_subset(core, box)
+# core lies inside box: each row of box bounds core's support in its direction
+assert all(support(core, a) <= b + 1e-9 for a, b in zip(box.normals, box.offsets))
 
 # Lift to (x1, x2, v), cut with a coupling constraint, project v back out.
 lifted = HPolytope(
@@ -45,6 +45,7 @@ for a, b in zip(shadow.normals, shadow.offsets):
     print("  ", np.round(a, 3), "<=", round(b, 3))
 
 # Stack both descriptions and reduce to a minimal representation.
-stacked = shadow.intersect(box)
+stacked = HPolytope(np.vstack([shadow.normals, box.normals]),
+                    np.concatenate([shadow.offsets, box.offsets]))
 minimal = remove_redundancy(stacked)
 print(f"redundancy removal: {stacked.n_rows} rows -> {minimal.n_rows} rows")

@@ -13,8 +13,6 @@ from .control_linalg import (
 )
 from .convexset import (
     HPolytope,
-    is_subset,
-    lp_solve,
     nearest_affine_point,
     pontryagin_diff,
     project_out,
@@ -48,14 +46,10 @@ from .safe_learning import (
     KoopmanModel,
     ObservableMap,
     QTable,
-    ReplayBuffer,
     SafeQEnv,
-    batch_fit,
     epsilon_greedy,
-    identity_observables,
     koopman_control,
     modified_reward,
-    prediction_residual,
     q_target,
     rls_update,
     run_safe_koopman,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError, UnboundedSetError
-from .lp import LpResult, LpStatus, Sense, max_exceeds, solve_lp
+from .lp import LpStatus, Sense, max_exceeds, solve_lp
 
 DEFAULT_TOL = 1e-9
 
@@ -22,12 +22,12 @@ DEFAULT_TOL = 1e-9
 class HPolytope:
     """Convex polytope ``{z : normals z <= offsets}``.
 
-    Values are immutable after construction; emptiness, boundedness and the
-    bounding box are decided lazily through the module's own LP and cached.
+    Values are immutable after construction; emptiness and the bounding box
+    are decided lazily through the module's own LP and cached.
     A polytope with zero rows represents the whole space.
     """
 
-    __slots__ = ("normals", "offsets", "_empty", "_bounded", "_bbox")
+    __slots__ = ("normals", "offsets", "_empty", "_bbox")
 
     def __init__(self, normals, offsets):
         # copies, frozen below: the caller's own arrays stay writable
@@ -48,7 +48,6 @@ class HPolytope:
         self.normals = normals
         self.offsets = offsets
         self._empty = None
-        self._bounded = None
         self._bbox = None
 
     # -- construction helpers -------------------------------------------------
@@ -65,14 +64,6 @@ class HPolytope:
         n = lo.size
         eye = np.eye(n)
         return cls(np.vstack([eye, -eye]), np.concatenate([hi, -lo]))
-
-    def intersect(self, other: "HPolytope") -> "HPolytope":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in intersection")
-        return HPolytope(
-            np.vstack([self.normals, other.normals]),
-            np.concatenate([self.offsets, other.offsets]),
-        )
 
     # -- basic queries ---------------------------------------------------------
 
@@ -98,26 +89,6 @@ class HPolytope:
             res = solve_lp(np.zeros(self.dim), self.normals, self.offsets, Sense.MIN)
             self._empty = res.status is LpStatus.INFEASIBLE
         return self._empty
-
-    @property
-    def is_bounded(self) -> bool:
-        if self._bounded is None:
-            if self.is_empty:
-                self._bounded = True
-            else:
-                bounded = True
-                for d in range(self.dim):
-                    e = np.zeros(self.dim)
-                    for s in (1.0, -1.0):
-                        e[d] = s
-                        if lp_solve(e, self, Sense.MAX).status is LpStatus.UNBOUNDED:
-                            bounded = False
-                            break
-                    e[d] = 0.0
-                    if not bounded:
-                        break
-                self._bounded = bounded
-        return self._bounded
 
     def bounding_box(self):
         """Tight axis-aligned bounds ``(lo, hi)`` as read-only arrays, solved
@@ -151,23 +122,13 @@ class HPolytope:
 # -- operations -----------------------------------------------------------------
 
 
-def lp_solve(objective, poly: HPolytope, sense: Sense = Sense.MIN) -> LpResult:
-    """Optimize a linear objective over a polytope."""
-    objective = np.asarray(objective, dtype=float).ravel()
-    if objective.size != poly.dim:
-        raise ValueError(
-            f"objective dimension {objective.size} does not match polytope dimension {poly.dim}"
-        )
-    return solve_lp(objective, poly.normals, poly.offsets, sense)
-
-
 def support(poly: HPolytope, direction) -> float:
     """Support function ``h_P(a) = sup_P a.z``.
 
     Raises :class:`EmptySetError` for empty polytopes and
     :class:`UnboundedSetError` when the supremum is infinite.
     """
-    res = lp_solve(direction, poly, Sense.MAX)
+    res = solve_lp(direction, poly.normals, poly.offsets, Sense.MAX)
     if res.status is LpStatus.INFEASIBLE:
         raise EmptySetError("support of an empty polytope")
     if res.status is LpStatus.UNBOUNDED:
@@ -285,21 +246,6 @@ def project_out(poly: HPolytope, dims) -> HPolytope:
         reduced = remove_redundancy(HPolytope(normals, offsets))
         normals, offsets = reduced.normals.copy(), reduced.offsets.copy()
     return HPolytope(normals, offsets)
-
-
-def is_subset(p: HPolytope, q: HPolytope, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every halfspace of ``q`` is satisfied by all of ``p``."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch in subset test")
-    if p.is_empty:
-        raise EmptySetError("subset test requires a nonempty left operand")
-    for a, b in zip(q.normals, q.offsets):
-        try:
-            if support(p, a) > b + tol:
-                return False
-        except UnboundedSetError:
-            return False
-    return True
 
 
 def nearest_affine_point(poly: HPolytope, lin_map, offset, target, norm: str = "l1"):

@@ -51,5 +51,9 @@ class UninitializedGovernorError(ActionGovError):
     """Backup branch reached with no previously held reference."""
 
 
+class NonFiniteInputError(ActionGovError):
+    """The supervisor was given a state or proposed action that is not finite."""
+
+
 class SeedConstructionError(ActionGovError):
     """The invariant seed set of the grid classifier came out empty."""

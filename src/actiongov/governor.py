@@ -21,12 +21,13 @@ at once with :meth:`ActionDistance.many` and pick with
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ActionGovError, UninitializedGovernorError
+from .errors import ActionGovError, NonFiniteInputError, UninitializedGovernorError
 
 
 class ActionDistance:
@@ -94,7 +95,9 @@ def nearest_candidate(candidates, distances):
 def govern(x, u1, gs: GovernorState, oracle, dist: ActionDistance = None):
     """One supervision step; returns ``(outcome, gs)`` with ``gs`` updated.
 
-    ``oracle = None`` passes ``u1`` through unsupervised.  Raises
+    ``oracle = None`` passes ``u1`` through unsupervised.  Otherwise raises
+    :class:`NonFiniteInputError` before the oracle is consulted when ``x``
+    or ``u1`` has a NaN or infinite entry, and
     :class:`UninitializedGovernorError` when both the adjustment and the
     backup selection are infeasible and no reference was ever held
     (supervision presumes the adjustment is feasible at the first step).
@@ -108,6 +111,12 @@ def govern(x, u1, gs: GovernorState, oracle, dist: ActionDistance = None):
     if dist is None:
         dist = ActionDistance()
     try:
+        xs = np.asarray(x, dtype=float)
+        # a scalar loop: on these few entries it is cheaper than np.isfinite
+        if not all(map(math.isfinite, xs.ravel().tolist() + u1.tolist())):
+            raise NonFiniteInputError(
+                f"non-finite input to the supervisor: x={xs.tolist()}, u1={u1.tolist()}"
+            )
         u = oracle.adjust(x, u1, dist)
         if u is not None:
             return GovernorOutcome(u=np.atleast_1d(u), branch=Branch.ADJUSTED), gs

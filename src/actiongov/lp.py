@@ -56,10 +56,6 @@ class LpResult:
     value: float
     point: np.ndarray
 
-    @property
-    def optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
-
 
 def _pivot(T, basis, row, col):
     T[row] = T[row] / T[row, col]
@@ -160,7 +156,11 @@ def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
     cost1[n_struct:n_total] = 1.0
     cost1 -= T.sum(axis=0)
     state = _run_simplex(T, basis, cost1, n_total, max_iter)
-    if state == "unbounded":  # pragma: no cover - phase 1 is always bounded
+    if state == "unbounded":
+        # phase 1 is bounded below by 0 in exact arithmetic, but FEAS_TOL and
+        # OPT_TOL are absolute: on badly row-scaled rows the tableau entries
+        # grow large and rounding can leave a reduced cost below -OPT_TOL on
+        # a column with no entry above FEAS_TOL
         raise NumericalError("phase-1 simplex reported unbounded")
     if -cost1[-1] > 1e-7:
         return LpResult(LpStatus.INFEASIBLE, np.nan, np.empty(0))

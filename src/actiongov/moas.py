@@ -39,16 +39,15 @@ class Moas:
     image and is the constraint carrier of the reduced action rule.
     """
 
-    __slots__ = ("t_star", "set_xv", "proj_x", "proj_x_shrunk", "epsilon", "n_states", "n_refs")
+    __slots__ = ("t_star", "set_xv", "proj_x", "proj_x_shrunk", "epsilon", "n_states")
 
-    def __init__(self, t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n_states, n_refs):
+    def __init__(self, t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n_states):
         self.t_star = t_star
         self.set_xv = set_xv
         self.proj_x = proj_x
         self.proj_x_shrunk = proj_x_shrunk
         self.epsilon = epsilon
         self.n_states = n_states
-        self.n_refs = n_refs
 
     def to_dict(self) -> dict:
         return {
@@ -121,7 +120,7 @@ def build_moas(
         cand_rows, cand_offs = layer_rows(a_pow, geo_sum, h_t)
         cur_rows, cur_offs = np.vstack(all_rows), np.concatenate(all_offs)
         # keep only rows that actually cut; determination is the first layer
-        # where none do (same test as is_subset(current, candidate layer)).
+        # where none do (every candidate row bounds the current set's support).
         # An empty current set cuts nothing, so it ends the recursion and is
         # caught by the emptiness check after it.
         cutting = [
@@ -150,7 +149,7 @@ def build_moas(
     set_xv = remove_redundancy(stacked)
     proj_x = project_out(set_xv, list(range(n, n + r)))
     proj_x_shrunk = pontryagin_diff(proj_x, E, w_set)
-    return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n, r)
+    return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n)
 
 
 def feasible_action_set(moas: Moas, plant: LinearPlant, out: OutputMap, x) -> HPolytope:

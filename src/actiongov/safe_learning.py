@@ -77,24 +77,6 @@ class QTable:
         )
 
 
-class ReplayBuffer:
-    """Batch of pending table writes, emptied on every batch apply."""
-
-    def __init__(self):
-        self._entries: list[tuple[int, int, float]] = []
-
-    def add(self, state_idx: int, action_idx: int, q_value: float):
-        self._entries.append((int(state_idx), int(action_idx), float(q_value)))
-
-    def __len__(self):
-        return len(self._entries)
-
-    def drain(self):
-        entries = self._entries
-        self._entries = []
-        return entries
-
-
 def epsilon_greedy(q: QTable, state_idx: int, rng) -> int:
     """Greedy action with probability 1 - epsilon, else uniform.
 
@@ -127,8 +109,6 @@ class SafeQEnv:
     the loop runs unsupervised (plain Q-learning).
     """
 
-    n_states: int
-    n_actions: int
     actions: np.ndarray
     initial_state: object
     state_index: Callable
@@ -151,13 +131,13 @@ def run_safe_q(env: SafeQEnv, q: QTable, t_max: int, big_t_max: int, rng):
     if t_max < 1 or big_t_max < 1:
         raise ValueError("t_max and big_t_max must be positive")
     q = q.copy()
-    buffer = ReplayBuffer()
     gs = GovernorState()
     traj = Trajectory()
     x = env.initial_state
     s = env.state_index(x)
     t = 0
     for _ in range(big_t_max):
+        pending = []  # (state, action, target) writes, applied when the batch ends
         for _ in range(t_max):
             a = epsilon_greedy(q, s, rng)
             u1 = np.atleast_1d(np.asarray(env.actions[a], dtype=float))
@@ -167,14 +147,14 @@ def run_safe_q(env: SafeQEnv, q: QTable, t_max: int, big_t_max: int, rng):
             r = env.reward(x, u)
             r_tilde = modified_reward(r, u1, u, q.penalty_m, env.dist)
             s_next = env.state_index(x_next)
-            buffer.add(s, a, q_target(q, s, a, r_tilde, s_next))
+            pending.append((s, a, q_target(q, s, a, r_tilde, s_next)))
             cost = env.cost(x, u) if env.cost is not None else -r
             violated = env.violated(x, u) if env.violated is not None else False
             traj.append(t, _as_state_vec(x), u1, u, outcome.branch.value, gs.v_hat, w, cost,
                         violated)
             x, s = x_next, s_next
             t += 1
-        for row, col, val in buffer.drain():
+        for row, col, val in pending:
             q.values[row, col] = val
     return q, traj
 
@@ -209,10 +189,6 @@ class ObservableMap:
         return z
 
 
-def identity_observables(n: int) -> ObservableMap:
-    return ObservableMap(fn=lambda x: x, n_z=n, name="identity")
-
-
 class KoopmanModel:
     """Lifted-state linear model with its recursive estimator state."""
 
@@ -240,10 +216,6 @@ class KoopmanModel:
         self.lam = float(lam)
         self.observables = observables
 
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
     @classmethod
     def initial(cls, A0, B0, observables: ObservableMap, lam: float = 1.0, delta: float = 1e3):
         nz = observables.n_z
@@ -259,33 +231,6 @@ class KoopmanModel:
             "observables": self.observables.name,
             "n_z": self.observables.n_z,
         }
-
-
-def batch_fit(z_plus, z, u1, ridge: float = 0.0):
-    """Least-squares fit of ``z+ ~ A z + B u`` from column-sample matrices.
-
-    Uses the pseudoinverse, so rank-deficient data yields the minimum-norm
-    solution; a ridge term is available when explicit regularization is
-    preferred.
-    """
-    z_plus = np.atleast_2d(np.asarray(z_plus, dtype=float))
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    u1 = np.atleast_2d(np.asarray(u1, dtype=float))
-    if not (z_plus.shape[1] == z.shape[1] == u1.shape[1]):
-        raise ValueError("sample counts must agree across z+, z and u")
-    g = np.vstack([z, u1])
-    if ridge > 0.0:
-        gram = g @ g.T + ridge * np.eye(g.shape[0])
-        theta = z_plus @ g.T @ np.linalg.inv(gram)
-    else:
-        theta = z_plus @ np.linalg.pinv(g)
-    nz = z.shape[0]
-    return theta[:, :nz], theta[:, nz:]
-
-
-def prediction_residual(A, B, z_plus, z, u1) -> float:
-    """Frobenius-norm fit diagnostic for a lifted linear model."""
-    return float(np.linalg.norm(z_plus - A @ z - B @ u1, "fro"))
 
 
 def rls_update(km: KoopmanModel, x_prev, u1_prev, x_now) -> KoopmanModel:

@@ -41,6 +41,9 @@ from .trajectory import Trajectory
 X1_BOUNDS = (-20.0, 20.0)
 X2_BOUNDS = (-4.0, 10.0)
 U_BOUNDS = (-6.0, 6.0)
+# the disturbance set W; the grid classification is sound only if the
+# grid's disturbance range is exactly this interval
+W_BOUNDS = (-1.0, 1.0)
 _GUARD = 1e-9  # floating-point guard on the binary violation checks
 
 
@@ -73,7 +76,7 @@ def disturbance(x) -> float:
 
 
 def disturbance_bound() -> HPolytope:
-    return HPolytope.from_bounds([-1.0], [1.0])
+    return HPolytope.from_bounds(*W_BOUNDS)
 
 
 def example_observables() -> ObservableMap:
@@ -96,21 +99,10 @@ def example_initial_koopman(lam: float = 1.0, delta: float = 1e3) -> KoopmanMode
     return KoopmanModel.initial(A0, B0, example_observables(), lam=lam, delta=delta)
 
 
-_OBSERVABLE_REGISTRY = {
-    "double_integrator_lift": example_observables,
-}
-
-
 def koopman_model_from_dict(data: dict) -> KoopmanModel:
-    name = data["observables"]
-    if name in _OBSERVABLE_REGISTRY:
-        obs = _OBSERVABLE_REGISTRY[name]()
-    elif name == "identity":
-        from .safe_learning import identity_observables
-
-        obs = identity_observables(int(data["n_z"]))
-    else:
-        raise ValueError(f"unknown observable map {name!r}")
+    obs = example_observables()
+    if data["observables"] != obs.name:
+        raise ValueError(f"unknown observable map {data['observables']!r}")
     return KoopmanModel(
         np.asarray(data["A"], dtype=float),
         np.asarray(data["B"], dtype=float),
@@ -177,8 +169,6 @@ class ScenarioConfig:
     grid_v_lo: float = -25.0
     grid_v_hi: float = 25.0
     grid_dv: float = 0.5
-    grid_w_lo: float = -1.0
-    grid_w_hi: float = 1.0
     grid_dw: float = 0.1
     alpha: float = 0.75
     action_lo: float = -6.0
@@ -245,8 +235,7 @@ class ScenarioConfig:
             self.grid_v_lo,
             self.grid_v_hi,
             self.grid_dv,
-            self.grid_w_lo,
-            self.grid_w_hi,
+            *W_BOUNDS,
             self.grid_dw,
         )
 
@@ -379,8 +368,7 @@ def simulate(cfg: ScenarioConfig) -> Trajectory:
             with open(cfg.model_path) as fh:
                 qtable = QTable.from_dict(json.load(fh))
         else:
-            qtable = QTable.zeros(grid.n_xpairs, cfg.action_values().size,
-                                  cfg.q_gamma, cfg.q_alpha, cfg.q_epsilon, cfg.q_penalty)
+            qtable = make_example_qtable(cfg, grid)
         controller = _qtable_controller(cfg, qtable, grid)
     return run_supervised(rig, controller, oracle, cfg.initial_state, cfg.steps, rig.dist)
 
@@ -450,8 +438,6 @@ def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec
         return -step_cost(x, u)
 
     return SafeQEnv(
-        n_states=grid.n_xpairs,
-        n_actions=cfg.action_values().size,
         actions=cfg.action_values(),
         initial_state=snap(cfg.initial_state)[0],
         state_index=state_index,

@@ -21,8 +21,6 @@ from actiongov.errors import ActionGovError
 from actiongov.moas import feasible_action_set, linear_ag_step
 from actiongov.safe_learning import (
     QTable,
-    batch_fit,
-    identity_observables,
     KoopmanModel,
     koopman_control,
     rls_update,
@@ -38,6 +36,7 @@ from actiongov.simlab import (
     _koopman_controller,
     _nominal_controller,
 )
+from references import batch_fit, identity_observables
 
 
 def report(num, ok, detail=""):
@@ -261,8 +260,6 @@ def _chain_env():
         return int(transitions[int(x), a]), 0.0
 
     env = SafeQEnv(
-        n_states=3,
-        n_actions=2,
         actions=np.array([0.0, 1.0]),
         initial_state=0,
         state_index=lambda x: int(x),

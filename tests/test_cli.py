@@ -41,9 +41,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad", [{"bogus": True}, {"steps": "ten"}, {"initial_state": 5},
                                      {"koopman_q_diag": None},
                                      {"grid_dx1": "x", "governor": "grid"},
-                                     {"moas_epsilon": "x"}, {"steps": 2.5}],
+                                     {"moas_epsilon": "x"}, {"steps": 2.5},
+                                     {"grid_w_lo": -1.0}],
                              ids=["unknown-key", "steps-text", "state-scalar", "q-diag-null",
-                                  "grid-step-text", "epsilon-text", "steps-fraction"])
+                                  "grid-step-text", "epsilon-text", "steps-fraction",
+                                  "removed-grid-w-key"])
     def test_bad_config_keys(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 0, **bad}))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from actiongov.errors import InfeasibleStateError, UninitializedGovernorError
+from actiongov.errors import (
+    InfeasibleStateError,
+    NonFiniteInputError,
+    UninitializedGovernorError,
+)
 from actiongov.governor import (
     ActionDistance,
     Branch,
@@ -9,6 +13,7 @@ from actiongov.governor import (
     govern,
     nearest_candidate,
 )
+from actiongov.simlab import ScenarioConfig, build_grid_backend, build_rig
 from enumerated_oracle import EnumeratedOracle
 
 
@@ -370,6 +375,30 @@ class TestGovernStep:
         gs = GovernorState(step=7)
         with pytest.raises(UninitializedGovernorError, match="step 7"):
             govern(2, np.array([0.0]), gs, RingOracle())
+
+
+@pytest.fixture(scope="module")
+def tiny_grid_bundle():
+    """(oracle, dss, tt, grid) on a coarse grid (the bench's tiny-size overrides)."""
+    cfg = ScenarioConfig(seed=0, grid_dx1=2.5, grid_dx2=2.5, grid_dv=2.5, grid_dw=1.0,
+                         action_du=2.0)
+    return build_grid_backend(cfg, build_rig(cfg))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("backend", ["tiny_grid_bundle", "moas_bundle"])
+@pytest.mark.parametrize("x, u1", [([0.0, 0.0], [NAN]), ([NAN, 0.0], [0.0]),
+                                   ([INF, 0.0], [0.0]), ([0.0, 0.0], [INF])],
+                         ids=["nan-u1", "nan-x", "inf-x", "inf-u1"])
+def test_non_finite_input_is_a_typed_error_with_its_step(request, backend, x, u1):
+    bundle = request.getfixturevalue(backend)
+    gs = GovernorState(step=5)
+    with pytest.raises(NonFiniteInputError) as info:
+        govern(np.array(x), np.array(u1), gs, bundle[0], ActionDistance())
+    assert info.value.step == 5
+    assert gs.v_hat is None
 
 
 class TestNearestCandidate:

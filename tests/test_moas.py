@@ -3,14 +3,14 @@ import pytest
 
 from actiongov import convexset, lp
 from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
-from actiongov.convexset import HPolytope, lp_solve, rejection_sample
+from actiongov.convexset import HPolytope, rejection_sample
 from actiongov.errors import (
     EmptySetError,
     InfeasibleStateError,
     MoasConstructionError,
     MoasNotDeterminedError,
 )
-from actiongov.lp import LpStatus, Sense
+from actiongov.lp import LpStatus, Sense, solve_lp
 from actiongov.moas import (
     Moas,
     build_moas,
@@ -137,7 +137,7 @@ class TestBuild:
         for _ in range(200):
             x = rng.uniform([-22, -6], [22, 12])
             rhs = moas.set_xv.offsets - moas.set_xv.normals[:, :n] @ x
-            lift = lp_solve(np.zeros(1), HPolytope(a_v, rhs), Sense.MIN)
+            lift = solve_lp(np.zeros(1), a_v, rhs, Sense.MIN)
             feasible = lift.status is not LpStatus.INFEASIBLE
             member = moas.proj_x.contains(x, tol=1e-7)
             if feasible != member:
@@ -158,7 +158,7 @@ class TestActionStep:
         out = OutputMap([[0.0]], [[1.0]], HPolytope([[1.0], [-1.0]], [1.0, 1.0]))
         big = HPolytope.from_bounds([-100.0], [100.0])
         moas = Moas(0, HPolytope.from_bounds([-100.0, -100.0], [100.0, 100.0]),
-                    big, big, 0.01, 1, 1)
+                    big, big, 0.01, 1)
         u, adjusted = linear_ag_step(moas, plant, out, [0.0], [3.0])
         assert adjusted
         assert u[0] == pytest.approx(1.0, abs=1e-9)

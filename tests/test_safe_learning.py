@@ -9,20 +9,17 @@ from actiongov.safe_learning import (
     KoopmanModel,
     ObservableMap,
     QTable,
-    ReplayBuffer,
     SafeQEnv,
-    batch_fit,
     epsilon_greedy,
-    identity_observables,
     koopman_control,
     modified_reward,
-    prediction_residual,
     q_target,
     rls_update,
     run_safe_koopman,
     run_safe_q,
 )
 from enumerated_oracle import EnumeratedOracle
+from references import batch_fit, identity_observables, prediction_residual
 
 dist_l1 = ActionDistance("l1")
 
@@ -118,8 +115,6 @@ def chain_env():
         return int(transitions[int(x), a]), 0.0
 
     return SafeQEnv(
-        n_states=3,
-        n_actions=2,
         actions=np.array([0.0, 1.0]),
         initial_state=0,
         state_index=lambda x: int(x),
@@ -185,8 +180,6 @@ class TestRunSafeQ:
                 return np.array([0.0])
 
         env = SafeQEnv(
-            n_states=1,
-            n_actions=2,
             actions=np.array([0.0, 1.0]),
             initial_state=0,
             state_index=lambda x: 0,
@@ -217,15 +210,6 @@ class TestRunSafeQ:
         with pytest.raises(UninitializedGovernorError, match="step 4") as info:
             run_safe_q(env, q0, 1, 10, np.random.default_rng(0))
         assert info.value.step == 4
-
-
-class TestReplayBuffer:
-    def test_drain_empties(self):
-        buf = ReplayBuffer()
-        buf.add(0, 1, 2.0)
-        assert len(buf) == 1
-        assert buf.drain() == [(0, 1, 2.0)]
-        assert len(buf) == 0
 
 
 class TestBatchFit:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +228,12 @@ class TestConfig:
             json.dump(cfg.to_dict(), fh)
         back = ScenarioConfig.from_json(p)
         assert back.to_dict() == cfg.to_dict()
+
+    def test_shipped_config_writes_out_every_default(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "double_integrator.json"
+        shipped = json.loads(path.read_text())
+        assert list(shipped) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert ScenarioConfig.from_json(path) == ScenarioConfig(seed=0, out_dir="out")
 
 
 class TestModelSerialization:
