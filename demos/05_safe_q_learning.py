@@ -34,5 +34,7 @@ print(f"{len(traj)} learning steps, {traj.violation_count} violations, "
       f"{adjusted} proposals adjusted by the supervisor")
 visited = int((table.values != 0).any(axis=1).sum())
 print(f"table covers {visited} of {table.values.shape[0]} grid states")
-print(f"mean cost, first 500 steps: {traj.costs[:500].mean():.2f}; "
-      f"last 500 steps: {traj.costs[-500:].mean():.2f}")
+# disjoint windows, so a short run cannot compare a window with itself
+window = min(500, len(traj) // 2)
+print(f"mean cost, first {window} steps: {traj.costs[:window].mean():.2f}; "
+      f"last {window} steps: {traj.costs[-window:].mean():.2f}")

@@ -4,6 +4,15 @@ Closed-loop assembly, a scaled discrete Lyapunov equation (solved by
 Kronecker vectorization), the discrete algebraic Riccati equation (fixed
 point iteration), its finite-horizon counterpart, and the spectral radius.
 
+Both Riccati recursions share one step, ``_RiccatiStep``, which writes
+every intermediate into buffers allocated once per solve and, for a
+one-input model with two or more states, replaces the 1x1 solve by a
+multiply with the reciprocal of ``R + B'PB``.  Its results are bitwise
+equal to the plain recursion (``Q + A'P(A + BK)`` with
+``K = -solve(R + B'PB, B'PA)``, each product formed left to right);
+``tests/test_dare_bitwise.py`` pins this, so a BLAS/LAPACK build that
+rounds differently fails there instead of shifting outputs.
+
 Gain sign convention used everywhere: feedback is applied as ``u = K x``,
 so stabilizing gains carry their own negative sign.
 """
@@ -165,17 +174,76 @@ def dlyap_scaled(At, E, alpha: float):
     return P
 
 
-def _riccati_map(P, A, B, Q, R):
-    G = R + B.T @ P @ B
-    K = -np.linalg.solve(G, B.T @ P @ A)
-    return Q + A.T @ P @ (A + B @ K), K
+class _RiccatiStep:
+    """The Riccati map ``P -> Q + A'P(A + B K)`` with ``K = -(R + B'PB)^-1 B'PA``.
+
+    Every intermediate lives in a buffer allocated once, ``A'`` and ``B'``
+    are made contiguous once, and ``B'P`` is formed once per step for both
+    ``(B'P)B`` and ``(B'P)A``.  Products go through ``ndarray.dot`` with
+    ``out=``, which reaches the same BLAS routine as ``@`` with less
+    dispatch.  With one input and two or more states the 1x1 solve is a
+    multiply by the reciprocal of ``G``: that is how this LAPACK's
+    ``dgesv`` finishes a 1x1 system with several right-hand sides (its
+    triangular solve inverts the diagonal).  With a single right-hand side
+    it divides instead, so a one-state model keeps ``np.linalg.solve``.  A
+    singular ``G`` raises ``np.linalg.LinAlgError`` on either path, as
+    ``np.linalg.solve`` does.
+    """
+
+    __slots__ = ("A", "B", "Q", "R", "At", "Bt", "reciprocal",
+                 "BtP", "G", "BtPA", "K", "M", "AtP")
+
+    def __init__(self, A, B, Q, R):
+        n, m = B.shape
+        self.A, self.B, self.Q, self.R = A, B, Q, R
+        self.At = np.ascontiguousarray(A.T)
+        self.Bt = np.ascontiguousarray(B.T)
+        self.reciprocal = m == 1 and n > 1
+        self.BtP = np.empty((m, n))
+        self.G = np.empty((m, m))
+        self.BtPA = np.empty((m, n))
+        self.K = np.empty((m, n))
+        self.M = np.empty((n, n))
+        self.AtP = np.empty((n, n))
+
+    def __call__(self, P, out):
+        """Write the (unsymmetrized) map of ``P`` into ``out``; return ``K``.
+
+        ``K`` is a buffer that the next call overwrites.
+        """
+        self.Bt.dot(P, out=self.BtP)
+        self.BtP.dot(self.B, out=self.G)
+        np.add(self.R, self.G, out=self.G)
+        self.BtP.dot(self.A, out=self.BtPA)
+        if self.reciprocal:
+            g = self.G[0, 0]
+            if g == 0.0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            np.multiply(self.BtPA, -(1.0 / g), out=self.K)
+        else:
+            np.negative(np.linalg.solve(self.G, self.BtPA), out=self.K)
+        self.B.dot(self.K, out=self.M)
+        np.add(self.A, self.M, out=self.M)
+        self.At.dot(P, out=self.AtP)
+        self.AtP.dot(self.M, out=out)
+        np.add(self.Q, out, out=out)
+        return self.K
+
+
+def _symmetrize(P, out):
+    np.add(P, P.T, out=out)
+    np.multiply(out, 0.5, out=out)
 
 
 def dare_solve(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
     Fixed-point iteration from ``P0 = Q``; returns ``(P, K)`` with the gain
-    in the ``u = K x`` convention, i.e. ``rho(A + B K) < 1``.
+    in the ``u = K x`` convention, i.e. ``rho(A + B K) < 1``.  The iteration
+    runs in buffers allocated once per call and swaps the current and next
+    iterate; with one input (and two or more states) the gain uses the
+    reciprocal of the 1x1 ``G``.  Both are bitwise equal to the plain
+    recursion, which a test pins.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -185,23 +253,31 @@ def dare_solve(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
         raise ValueError("Q must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(0.5 * (R + R.T))) <= 0.0:
         raise ValueError("R must be positive definite")
+    step = _RiccatiStep(A, B, Q, R)
     P = Q.copy()
+    P_next = np.empty_like(P)
+    work = np.empty_like(P)
     for _ in range(max_iter):
         try:
-            P_next, K = _riccati_map(P, A, B, Q, R)
+            step(P, work)
         except np.linalg.LinAlgError as exc:
             raise NoStabilizingSolutionError("Riccati step became singular") from exc
-        P_next = 0.5 * (P_next + P_next.T)
-        if not np.all(np.isfinite(P_next)) or np.max(np.abs(P_next)) > 1e14:
+        _symmetrize(work, P_next)
+        # one test for both NaN/inf and divergence: NaN fails the comparison
+        if not (np.abs(P_next, out=work).max() <= 1e14):
             raise NoStabilizingSolutionError("Riccati iteration diverged")
-        if np.max(np.abs(P_next - P)) < tol:
-            P = P_next
+        np.subtract(P_next, P, out=work)
+        P, P_next = P_next, P
+        if np.abs(work, out=work).max() < tol:
             break
-        P = P_next
     else:
         raise NoStabilizingSolutionError("Riccati iteration exceeded the sweep limit")
-    P_check, K = _riccati_map(P, A, B, Q, R)
-    if np.max(np.abs(P_check - P)) >= 1e-6:
+    try:
+        K = step(P, work)
+    except np.linalg.LinAlgError as exc:
+        raise NoStabilizingSolutionError("Riccati step became singular") from exc
+    np.subtract(work, P, out=work)
+    if np.abs(work, out=work).max() >= 1e-6:
         raise NoStabilizingSolutionError("Riccati fixed point not reached")
     if spectral_radius(A + B @ K) >= 1.0:
         raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
@@ -217,11 +293,12 @@ def riccati_finite(A, B, Q, R, Qf, N: int):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     P = np.atleast_2d(np.asarray(Qf, dtype=float)).copy()
-    K = None
+    step = _RiccatiStep(A, B, Q, R)
+    work = np.empty_like(P)
     for _ in range(N):
         try:
-            P, K = _riccati_map(P, A, B, Q, R)
+            K = step(P, work)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular (R + B'PB) in backward recursion") from exc
-        P = 0.5 * (P + P.T)
+        _symmetrize(work, P)
     return K

@@ -1,5 +1,13 @@
 """Shared fixtures; the expensive constructions are built once per session."""
 
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads its BLAS, as bench/run.py
+# does: the bitwise pins in test_dare_bitwise.py are stated for it.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

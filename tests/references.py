@@ -1,11 +1,18 @@
 """Reference routines that only the tests use: set intersection and
 inclusion, the batch least-squares fit the recursive estimator must match,
-and the identity lifting for linear test systems."""
+the identity lifting for linear test systems, and the plain Riccati
+recursions the buffered library loop must match bitwise."""
 
 import numpy as np
 
+from actiongov.control_linalg import spectral_radius
 from actiongov.convexset import DEFAULT_TOL, HPolytope, support
-from actiongov.errors import EmptySetError, UnboundedSetError
+from actiongov.errors import (
+    EmptySetError,
+    NoStabilizingSolutionError,
+    NumericalError,
+    UnboundedSetError,
+)
 from actiongov.safe_learning import ObservableMap
 
 
@@ -59,3 +66,57 @@ def prediction_residual(A, B, z_plus, z, u1) -> float:
 
 def identity_observables(n: int) -> ObservableMap:
     return ObservableMap(fn=lambda x: x, n_z=n, name="identity")
+
+
+def _riccati_map(P, A, B, Q, R):
+    G = R + B.T @ P @ B
+    K = -np.linalg.solve(G, B.T @ P @ A)
+    return Q + A.T @ P @ (A + B @ K), K
+
+
+def dare_reference(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
+    """The fixed-point DARE iteration written plainly, one allocation per
+    operation; ``control_linalg.dare_solve`` must return the same bits."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-12:
+        raise ValueError("Q must be positive semidefinite")
+    if np.min(np.linalg.eigvalsh(0.5 * (R + R.T))) <= 0.0:
+        raise ValueError("R must be positive definite")
+    P = Q.copy()
+    for _ in range(max_iter):
+        try:
+            P_next, K = _riccati_map(P, A, B, Q, R)
+        except np.linalg.LinAlgError as exc:
+            raise NoStabilizingSolutionError("Riccati step became singular") from exc
+        P_next = 0.5 * (P_next + P_next.T)
+        if not np.all(np.isfinite(P_next)) or np.max(np.abs(P_next)) > 1e14:
+            raise NoStabilizingSolutionError("Riccati iteration diverged")
+        if np.max(np.abs(P_next - P)) < tol:
+            P = P_next
+            break
+        P = P_next
+    else:
+        raise NoStabilizingSolutionError("Riccati iteration exceeded the sweep limit")
+    P_check, K = _riccati_map(P, A, B, Q, R)
+    if np.max(np.abs(P_check - P)) >= 1e-6:
+        raise NoStabilizingSolutionError("Riccati fixed point not reached")
+    if spectral_radius(A + B @ K) >= 1.0:
+        raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
+    return P, K
+
+
+def riccati_finite_reference(A, B, Q, R, Qf, N: int):
+    """The plain backward recursion behind ``control_linalg.riccati_finite``."""
+    A, B, Q, R = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, B, Q, R))
+    P = np.atleast_2d(np.asarray(Qf, dtype=float)).copy()
+    K = None
+    for _ in range(N):
+        try:
+            P, K = _riccati_map(P, A, B, Q, R)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular (R + B'PB) in backward recursion") from exc
+        P = 0.5 * (P + P.T)
+    return K

@@ -123,6 +123,21 @@ class TestDare:
         assert np.max(np.abs(res)) < 1e-9
         assert np.max(np.abs(K + np.linalg.solve(G, plant.B.T @ P @ plant.A))) < 1e-9
 
+    @pytest.mark.parametrize("B, R", [([[0.0], [1.0]], [[1.0]]), (np.ones((2, 2)), np.eye(2))],
+                             ids=["one-input", "two-input"])
+    def test_nan_model_is_caught_by_the_divergence_test(self, B, R):
+        with pytest.raises(NoStabilizingSolutionError, match="diverged"):
+            dare_solve([[1.0, np.nan], [0.0, 1.0]], B, np.eye(2), R)
+
+    def test_unstable_model_without_input_authority_diverges(self):
+        with pytest.raises(NoStabilizingSolutionError, match="diverged"):
+            dare_solve(1.5 * np.eye(2), np.zeros((2, 1)), np.eye(2), [[1.0]])
+
+    def test_singular_gain_system_on_the_two_input_path(self):
+        # equal input columns and a negligible R make R + B'PB exactly singular
+        with pytest.raises(NoStabilizingSolutionError, match="singular"):
+            dare_solve(np.eye(2), np.ones((2, 2)), np.eye(2), 1e-20 * np.eye(2))
+
 
 class TestRiccatiFinite:
     def test_zero_terminal_single_step(self):

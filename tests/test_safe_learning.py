@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from actiongov.errors import NumericalError, UninitializedGovernorError
+from actiongov.errors import (
+    NoStabilizingSolutionError,
+    NumericalError,
+    UninitializedGovernorError,
+)
 from actiongov.governor import ActionDistance
-from actiongov.control_linalg import dare_solve
+from actiongov.control_linalg import dare_solve, riccati_finite
 from actiongov.safe_learning import (
     KoopmanEnv,
     KoopmanModel,
@@ -353,6 +357,19 @@ class TestKoopmanControl:
         km = KoopmanModel.initial(A, B, identity_observables(2))
         u = koopman_control(km, np.array([1.0, 1.0]), np.eye(2), [[1.0]])
         assert np.all(np.isfinite(u))
+
+    @pytest.mark.parametrize("A, B", [
+        (np.diag([1.2, 0.5]), np.array([[0.0], [1.0]])),
+        (1.5 * np.eye(2), np.zeros((2, 1))),
+    ], ids=["uncontrollable-mode", "no-input-authority"])
+    def test_fallback_is_exactly_the_50_step_gain(self, A, B):
+        q, r = np.eye(2), np.array([[1.0]])
+        with pytest.raises(NoStabilizingSolutionError):
+            dare_solve(A, B, q, r)
+        km = KoopmanModel.initial(A, B, identity_observables(2))
+        x = np.array([1.0, -2.0])
+        u = koopman_control(km, x, q, r)
+        assert u.tobytes() == (riccati_finite(A, B, q, r, q, 50) @ x).tobytes()
 
 
 def linear_koopman_env(A, B, oracle=None):
