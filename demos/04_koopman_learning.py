@@ -9,27 +9,23 @@ import sys
 
 import numpy as np
 
-from actiongov.safe_learning import koopman_control, run_safe_koopman
 from actiongov.simlab import (
     ScenarioConfig,
     average_cost,
     build_moas_backend,
     build_rig,
-    example_initial_koopman,
-    make_koopman_env,
+    koopman_controller,
+    learn_koopman,
+    nominal_controller,
     run_supervised,
-    _nominal_controller,
 )
 
 steps = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
 cfg = ScenarioConfig(seed=0, learn_steps=steps)
 rig = build_rig(cfg)
 oracle, moas = build_moas_backend(cfg, rig)
-env = make_koopman_env(cfg, rig, oracle, moas)
-km = example_initial_koopman(cfg.koopman_lambda, cfg.koopman_delta)
 
-km, traj = run_safe_koopman(env, km, cfg.learn_steps, cfg.reset_every,
-                            np.random.default_rng(cfg.seed))
+km, traj = learn_koopman(cfg, rig, oracle, moas)
 cbar = average_cost(traj)
 print(f"learned for {len(traj)} steps with {traj.violation_count} violations")
 print(f"average cost: {cbar[min(200, len(cbar) - 1)]:.2f} early -> {cbar[-1]:.2f} final")
@@ -38,11 +34,8 @@ print(np.round(km.A, 3))
 print("input column:", np.round(km.B.ravel(), 3))
 
 start = (12.0, 6.0)
-nominal = run_supervised(rig, _nominal_controller(rig), oracle, start, 500, rig.dist)
-q_z = np.diag(cfg.koopman_q_diag)
-r_u = np.array([[cfg.koopman_r]])
-learned = run_supervised(rig, lambda x: koopman_control(km, x, q_z, r_u),
-                         oracle, start, 500, rig.dist)
+nominal = run_supervised(rig, nominal_controller(rig), oracle, start, 500, rig.dist)
+learned = run_supervised(rig, koopman_controller(cfg, km), oracle, start, 500, rig.dist)
 print(f"tail neighborhood from {start}: nominal "
       f"{np.linalg.norm(nominal.states[-50:], axis=1).max():.2f}, learned "
       f"{np.linalg.norm(learned.states[-50:], axis=1).max():.2f}")

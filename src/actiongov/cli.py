@@ -17,21 +17,20 @@ import numpy as np
 
 from .discrete_safeset import MINUS, REMAIN, SAFE_PLUS
 from .errors import ActionGovError
-from .safe_learning import run_safe_koopman, run_safe_q
+from .safe_learning import run_safe_q
 from .simlab import (
     ScenarioConfig,
     average_cost,
     build_grid_backend,
     build_moas_backend,
     build_rig,
-    example_initial_koopman,
+    koopman_controller,
+    learn_koopman,
     make_grid_q_env,
-    make_koopman_env,
     make_example_qtable,
+    nominal_controller,
     run_supervised,
     simulate,
-    _koopman_controller,
-    _nominal_controller,
 )
 from .trajectory import Trajectory, fmt
 
@@ -126,10 +125,7 @@ def _cmd_learn_koopman(args) -> int:
     cfg = _load_config(args)
     rig = build_rig(cfg)
     oracle, moas = build_moas_backend(cfg, rig)
-    env = make_koopman_env(cfg, rig, oracle, moas)
-    km = example_initial_koopman(cfg.koopman_lambda, cfg.koopman_delta)
-    rng = np.random.default_rng(cfg.seed)
-    km, traj = run_safe_koopman(env, km, cfg.learn_steps, cfg.reset_every, rng)
+    km, traj = learn_koopman(cfg, rig, oracle, moas)
     out = Path(cfg.out_dir)
     traj.write_csv(out / "koopman_trajectory.csv")
     _write_json(out / "koopman_model.json", km.to_dict())
@@ -147,20 +143,17 @@ def _cmd_reproduce_paper(args) -> int:
     rig = build_rig(cfg)
     oracle, moas = build_moas_backend(cfg, rig)
 
-    nominal = _nominal_controller(rig)
+    nominal = nominal_controller(rig)
     traj_plain = run_supervised(rig, nominal, None, cfg.initial_state, cfg.steps, rig.dist)
     traj_plain.write_csv(out / "fig2_nominal_ungoverned.csv")
     traj_gov = run_supervised(rig, nominal, oracle, cfg.initial_state, cfg.steps, rig.dist)
     traj_gov.write_csv(out / "fig2_nominal_governed.csv")
 
-    env = make_koopman_env(cfg, rig, oracle, moas)
-    km = example_initial_koopman(cfg.koopman_lambda, cfg.koopman_delta)
-    rng = np.random.default_rng(cfg.seed)
-    km, traj_learn = run_safe_koopman(env, km, cfg.learn_steps, cfg.reset_every, rng)
+    km, traj_learn = learn_koopman(cfg, rig, oracle, moas)
     _write_cost_csv(out / "fig4_cost.csv", traj_learn)
 
     traj_koop = run_supervised(
-        rig, _koopman_controller(cfg, km), oracle, cfg.initial_state, cfg.steps, rig.dist
+        rig, koopman_controller(cfg, km), oracle, cfg.initial_state, cfg.steps, rig.dist
     )
     traj_koop.write_csv(out / "fig2_koopman_governed.csv")
 

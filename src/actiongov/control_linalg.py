@@ -110,10 +110,11 @@ class ClosedLoop:
     """Nominal closed loop ``x+ = At x + Bt v + E w``, ``y = Ct x + Dt v``.
 
     ``At = A + B K``, ``Bt = B L``, ``Ct = C + D K``, ``Dt = D L``.  The
-    loop matrix must be Schur with margin; otherwise construction fails.
+    loop keeps its ``plant``, ``out`` and ``gain``.  The loop matrix must be
+    Schur with margin; otherwise construction fails.
     """
 
-    __slots__ = ("At", "Bt", "Ct", "Dt", "plant", "gain")
+    __slots__ = ("At", "Bt", "Ct", "Dt", "plant", "out", "gain")
 
     def __init__(self, plant: LinearPlant, out: OutputMap, gain: NominalGain):
         if gain.K.shape[1] != plant.n_states or gain.K.shape[0] != plant.n_inputs:
@@ -129,6 +130,7 @@ class ClosedLoop:
         self.Ct = out.C + out.D @ gain.K
         self.Dt = out.D @ gain.L
         self.plant = plant
+        self.out = out
         self.gain = gain
 
     @property

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control_linalg import ClosedLoop, NominalGain, OutputMap, dlyap_scaled
+from .control_linalg import ClosedLoop, dlyap_scaled
 from .errors import SeedConstructionError
 from .governor import nearest_candidate
 
@@ -143,6 +143,10 @@ class GridSpec:
         flat[out1 | out2] = -1
         return flat
 
+    def index_of(self, x) -> int:
+        """Flat x-pair index of the grid state nearest one state ``x`` (-1 outside)."""
+        return int(self.snap_x(np.atleast_2d(np.ravel(x)))[0])
+
     def snap_v(self, vals) -> np.ndarray:
         k, out = self._snap_axis(np.asarray(vals, dtype=float), self._snap_axes[2])
         k[out] = -1
@@ -154,7 +158,8 @@ class TransitionTable:
 
     ``table[i, j, k]`` is the flat index of the grid state nearest to the
     closed-loop successor, or -1 when the successor leaves the grid range.
-    Indices are int16 when every x-pair index fits, int32 otherwise.
+    Indices are int16 when every x-pair index fits, int32 otherwise.  Every
+    later stage reads the grid and the loop ``cl`` from the table.
     """
 
     __slots__ = ("table", "grid", "cl")
@@ -200,13 +205,12 @@ def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:
     return seed
 
 
-def build_seed(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, invariant: np.ndarray,
-               alpha: float) -> np.ndarray:
+def build_seed(tt: TransitionTable, invariant: np.ndarray, alpha: float) -> np.ndarray:
     """Boolean mask (n_xpairs, n_v) of the certified safe invariant seed.
 
-    ``tt`` is the loop's transition table and ``invariant`` its greatest
-    invariant admissible pair set (the pairs :func:`unsafe_witness` leaves
-    at ``WITNESS_NONE``).
+    ``tt`` is the transition table of the loop ``tt.cl`` and ``invariant``
+    its greatest invariant admissible pair set (the pairs
+    :func:`unsafe_witness` leaves at ``WITNESS_NONE``).
 
     A reference is eligible when the worst case of every output constraint
     over its steady-state ellipsoid is admissible; the raw collection is the
@@ -216,11 +220,12 @@ def build_seed(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, invariant: n
     its forward closure inside the invariant set.  When the collection is
     already invariant the closure adds nothing.
     """
+    cl = tt.cl
     P = dlyap_scaled(cl.At, cl.plant.E, alpha)
     n = cl.At.shape[0]
     xv_dir = np.linalg.solve(np.eye(n) - cl.At, cl.Bt)  # steady state per unit v
-    H = out.constraint_set.normals
-    h = out.constraint_set.offsets
+    H = cl.out.constraint_set.normals
+    h = cl.out.constraint_set.offsets
     HC = H @ cl.Ct
     spread = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", HC, P, HC), 0.0))
     coef = (HC @ xv_dir + H @ cl.Dt).ravel()
@@ -282,14 +287,13 @@ class DiscreteSafeSet:
         return {"safe": safe, "minus": minus, "remain": remain}
 
 
-def constraint_table(out: OutputMap, gain: NominalGain, grid: GridSpec) -> np.ndarray:
-    """Admissibility of ``(x, pi0(x, v))`` for every grid pair."""
-    Ct = out.C + out.D @ gain.K
-    Dt = out.D @ gain.L
-    H = out.constraint_set.normals
-    h = out.constraint_set.offsets
-    xh = grid.x_points() @ (H @ Ct).T
-    vh = np.outer(grid.v_values, (H @ Dt).ravel())
+def constraint_table(tt: TransitionTable) -> np.ndarray:
+    """Admissibility of ``(x, pi0(x, v))`` under ``tt.cl.out`` for every pair of ``tt.grid``."""
+    cl, grid = tt.cl, tt.grid
+    H = cl.out.constraint_set.normals
+    h = cl.out.constraint_set.offsets
+    xh = grid.x_points() @ (H @ cl.Ct).T
+    vh = np.outer(grid.v_values, (H @ cl.Dt).ravel())
     ok = np.empty((grid.n_xpairs, grid.n_v), dtype=bool)
     for j in range(grid.n_v):
         ok[:, j] = np.all(xh + vh[j] <= h + 1e-9, axis=1)
@@ -323,19 +327,18 @@ def _totals(cls: np.ndarray) -> tuple:
     return int(safe), int(minus), int(remain)
 
 
-def compute_safe_set(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, ok: np.ndarray,
-                     alpha: float) -> DiscreteSafeSet:
+def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     """Classify all grid pairs of the loop tabulated in ``tt``.
 
-    ``ok`` is the loop's :func:`constraint_table` and ``alpha`` the seed's
-    Lyapunov scaling.  Pairs with an :func:`unsafe_witness` are MINUS; the
-    seed is built inside the remaining invariant set, and a pair of that
-    set becomes SAFE_PLUS once every disturbance successor is SAFE_PLUS.
-    Invariant pairs that never reach the seed stay REMAIN.
+    ``alpha`` is the seed's Lyapunov scaling.  Pairs with an
+    :func:`unsafe_witness` against the loop's :func:`constraint_table` are
+    MINUS; the seed is built inside the remaining invariant set, and a pair
+    of that set becomes SAFE_PLUS once every disturbance successor is
+    SAFE_PLUS.  Invariant pairs that never reach the seed stay REMAIN.
     """
-    witness = unsafe_witness(tt, ok)
+    witness = unsafe_witness(tt, constraint_table(tt))
     invariant = witness == WITNESS_NONE
-    seed = build_seed(cl, out, tt, invariant, alpha)
+    seed = build_seed(tt, invariant, alpha)
     cls = np.where(invariant, REMAIN, MINUS).astype(np.int8)
     cls[seed] = SAFE_PLUS
     counts = [_totals(cls)]
@@ -352,7 +355,7 @@ def compute_safe_set(cl: ClosedLoop, out: OutputMap, tt: TransitionTable, ok: np
 
 
 class DiscreteGridOracle:
-    """Governor oracle over the grid classification.
+    """Governor oracle over the grid classification of the loop ``tt.cl``.
 
     Continuous queries are snapped to the grid; states outside the grid
     range are treated as outside the safe set.  Feasible actions are the
@@ -364,11 +367,11 @@ class DiscreteGridOracle:
     ``K x + L v``.
     """
 
-    def __init__(self, dss: DiscreteSafeSet, tt: TransitionTable, out: OutputMap,
-                 action_values: np.ndarray):
+    def __init__(self, dss: DiscreteSafeSet, tt: TransitionTable, action_values: np.ndarray):
         self.dss = dss
         self.grid = grid = tt.grid
         self.gain = tt.cl.gain
+        out = tt.cl.out
         self.action_values = np.asarray(action_values, dtype=float)
         if self.action_values.size == 0:
             raise ValueError("action grid must be nonempty")
@@ -383,16 +386,13 @@ class DiscreteGridOracle:
         self._Hy_u = np.outer(self.action_values, (H @ out.D).ravel())  # one row per action
         self._h_tol = out.constraint_set.offsets + 1e-9
 
-    def _index(self, x) -> int:
-        return int(self.grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
-
     def member(self, x, v) -> bool:
-        i = self._index(x)
+        i = self.grid.index_of(x)
         j = int(self.grid.snap_v([float(np.atleast_1d(v)[0])])[0])
         return i >= 0 and j >= 0 and bool(self.dss.class_map[i, j] == SAFE_PLUS)
 
     def proj_member(self, x) -> bool:
-        i = self._index(x)
+        i = self.grid.index_of(x)
         return bool(i >= 0 and self.dss.proj_mask[i])
 
     def pi0(self, x, v):
@@ -411,7 +411,7 @@ class DiscreteGridOracle:
         return nearest_candidate(feas, dist.many(u1, feas))
 
     def backup(self, x, u1, dist):
-        i = self._index(x)
+        i = self.grid.index_of(x)
         if i < 0:
             return None
         refs = self.grid.v_values[self.dss.class_map[i] == SAFE_PLUS]

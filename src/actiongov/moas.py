@@ -59,15 +59,10 @@ class Moas:
         }
 
 
-def build_moas(
-    cl: ClosedLoop,
-    out: OutputMap,
-    w_set: HPolytope,
-    epsilon: float = 0.01,
-    t_cap: int = 500,
-    v_bounds=None,
-) -> Moas:
-    """Construct the admissible set for ``x+ = At x + Bt v + E w``.
+def build_moas(cl: ClosedLoop, w_set: HPolytope, epsilon: float = 0.01, t_cap: int = 500,
+               v_bounds: HPolytope = None) -> Moas:
+    """Construct the admissible set for ``x+ = At x + Bt v + E w`` under the
+    loop's output constraints ``cl.out``.
 
     ``epsilon`` tightens the steady-state block (0 < epsilon < 1);
     ``v_bounds`` optionally adds a ``|v| <= bound`` box, which keeps the
@@ -77,6 +72,7 @@ def build_moas(
         raise ValueError("epsilon must lie in (0, 1)")
     if w_set.is_empty:
         raise MoasConstructionError("disturbance set is empty")
+    out = cl.out
     H = out.constraint_set.normals
     h = out.constraint_set.offsets
     n = cl.At.shape[0]
@@ -95,11 +91,10 @@ def build_moas(
     extra_rows = np.zeros((0, n + r))
     extra_offs = np.zeros(0)
     if v_bounds is not None:
-        v_box = HPolytope.from_bounds(*v_bounds) if isinstance(v_bounds, tuple) else v_bounds
-        if v_box.dim != r:
+        if v_bounds.dim != r:
             raise ValueError("v_bounds dimension must match the reference dimension")
-        extra_rows = np.hstack([np.zeros((v_box.n_rows, n)), v_box.normals])
-        extra_offs = v_box.offsets
+        extra_rows = np.hstack([np.zeros((v_bounds.n_rows, n)), v_bounds.normals])
+        extra_offs = v_bounds.offsets
 
     rows, offs = layer_rows(a_pow, geo_sum, h_t)
     all_rows = [rows, extra_rows]
@@ -186,18 +181,18 @@ def linear_ag_step(moas: Moas, plant: LinearPlant, out: OutputMap, x, u1, norm: 
 
 
 class LinearMoasOracle:
-    """Governor oracle backed by a :class:`Moas`.
+    """Governor oracle backed by a :class:`Moas` of the loop ``cl``.
 
     Membership checks are plain halfspace evaluations; action adjustment
     delegates to :func:`linear_ag_step` and the backup reference solves one
     LP over the ``v`` slice of the set.
     """
 
-    def __init__(self, moas: Moas, cl: ClosedLoop, out: OutputMap):
+    def __init__(self, moas: Moas, cl: ClosedLoop):
         self.moas = moas
         self.plant = cl.plant
         self.gain = cl.gain
-        self.out = out
+        self.out = cl.out
 
     def member(self, x, v) -> bool:
         z = np.concatenate([np.ravel(x), np.atleast_1d(np.asarray(v, dtype=float))])

@@ -19,13 +19,7 @@ import numpy as np
 
 from .control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from .convexset import HPolytope, rejection_sample
-from .discrete_safeset import (
-    DiscreteGridOracle,
-    GridSpec,
-    compute_safe_set,
-    constraint_table,
-    discretize,
-)
+from .discrete_safeset import DiscreteGridOracle, GridSpec, compute_safe_set, discretize
 from .governor import ActionDistance, GovernorState, govern
 from .moas import LinearMoasOracle, Moas, build_moas
 from .safe_learning import (
@@ -35,11 +29,13 @@ from .safe_learning import (
     QTable,
     SafeQEnv,
     koopman_control,
+    run_safe_koopman,
 )
 from .trajectory import Trajectory
 
 X1_BOUNDS = (-20.0, 20.0)
 X2_BOUNDS = (-4.0, 10.0)
+# the action constraint U; the action grid spans exactly this interval
 U_BOUNDS = (-6.0, 6.0)
 # the disturbance set W; the grid classification is sound only if the
 # grid's disturbance range is exactly this interval
@@ -48,8 +44,8 @@ _GUARD = 1e-9  # floating-point guard on the binary violation checks
 
 
 def example_system():
-    """Double-integrator plant, its box constraints as an output map, the
-    stabilizing reference-parameterized gain, and the true disturbance law."""
+    """Double-integrator plant, its box constraints as an output map, and the
+    stabilizing reference-parameterized gain (the disturbance is :func:`disturbance`)."""
     plant = LinearPlant([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]], [[0.0], [1.0]])
     C = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     D = np.array([[0.0], [0.0], [1.0]])
@@ -67,7 +63,7 @@ def example_system():
                   U_BOUNDS[1], -U_BOUNDS[0]])
     out = OutputMap(C, D, HPolytope(H, h))
     gain = NominalGain([[-0.2054, -0.7835]], [[0.2054]])
-    return plant, out, gain, disturbance
+    return plant, out, gain
 
 
 def disturbance(x) -> float:
@@ -91,7 +87,7 @@ def example_observables() -> ObservableMap:
 
 def example_initial_koopman(lam: float = 1.0, delta: float = 1e3) -> KoopmanModel:
     """Lifted model that matches the linear part and ignores the sinusoids."""
-    plant, _, _, _ = example_system()
+    plant, _, _ = example_system()
     A0 = np.zeros((4, 4))
     A0[:2, :2] = plant.A
     B0 = np.zeros((4, 1))
@@ -166,13 +162,9 @@ class ScenarioConfig:
     grid_x2_hi: float = 15.0
     grid_dx1: float = 0.5
     grid_dx2: float = 0.5
-    grid_v_lo: float = -25.0
-    grid_v_hi: float = 25.0
     grid_dv: float = 0.5
     grid_dw: float = 0.1
     alpha: float = 0.75
-    action_lo: float = -6.0
-    action_hi: float = 6.0
     action_du: float = 0.5
     q_gamma: float = 0.95
     q_alpha: float = 0.5
@@ -228,20 +220,25 @@ class ScenarioConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def grid_spec(self) -> GridSpec:
-        return GridSpec(
-            (self.grid_x1_lo, self.grid_x2_lo),
-            (self.grid_x1_hi, self.grid_x2_hi),
-            (self.grid_dx1, self.grid_dx2),
-            self.grid_v_lo,
-            self.grid_v_hi,
-            self.grid_dv,
-            *W_BOUNDS,
-            self.grid_dw,
-        )
+        """The classification grid: its reference range is the admissible
+        set's box ``[-v_bound, v_bound]`` and its disturbance range is W."""
+        return GridSpec((self.grid_x1_lo, self.grid_x2_lo), (self.grid_x1_hi, self.grid_x2_hi),
+                        (self.grid_dx1, self.grid_dx2), -self.v_bound, self.v_bound,
+                        self.grid_dv, *W_BOUNDS, self.grid_dw)
 
     def action_values(self) -> np.ndarray:
-        n = int(round((self.action_hi - self.action_lo) / self.action_du)) + 1
-        return self.action_lo + self.action_du * np.arange(n)
+        """The action grid over U, in steps of ``action_du``."""
+        lo, hi = U_BOUNDS
+        if self.action_du <= 0:
+            raise ValueError("action_du must be positive")
+        n = (hi - lo) / self.action_du
+        if abs(n - round(n)) > 1e-9:
+            raise ValueError("action_du must divide the action range U")
+        return lo + self.action_du * np.arange(int(round(n)) + 1)
+
+    def koopman_penalties(self):
+        """State and input penalties ``(q_z, r_u)`` of the Koopman regulator."""
+        return np.diag(self.koopman_q_diag), np.array([[self.koopman_r]])
 
 
 # ---------------------------------------------------------------------------
@@ -261,31 +258,30 @@ class ExampleRig:
 
 
 def build_rig(cfg: ScenarioConfig) -> ExampleRig:
-    plant, out, gain, _ = example_system()
+    """The example's pieces; ``rig.out`` is the loop's own ``rig.cl.out``."""
+    plant, out, gain = example_system()
     cl = ClosedLoop(plant, out, gain)
-    return ExampleRig(plant, out, gain, cl, disturbance_bound(), ActionDistance(cfg.norm))
+    return ExampleRig(plant, cl.out, gain, cl, disturbance_bound(), ActionDistance(cfg.norm))
 
 
 def build_moas_backend(cfg: ScenarioConfig, rig: ExampleRig):
     moas = build_moas(
         rig.cl,
-        rig.out,
         rig.w_set,
         epsilon=cfg.moas_epsilon,
         t_cap=cfg.moas_t_cap,
         v_bounds=HPolytope.from_bounds([-cfg.v_bound], [cfg.v_bound]),
     )
-    return LinearMoasOracle(moas, rig.cl, rig.out), moas
+    return LinearMoasOracle(moas, rig.cl), moas
 
 
 def build_grid_backend(cfg: ScenarioConfig, rig: ExampleRig):
-    """Grid classification of the nominal loop; the transition table and the
-    constraint table are computed once and shared by every stage."""
+    """Grid classification of the nominal loop; the transition table is
+    computed once and carries the loop to every stage."""
     grid = cfg.grid_spec()
     tt = discretize(rig.cl, grid)
-    dss = compute_safe_set(rig.cl, rig.out, tt, constraint_table(rig.out, rig.gain, grid),
-                           cfg.alpha)
-    oracle = DiscreteGridOracle(dss, tt, rig.out, cfg.action_values())
+    dss = compute_safe_set(tt, cfg.alpha)
+    oracle = DiscreteGridOracle(dss, tt, cfg.action_values())
     return oracle, dss, tt, grid
 
 
@@ -293,7 +289,8 @@ def build_grid_backend(cfg: ScenarioConfig, rig: ExampleRig):
 # simulation
 
 
-def _nominal_controller(rig: ExampleRig):
+def nominal_controller(rig: ExampleRig):
+    """The nominal feedback ``u = K x``."""
     K = rig.gain.K
 
     def control(x):
@@ -302,9 +299,9 @@ def _nominal_controller(rig: ExampleRig):
     return control
 
 
-def _koopman_controller(cfg: ScenarioConfig, km: KoopmanModel):
-    q_z = np.diag(cfg.koopman_q_diag)
-    r_u = np.array([[cfg.koopman_r]])
+def koopman_controller(cfg: ScenarioConfig, km: KoopmanModel):
+    """The regulator of the lifted model ``km`` under the configured penalties."""
+    q_z, r_u = cfg.koopman_penalties()
 
     def control(x):
         return koopman_control(km, x, q_z, r_u)
@@ -316,7 +313,7 @@ def _qtable_controller(cfg: ScenarioConfig, qtable: QTable, grid: GridSpec):
     actions = cfg.action_values()
 
     def control(x):
-        idx = int(grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
+        idx = grid.index_of(x)
         if idx < 0:
             raise ValueError("state left the learning grid")
         return np.atleast_1d(actions[int(np.argmax(qtable.values[idx]))])
@@ -353,14 +350,14 @@ def simulate(cfg: ScenarioConfig) -> Trajectory:
         oracle, _, _, grid = build_grid_backend(cfg, rig)
 
     if cfg.controller == "nominal":
-        controller = _nominal_controller(rig)
+        controller = nominal_controller(rig)
     elif cfg.controller == "koopman":
         if cfg.model_path:
             with open(cfg.model_path) as fh:
                 km = koopman_model_from_dict(json.load(fh))
         else:
             km = example_initial_koopman(cfg.koopman_lambda, cfg.koopman_delta)
-        controller = _koopman_controller(cfg, km)
+        controller = koopman_controller(cfg, km)
     else:
         if grid is None:
             grid = cfg.grid_spec()
@@ -391,17 +388,28 @@ def make_koopman_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, moas: Moas) -
     def sample_reset(rng):
         return rejection_sample(moas.proj_x, rng, 1)[0]
 
+    q_z, r_u = cfg.koopman_penalties()
     return KoopmanEnv(
         initial_state=np.asarray(cfg.initial_state, dtype=float),
         step=step,
-        q_z=np.diag(cfg.koopman_q_diag),
-        r_u=np.array([[cfg.koopman_r]]),
+        q_z=q_z,
+        r_u=r_u,
         oracle=oracle,
         dist=rig.dist,
         sample_reset=sample_reset,
         cost=step_cost,
         violated=is_violated,
     )
+
+
+def learn_koopman(cfg: ScenarioConfig, rig: ExampleRig, oracle, moas: Moas):
+    """The configured supervised learning run: ``cfg.learn_steps`` steps from
+    the initial lifted model, resets drawn from an rng seeded with
+    ``cfg.seed``.  Returns ``(model, trajectory)``."""
+    env = make_koopman_env(cfg, rig, oracle, moas)
+    km = example_initial_koopman(cfg.koopman_lambda, cfg.koopman_delta)
+    rng = np.random.default_rng(cfg.seed)
+    return run_safe_koopman(env, km, cfg.learn_steps, cfg.reset_every, rng)
 
 
 def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec) -> SafeQEnv:
@@ -416,11 +424,8 @@ def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec
     pts.flags.writeable = False
     last = [None, -1]  # the grid point the last step returned, and its index
 
-    def snap_index(x):
-        return int(grid.snap_x(np.atleast_2d(np.ravel(x)))[0])
-
     def snap(x):
-        idx = snap_index(x)
+        idx = grid.index_of(x)
         if idx < 0:
             raise ValueError("state left the learning grid")
         return pts[idx], idx
@@ -432,7 +437,7 @@ def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec
 
     def state_index(x):
         # a successor the last step returned was snapped there already
-        return last[1] if x is last[0] else snap_index(x)
+        return last[1] if x is last[0] else grid.index_of(x)
 
     def reward(x, u):
         return -step_cost(x, u)

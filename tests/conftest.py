@@ -8,7 +8,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ[_var] = "1"
 
-import numpy as np
 import pytest
 
 from actiongov.simlab import (
@@ -16,10 +15,8 @@ from actiongov.simlab import (
     build_grid_backend,
     build_moas_backend,
     build_rig,
-    example_initial_koopman,
-    make_koopman_env,
+    learn_koopman,
 )
-from actiongov.safe_learning import run_safe_koopman
 
 
 @pytest.fixture(scope="session")
@@ -47,8 +44,4 @@ def grid_bundle(base_cfg, rig):
 @pytest.fixture(scope="session")
 def koopman_learning(base_cfg, rig, moas_bundle):
     """Full supervised learning run: (model, trajectory)."""
-    oracle, moas = moas_bundle
-    env = make_koopman_env(base_cfg, rig, oracle, moas)
-    km0 = example_initial_koopman(base_cfg.koopman_lambda, base_cfg.koopman_delta)
-    rng = np.random.default_rng(base_cfg.seed)
-    return run_safe_koopman(env, km0, base_cfg.learn_steps, base_cfg.reset_every, rng)
+    return learn_koopman(base_cfg, rig, *moas_bundle)

@@ -29,12 +29,12 @@ from actiongov.safe_learning import (
 from actiongov.simlab import (
     ScenarioConfig,
     average_cost,
+    koopman_controller,
     make_grid_q_env,
     make_example_qtable,
+    nominal_controller,
     run_supervised,
     simulate,
-    _koopman_controller,
-    _nominal_controller,
 )
 from references import batch_fit, identity_observables
 
@@ -226,8 +226,8 @@ def test_criterion_9_learned_control_neighborhood(base_cfg, rig, moas_bundle,
     stats = {}
     error = None
     try:
-        nominal = run_supervised(rig, _nominal_controller(rig), oracle, start, 500, rig.dist)
-        learned = run_supervised(rig, _koopman_controller(base_cfg, km), oracle,
+        nominal = run_supervised(rig, nominal_controller(rig), oracle, start, 500, rig.dist)
+        learned = run_supervised(rig, koopman_controller(base_cfg, km), oracle,
                                  start, 500, rig.dist)
         stats["nominal"] = float(np.linalg.norm(nominal.states[-50:], axis=1).max())
         stats["learned"] = float(np.linalg.norm(learned.states[-50:], axis=1).max())

@@ -42,15 +42,34 @@ class TestExitCodes:
                                      {"koopman_q_diag": None},
                                      {"grid_dx1": "x", "governor": "grid"},
                                      {"moas_epsilon": "x"}, {"steps": 2.5},
-                                     {"grid_w_lo": -1.0}],
+                                     {"grid_w_lo": -1.0}, {"grid_v_lo": -25.0},
+                                     {"grid_v_hi": 25.0}, {"action_lo": -6.0},
+                                     {"action_hi": 6.0}],
                              ids=["unknown-key", "steps-text", "state-scalar", "q-diag-null",
                                   "grid-step-text", "epsilon-text", "steps-fraction",
-                                  "removed-grid-w-key"])
+                                  "removed-grid-w-key", "removed-grid-v-lo-key",
+                                  "removed-grid-v-hi-key", "removed-action-lo-key",
+                                  "removed-action-hi-key"])
     def test_bad_config_keys(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 0, **bad}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"v_bound": 25.1}, "integer number of steps"),
+        ({**small_grid_overrides(), "action_du": 0.64}, "divide the action range"),
+        ({**small_grid_overrides(), "action_du": 0.0}, "action_du must be positive"),
+    ], ids=["v-bound-off-the-v-grid", "action-step-off-U", "action-step-zero"])
+    def test_grid_steps_must_divide_their_ranges(self, tmp_path, capsys, bad, message):
+        # the reference axis is [-v_bound, v_bound] in steps of grid_dv and
+        # the action grid is U in steps of action_du
+        path = write_config(tmp_path, out_dir=str(tmp_path), **bad)
+        assert main(["learn-q", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
+        assert not (tmp_path / "qtable.json").exists()
 
     def test_infeasible_start_is_a_domain_error(self, tmp_path, capsys):
         path = write_config(tmp_path, governor="moas", initial_state=[14.0, 6.0],

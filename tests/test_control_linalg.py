@@ -19,7 +19,7 @@ from actiongov.simlab import example_system
 
 @pytest.fixture(scope="module")
 def example():
-    plant, out, gain, _ = example_system()
+    plant, out, gain = example_system()
     return plant, out, gain
 
 

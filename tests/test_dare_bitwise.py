@@ -66,7 +66,7 @@ def test_bitwise_pins_run_on_one_blas_thread():
 
 def test_reciprocal_equals_the_lapack_one_input_solve():
     rng = np.random.default_rng(2024)
-    plant, _, _, _ = example_system()
+    plant, _, _ = example_system()
     p_dare, _ = dare_solve(plant.A, plant.B, np.eye(2), [[10.0]])
     cases = [(plant.A, plant.B, np.eye(2), 10.0), (plant.A, plant.B, p_dare, 10.0)]
     for _ in range(240):

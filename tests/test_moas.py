@@ -48,7 +48,7 @@ class TestBuild:
     def test_zero_disturbance_leaves_offsets_unshrunk(self):
         plant, out, gain, cl = scalar_toy()
         w_zero = HPolytope([[1.0], [-1.0]], [0.0, 0.0])
-        moas = build_moas(cl, out, w_zero, epsilon=0.01,
+        moas = build_moas(cl, w_zero, epsilon=0.01,
                           v_bounds=HPolytope.from_bounds([-2.0], [2.0]))
         # every constraint offset still carries the original bound 1
         # (modulo the steady-state tightening rows at (1 - eps))
@@ -59,7 +59,7 @@ class TestBuild:
     def test_first_layer_rows_present_in_scalar_toy(self):
         plant, out, gain, cl = scalar_toy()
         w_zero = HPolytope([[1.0], [-1.0]], [0.0, 0.0])
-        moas = build_moas(cl, out, w_zero, epsilon=0.01,
+        moas = build_moas(cl, w_zero, epsilon=0.01,
                           v_bounds=HPolytope.from_bounds([-2.0], [2.0]))
         rows = np.column_stack([moas.set_xv.normals, moas.set_xv.offsets])
         # |x| <= 1 rows survive reduction (normalized form (+-1, 0 | 1))
@@ -84,7 +84,7 @@ class TestBuild:
     def test_determination_index_is_minimal(self, base_cfg, rig, moas_bundle):
         _, moas = moas_bundle
         with pytest.raises(MoasNotDeterminedError):
-            build_moas(rig.cl, rig.out, rig.w_set, epsilon=base_cfg.moas_epsilon,
+            build_moas(rig.cl, rig.w_set, epsilon=base_cfg.moas_epsilon,
                        t_cap=moas.t_star,
                        v_bounds=HPolytope.from_bounds([-25.0], [25.0]))
 
@@ -95,7 +95,7 @@ class TestBuild:
         w_set = HPolytope([[1.0], [-1.0]], [0.1, 0.1])
         empty_v = HPolytope([[1.0], [-1.0]], [-1.0, -1.0])  # v <= -1 and v >= 1
         with pytest.raises(MoasConstructionError) as info:
-            build_moas(cl, out, w_set, v_bounds=empty_v)
+            build_moas(cl, w_set, v_bounds=empty_v)
         assert not isinstance(info.value, EmptySetError)
 
     def test_shipped_build_lp_budget_and_fallback_reference(self, base_cfg, rig, monkeypatch):

@@ -342,7 +342,7 @@ class TestKoopmanControl:
         # zero coupling blocks keep the lifted gain equal to the plain one
         from actiongov.simlab import example_initial_koopman, example_system
 
-        plant, _, _, _ = example_system()
+        plant, _, _ = example_system()
         km = example_initial_koopman()
         _, K = dare_solve(plant.A, plant.B, np.eye(2), [[10.0]])
         x = np.array([14.0, 6.0])

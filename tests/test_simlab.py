@@ -12,6 +12,7 @@ from actiongov.discrete_safeset import GridSpec
 from actiongov.safe_learning import koopman_control, run_safe_koopman, run_safe_q
 from actiongov.simlab import (
     ScenarioConfig,
+    U_BOUNDS,
     average_cost,
     build_rig,
     disturbance,
@@ -23,22 +24,22 @@ from actiongov.simlab import (
     make_example_qtable,
     make_grid_q_env,
     make_koopman_env,
+    nominal_controller,
     run_supervised,
     simulate,
     step_cost,
-    _nominal_controller,
 )
 from actiongov.trajectory import CSV_HEADER
 
 
 class TestExampleSystem:
     def test_gain_matches_infinite_horizon_design(self):
-        plant, _, gain, _ = example_system()
+        plant, _, gain = example_system()
         _, K = dare_solve(plant.A, plant.B, np.diag([1.0, 1.0]), [[10.0]])
         assert np.all(np.abs(gain.K - K) < 5e-4)
 
     def test_reference_feedthrough(self):
-        _, _, gain, _ = example_system()
+        _, _, gain = example_system()
         assert gain.L[0, 0] == pytest.approx(-float(gain.K[0, 0]))
 
     def test_disturbance_zero_at_origin(self):
@@ -51,7 +52,7 @@ class TestExampleSystem:
         assert np.all(np.abs(ws) <= 1.0)
 
     def test_matrices(self):
-        plant, out, gain, _ = example_system()
+        plant, out, gain = example_system()
         assert np.array_equal(plant.A, [[1.0, 1.0], [0.0, 1.0]])
         assert np.array_equal(plant.B, [[0.0], [1.0]])
         assert np.array_equal(plant.E, [[0.0], [1.0]])
@@ -105,7 +106,7 @@ class TestSimulate:
                 raise Oops(7, "detail")
 
         with pytest.raises(Oops) as info:
-            run_supervised(rig, _nominal_controller(rig), Broken(), (12.0, 6.0), 5, rig.dist)
+            run_supervised(rig, nominal_controller(rig), Broken(), (12.0, 6.0), 5, rig.dist)
         assert info.value.code == 7
         assert info.value.args == (7, "detail")
         assert info.value.__cause__ is None
@@ -126,7 +127,7 @@ class TestSimulate:
                 return u1
 
         with pytest.raises(Lost) as info:
-            run_supervised(rig, _nominal_controller(rig), FailsLater(), (12.0, 6.0), 5,
+            run_supervised(rig, nominal_controller(rig), FailsLater(), (12.0, 6.0), 5,
                            rig.dist)
         assert info.value.code == 7
         assert info.value.step == 3
@@ -229,6 +230,27 @@ class TestConfig:
         back = ScenarioConfig.from_json(p)
         assert back.to_dict() == cfg.to_dict()
 
+    def test_grid_reference_axis_is_the_admissible_sets_box(self):
+        for cfg in (ScenarioConfig(seed=0), ScenarioConfig(seed=0, v_bound=3.0, grid_dv=1.5)):
+            v = cfg.grid_spec().v_values
+            assert v[0] == -cfg.v_bound and v[-1] == cfg.v_bound
+            assert np.allclose(np.diff(v), cfg.grid_dv)
+
+    def test_action_grid_spans_the_action_constraint(self):
+        for du, n in ((0.5, 25), (2.0, 7), (4.0, 4)):
+            a = ScenarioConfig(seed=0, action_du=du).action_values()
+            assert a.size == n and (a[0], a[-1]) == U_BOUNDS
+            assert np.allclose(np.diff(a), du)
+
+    def test_koopman_penalties(self):
+        cfg = ScenarioConfig(seed=0, koopman_q_diag=(1.0, 2.0), koopman_r=3.0)
+        q_z, r_u = cfg.koopman_penalties()
+        assert np.array_equal(q_z, [[1.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(r_u, [[3.0]])
+
+    def test_rig_output_map_is_the_loops(self, rig):
+        assert rig.out is rig.cl.out
+
     def test_shipped_config_writes_out_every_default(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "double_integrator.json"
         shipped = json.loads(path.read_text())
@@ -312,7 +334,7 @@ class TestLearningIntegration:
         # controller holds a markedly smaller neighborhood of the origin
         oracle, _ = moas_bundle
         km, _ = koopman_learning
-        nominal = run_supervised(rig, _nominal_controller(rig), oracle,
+        nominal = run_supervised(rig, nominal_controller(rig), oracle,
                                  (12.0, 6.0), 500, rig.dist)
         q_z = np.diag(base_cfg.koopman_q_diag)
         r_u = np.array([[base_cfg.koopman_r]])
