@@ -77,15 +77,16 @@ def _cmd_discrete_safe_set(args) -> int:
     rig = build_rig(cfg)
     _, dss, _, grid = build_grid_backend(cfg, rig)
     path = Path(cfg.out_dir) / "discrete_safe_set.csv"
-    pts = grid.x_points()
-    v_vals = grid.v_values
+    # each ",v,class" line tail and each state are formatted once; a
+    # state's lines are its prefix joined with its tails
+    tails = np.array([[f",{fmt(v)},{_CLASS_NAMES[c]}\n" for v in grid.v_values]
+                      for c in range(len(_CLASS_NAMES))], dtype=object)
+    rows = tails[dss.class_map, np.arange(grid.n_v)].tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write("x1,x2,v,class\n")
-        for i in range(grid.n_xpairs):
-            x1, x2 = fmt(pts[i, 0]), fmt(pts[i, 1])
-            row = dss.class_map[i]
-            for j in range(grid.n_v):
-                fh.write(f"{x1},{x2},{fmt(v_vals[j])},{_CLASS_NAMES[int(row[j])]}\n")
+        for (x1, x2), row in zip(grid.x_points(), rows):
+            prefix = f"{fmt(x1)},{fmt(x2)}"
+            fh.write(prefix + prefix.join(row))
     counts = dss.counts()
     print(
         f"classified {grid.n_pairs} pairs: {counts['safe']} safe, "

@@ -9,10 +9,19 @@ invariant admissible set; a seed built from steady-state ellipsoids inside
 that set; and the growth of the safe set from the seed.  The fixed points
 apply each vectorized sweep at its end, which reaches the same sets as a
 pair-at-a-time sweep because the marked sets only ever grow.
+
+The nominal loop holds the reference, so every successor of a pair
+``(x, v)`` is a pair of the same reference slice ``v``: the table, both
+fixed points and the seed's closure are computed one slice at a time.  No
+slice reads another, so sweep ``r`` of a slice marks exactly the pairs of
+that slice that sweep ``r`` over the whole grid would mark; the totals
+after sweep ``r`` of the whole grid are therefore the totals before the
+growth plus every slice's growth in its first ``r`` sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +57,8 @@ class GridSpec:
     w_delta: float
 
     def __post_init__(self):
+        if any(np.shape(a) != (2,) for a in (self.x_lo, self.x_hi, self.x_delta)):
+            raise ValueError("x_lo, x_hi and x_delta must each give the two state axes")
         for lo, hi, d in (*zip(self.x_lo, self.x_hi, self.x_delta),
                           (self.v_lo, self.v_hi, self.v_delta),
                           (self.w_lo, self.w_hi, self.w_delta)):
@@ -129,6 +140,16 @@ class GridSpec:
         # written as "not inside" so that NaN counts as outside
         return np.minimum(np.maximum(k, 0), top), ~((vals >= lo_tol) & (vals <= hi_tol))
 
+    def _snap_coords(self, x1, x2):
+        """Flat x-pair indices (-1 outside) of the states with coordinate
+        arrays ``x1`` and ``x2``, of any one shape."""
+        ax1, ax2, _ = self._snap_axes
+        i1, out1 = self._snap_axis(x1, ax1)
+        i2, out2 = self._snap_axis(x2, ax2)
+        flat = i1 * (ax2[4] + 1) + i2
+        flat[out1 | out2] = -1
+        return flat
+
     def snap_x(self, points) -> np.ndarray:
         """Flat x-pair indices of the nearest grid states; -1 when outside.
 
@@ -136,12 +157,7 @@ class GridSpec:
         its own axis with constants computed once per grid.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ax1, ax2, _ = self._snap_axes
-        i1, out1 = self._snap_axis(pts[:, 0], ax1)
-        i2, out2 = self._snap_axis(pts[:, 1], ax2)
-        flat = i1 * (ax2[4] + 1) + i2
-        flat[out1 | out2] = -1
-        return flat
+        return self._snap_coords(pts[:, 0], pts[:, 1])
 
     def index_of(self, x) -> int:
         """Flat x-pair index of the grid state nearest one state ``x`` (-1 outside)."""
@@ -171,37 +187,45 @@ class TransitionTable:
 
 
 def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
-    """Tabulate the nominal closed loop on the grid."""
-    pts = grid.x_points()
-    base = pts @ cl.At.T
-    bt = cl.Bt.ravel()
-    ew = cl.plant.E.ravel()
+    """Tabulate the nominal closed loop on the grid, one reference slice at a time.
+
+    Per reference value, each state coordinate of every (state, disturbance)
+    successor is formed as one contiguous ``(n_xpairs, n_w)`` array, by the
+    same float operations in the same order as one successor at a time, and
+    the slice is snapped at once.
+    """
+    b1, b2 = (grid.x_points() @ cl.At.T).T
+    bt1, bt2 = cl.Bt.ravel()
+    ew1, ew2 = (e * grid.w_values for e in cl.plant.E.ravel())
     narrow = grid.n_xpairs <= np.iinfo(np.int16).max
     table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w), dtype=np.int16 if narrow else np.int32)
     for j, v in enumerate(grid.v_values):
-        shift_v = base + bt * v
-        for k, w in enumerate(grid.w_values):
-            table[:, j, k] = grid.snap_x(shift_v + ew * w)
+        table[:, j] = grid._snap_coords((b1 + bt1 * v)[:, None] + ew1,
+                                        (b2 + bt2 * v)[:, None] + ew2)
     return TransitionTable(table, grid, cl)
 
 
 def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Smallest superset of ``core`` closed under every disturbance successor.
 
-    Successors keep the reference coordinate, so closure proceeds slice by
-    slice.  Callers must ensure successors never leave the grid.
+    Successors keep the reference coordinate, so each reference slice
+    closes on its own, frontier by frontier.  Callers must ensure
+    successors never leave the grid.
     """
     seed = core.copy()
-    frontier = core.copy()
-    while frontier.any():
-        rows, cols = np.nonzero(frontier)
-        succ = table[rows, cols, :]
-        if (succ < 0).any():
-            raise SeedConstructionError("seed closure left the grid range")
-        flat_new = np.zeros_like(seed)
-        flat_new[succ.ravel(), np.repeat(cols, table.shape[2])] = True
-        frontier = flat_new & ~seed
-        seed |= frontier
+    for j in np.flatnonzero(core.any(axis=0)):
+        reached = core[:, j].copy()
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            succ = table[frontier, j]
+            if (succ < 0).any():
+                raise SeedConstructionError("seed closure left the grid range")
+            new = np.zeros_like(reached)
+            new[succ.ravel()] = True
+            new &= ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+        seed[:, j] = reached
     return seed
 
 
@@ -308,18 +332,25 @@ def unsafe_witness(tt: TransitionTable, ok: np.ndarray) -> np.ndarray:
     successor leaves the grid or was marked in an earlier sweep, so every
     witness chain ends at a violation or an exit; ``WITNESS_NONE`` on the
     greatest invariant admissible set.
+
+    Each reference slice sweeps to its own fixed point over its admissible
+    pairs' successor rows; a sweep marks at its end.
     """
     witness = np.where(ok, WITNESS_NONE, WITNESS_CONSTRAINT).astype(np.int16)
-    rows, cols = np.nonzero(ok)
-    succ = tt.table[rows, cols]
-    while True:
-        # an off-grid successor (-1) reads an arbitrary row; the exit test decides it
-        hit = (succ < 0) | (witness != WITNESS_NONE)[succ, cols[:, None]]
-        marked = hit.any(axis=1)
-        if not marked.any():
-            return witness
-        witness[rows[marked], cols[marked]] = np.argmax(hit[marked], axis=1)
-        rows, cols, succ = rows[~marked], cols[~marked], succ[~marked]
+    for j in range(tt.grid.n_v):
+        rows = np.flatnonzero(ok[:, j])
+        succ = tt.table[rows, j].astype(np.intp)  # gathers index faster as intp
+        # one extra entry, always marked, which the off-grid successors (-1) read
+        marked = np.append(~ok[:, j], True)
+        while rows.size:
+            hit = marked[succ]
+            new = hit.any(axis=1)
+            if not new.any():
+                break
+            witness[rows[new], j] = np.argmax(hit[new], axis=1)
+            marked[rows[new]] = True
+            rows, succ = rows[~new], succ[~new]
+    return witness
 
 
 def _totals(cls: np.ndarray) -> tuple:
@@ -335,23 +366,37 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     MINUS; the seed is built inside the remaining invariant set, and a pair
     of that set becomes SAFE_PLUS once every disturbance successor is
     SAFE_PLUS.  Invariant pairs that never reach the seed stay REMAIN.
+
+    The growth sweeps each reference slice to its own fixed point; the
+    totals after sweep ``r`` add up every slice's growth in its first ``r``
+    sweeps, and the last entry repeats the one before, as the sweep that
+    grows no slice any more.
     """
     witness = unsafe_witness(tt, constraint_table(tt))
     invariant = witness == WITNESS_NONE
     seed = build_seed(tt, invariant, alpha)
     cls = np.where(invariant, REMAIN, MINUS).astype(np.int8)
     cls[seed] = SAFE_PLUS
-    counts = [_totals(cls)]
-    # successors of invariant pairs are invariant, hence on the grid
-    rows, cols = np.nonzero(cls == REMAIN)
-    succ = tt.table[rows, cols]
-    while True:
-        grown = (cls[succ, cols[:, None]] == SAFE_PLUS).all(axis=1)
-        cls[rows[grown], cols[grown]] = SAFE_PLUS
-        counts.append(_totals(cls))
-        if not grown.any():
-            return DiscreteSafeSet(cls, seed, tt.grid, witness, counts)
-        rows, cols, succ = rows[~grown], cols[~grown], succ[~grown]
+    safe, minus, remain = _totals(cls)
+    grown = []  # pairs grown in sweep r, summed over the slices
+    for j in range(tt.grid.n_v):
+        rows = np.flatnonzero(cls[:, j] == REMAIN)
+        # successors of invariant pairs are invariant, hence on the grid
+        succ = tt.table[rows, j].astype(np.intp)
+        marked = seed[:, j].copy()
+        for r in itertools.count():
+            new = marked[succ].all(axis=1)
+            if r == len(grown):
+                grown.append(0)
+            grown[r] += int(np.count_nonzero(new))
+            if not new.any():
+                break
+            marked[rows[new]] = True
+            rows, succ = rows[~new], succ[~new]
+        cls[marked, j] = SAFE_PLUS
+    counts = [(safe, minus, remain)] + [(safe + n, minus, remain - n)
+                                        for n in itertools.accumulate(grown)]
+    return DiscreteSafeSet(cls, seed, tt.grid, witness, counts)
 
 
 class DiscreteGridOracle:

@@ -1,16 +1,26 @@
 """Reference routines that only the tests use: set intersection and
 inclusion, the batch least-squares fit the recursive estimator must match,
-the identity lifting for linear test systems, and the plain Riccati
-recursions the buffered library loop must match bitwise."""
+the identity lifting for linear test systems, the plain Riccati recursions
+the buffered library loop must match bitwise, and the whole-grid
+classification stages the slice-wise library stages must match exactly."""
 
 import numpy as np
 
 from actiongov.control_linalg import spectral_radius
 from actiongov.convexset import DEFAULT_TOL, HPolytope, support
+from actiongov.discrete_safeset import (
+    MINUS,
+    REMAIN,
+    SAFE_PLUS,
+    WITNESS_CONSTRAINT,
+    WITNESS_NONE,
+    TransitionTable,
+)
 from actiongov.errors import (
     EmptySetError,
     NoStabilizingSolutionError,
     NumericalError,
+    SeedConstructionError,
     UnboundedSetError,
 )
 from actiongov.safe_learning import ObservableMap
@@ -120,3 +130,80 @@ def riccati_finite_reference(A, B, Q, R, Qf, N: int):
             raise NumericalError("singular (R + B'PB) in backward recursion") from exc
         P = 0.5 * (P + P.T)
     return K
+
+
+def discretize_reference(cl, grid) -> TransitionTable:
+    """The closed loop tabulated one ``(v, w)`` pair at a time, one
+    ``GridSpec.snap_x`` call of every grid state each."""
+    pts = grid.x_points()
+    base = pts @ cl.At.T
+    bt = cl.Bt.ravel()
+    ew = cl.plant.E.ravel()
+    narrow = grid.n_xpairs <= np.iinfo(np.int16).max
+    table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w), dtype=np.int16 if narrow else np.int32)
+    for j, v in enumerate(grid.v_values):
+        shift_v = base + bt * v
+        for k, w in enumerate(grid.w_values):
+            table[:, j, k] = grid.snap_x(shift_v + ew * w)
+    return TransitionTable(table, grid, cl)
+
+
+def unsafe_witness_reference(tt, ok) -> np.ndarray:
+    """``discrete_safeset.unsafe_witness`` as sweeps over every pair of the
+    grid at once, each marking at its end."""
+    witness = np.where(ok, WITNESS_NONE, WITNESS_CONSTRAINT).astype(np.int16)
+    rows, cols = np.nonzero(ok)
+    succ = tt.table[rows, cols]
+    while True:
+        # an off-grid successor (-1) reads an arbitrary row; the exit test decides it
+        hit = (succ < 0) | (witness != WITNESS_NONE)[succ, cols[:, None]]
+        marked = hit.any(axis=1)
+        if not marked.any():
+            return witness
+        witness[rows[marked], cols[marked]] = np.argmax(hit[marked], axis=1)
+        rows, cols, succ = rows[~marked], cols[~marked], succ[~marked]
+
+
+def forward_closure_reference(core, table) -> np.ndarray:
+    """``discrete_safeset._forward_closure`` as frontier sweeps over every
+    reference slice at once."""
+    seed = core.copy()
+    frontier = core.copy()
+    while frontier.any():
+        rows, cols = np.nonzero(frontier)
+        succ = table[rows, cols, :]
+        if (succ < 0).any():
+            raise SeedConstructionError("seed closure left the grid range")
+        flat_new = np.zeros_like(seed)
+        flat_new[succ.ravel(), np.repeat(cols, table.shape[2])] = True
+        frontier = flat_new & ~seed
+        seed |= frontier
+    return seed
+
+
+def grow_reference(tt, invariant, seed):
+    """The safe set's growth in ``discrete_safeset.compute_safe_set`` as
+    sweeps over every pair of the grid at once.
+
+    Returns ``(class_map, sweep_counts, grown_at)``; ``grown_at`` holds the
+    sweep (from 1) at which each pair became SAFE_PLUS, 0 on the seed and
+    -1 where it never did.
+    """
+    def totals(c):
+        remain, safe, minus = np.bincount(c.ravel(), minlength=3)
+        return int(safe), int(minus), int(remain)
+
+    cls = np.where(invariant, REMAIN, MINUS).astype(np.int8)
+    cls[seed] = SAFE_PLUS
+    grown_at = np.where(seed, 0, -1)
+    counts = [totals(cls)]
+    rows, cols = np.nonzero(cls == REMAIN)
+    succ = tt.table[rows, cols]
+    while True:
+        grown = (cls[succ, cols[:, None]] == SAFE_PLUS).all(axis=1)
+        cls[rows[grown], cols[grown]] = SAFE_PLUS
+        grown_at[rows[grown], cols[grown]] = len(counts)
+        counts.append(totals(cls))
+        if not grown.any():
+            return cls, counts, grown_at
+        rows, cols, succ = rows[~grown], cols[~grown], succ[~grown]

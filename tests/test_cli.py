@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from actiongov.cli import main
-from actiongov.simlab import ScenarioConfig
-from actiongov.trajectory import CSV_HEADER
+from actiongov.discrete_safeset import MINUS, REMAIN, SAFE_PLUS
+from actiongov.simlab import ScenarioConfig, build_grid_backend, build_rig
+from actiongov.trajectory import CSV_HEADER, fmt
 
 
 def write_config(tmp_path, **overrides):
@@ -131,6 +133,19 @@ class TestGridCommands:
         assert len(lines) == 1 + cfg.grid_spec().n_pairs
         classes = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert classes <= {"safe", "unsafe", "unresolved"}
+
+    def test_discrete_safe_set_csv_equals_a_per_line_rendering(self, tmp_path):
+        path = write_config(tmp_path, out_dir=str(tmp_path), **small_grid_overrides())
+        assert main(["discrete-safe-set", "--config", str(path)]) == 0
+        cfg = ScenarioConfig.from_json(path)
+        _, dss, _, grid = build_grid_backend(cfg, build_rig(cfg))
+        names = {SAFE_PLUS: "safe", MINUS: "unsafe", REMAIN: "unresolved"}
+        assert set(np.unique(dss.class_map).tolist()) == set(names)
+        lines = ["x1,x2,v,class\n"]
+        for i, x in enumerate(grid.x_points()):
+            for j, v in enumerate(grid.v_values):
+                lines.append(f"{fmt(x[0])},{fmt(x[1])},{fmt(v)},{names[dss.class_map[i, j]]}\n")
+        assert (tmp_path / "discrete_safe_set.csv").read_bytes() == "".join(lines).encode()
 
     def test_learn_q_writes_artifacts(self, tmp_path):
         path = write_config(tmp_path, out_dir=str(tmp_path), q_batches=150,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from actiongov import discrete_safeset
 from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from actiongov.convexset import HPolytope
 from actiongov.control_linalg import dlyap_scaled
@@ -23,6 +24,12 @@ from actiongov.errors import SeedConstructionError
 from actiongov.governor import ActionDistance
 from actiongov.simlab import example_system
 from ellipsoids import Ellipsoid, ellipsoid_support
+from references import (
+    discretize_reference,
+    forward_closure_reference,
+    grow_reference,
+    unsafe_witness_reference,
+)
 
 
 def small_example(w_hi=1.0, dw=0.5):
@@ -121,6 +128,18 @@ class TestGridSpec:
                                                         "v_hi", "v_delta", "w_lo", "w_hi",
                                                         "w_delta")))
 
+    @pytest.mark.parametrize("x_lo, x_hi, x_delta", [
+        ((0.0, 0.0), (1.0, 1.0), (1.0,)),
+        ((0.0,), (1.0, 1.0), (1.0, 1.0)),
+        ((0.0, 0.0), (1.0,), (1.0, 1.0)),
+        ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+        (0.0, 1.0, 1.0),
+    ], ids=["one-delta", "one-lo", "one-hi", "three-axes", "scalars"])
+    def test_state_axes_must_number_two(self, x_lo, x_hi, x_delta):
+        # each must give both axes; a check over zip() alone stops at the shortest
+        with pytest.raises(ValueError, match="two state axes"):
+            GridSpec(x_lo, x_hi, x_delta, 0.0, 1.0, 0.5, 0.0, 1.0, 0.5)
+
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
             GridSpec((0.0, 0.0), (1.0, 1.0), (0.3, 0.5), 0.0, 1.0, 0.5, 0.0, 1.0, 0.5)
@@ -193,6 +212,13 @@ class TestGridSpec:
             assert d[idx] == pytest.approx(d.min(), abs=1e-12)
 
 
+def width_grid(n1):
+    """An ``n1 x n1`` state grid around the origin: 181 x 181 = 32,761 x-pairs
+    fit int16 indices, 182 x 182 = 33,124 do not."""
+    half = (n1 - 1) / 2 * 0.25
+    return GridSpec((-half, -half), (half, half), (0.25, 0.25), -1.0, 1.0, 2.0, -1.0, 1.0, 2.0)
+
+
 class TestDiscretize:
     def test_near_identity_loop_fixes_grid_points(self):
         # a loop matrix within a hair of the identity keeps every grid
@@ -211,11 +237,8 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
     def test_index_width_follows_the_grid_size(self, n1, dtype):
-        # 181 x 181 = 32,761 x-pairs fit int16; 182 x 182 = 33,124 do not
         _, _, _, cl, _ = small_example()
-        half = (n1 - 1) / 2 * 0.25
-        grid = GridSpec((-half, -half), (half, half), (0.25, 0.25),
-                        -1.0, 1.0, 2.0, -1.0, 1.0, 2.0)
+        grid = width_grid(n1)
         tt = discretize(cl, grid)
         assert tt.table.dtype == dtype
         assert (tt.table == -1).any() and tt.table.max() > 30000
@@ -312,6 +335,17 @@ def oracle(bundle):
     return DiscreteGridOracle(dss, tt, acts), dss, grid
 
 
+SMALL_GRIDS = [
+    GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), -20.0, 20.0, 2.5, -1.0, 1.0, 1.0),
+    GridSpec((-25.0, -10.0), (25.0, 15.0), (2.0, 1.25), -10.0, 10.0, 2.0, -1.0, 1.0, 0.5),
+    GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), -20.0, 20.0, 2.5, -0.5, 0.5, 0.25),
+    GridSpec((-25.0, -10.0), (25.0, 15.0), (5.0, 2.5), -15.0, 15.0, 5.0, -2.0, 2.0, 1.0),
+    GridSpec((-25.0, -10.0), (25.0, 15.0), (1.0, 2.5), -10.0, 10.0, 2.5, -1.5, 1.5, 0.5),
+    # inside the constraint box, so admissible pairs also exit the grid
+    GridSpec((-15.0, -3.0), (15.0, 8.0), (2.5, 1.0), -25.0, 25.0, 5.0, -1.0, 1.0, 0.5),
+]
+
+
 class TestComputeSafeSet:
     def test_seed_classified_safe_at_initialization(self, bundle):
         *_, seed, dss = bundle
@@ -335,15 +369,7 @@ class TestComputeSafeSet:
                 assert safe >= prev[0] and minus >= prev[1] and remain <= prev[2]
             prev = (safe, minus, remain)
 
-    @pytest.mark.parametrize("grid", [
-        GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), -20.0, 20.0, 2.5, -1.0, 1.0, 1.0),
-        GridSpec((-25.0, -10.0), (25.0, 15.0), (2.0, 1.25), -10.0, 10.0, 2.0, -1.0, 1.0, 0.5),
-        GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), -20.0, 20.0, 2.5, -0.5, 0.5, 0.25),
-        GridSpec((-25.0, -10.0), (25.0, 15.0), (5.0, 2.5), -15.0, 15.0, 5.0, -2.0, 2.0, 1.0),
-        GridSpec((-25.0, -10.0), (25.0, 15.0), (1.0, 2.5), -10.0, 10.0, 2.5, -1.5, 1.5, 0.5),
-        # inside the constraint box, so admissible pairs also exit the grid
-        GridSpec((-15.0, -3.0), (15.0, 8.0), (2.5, 1.0), -25.0, 25.0, 5.0, -1.0, 1.0, 0.5),
-    ])
+    @pytest.mark.parametrize("grid", SMALL_GRIDS)
     def test_sequential_reference_reaches_the_same_fixed_point(self, grid):
         plant, out, gain, cl, _ = small_example()
         tt, ok = grid_tables(cl, out, grid)
@@ -510,3 +536,85 @@ class TestPipeline:
                                     grid_dw=1.0, action_du=2.0)
         simlab.build_grid_backend(cfg, simlab.build_rig(cfg))
         assert calls == {"discretize": 1, "constraint_table": 1}
+
+
+# references up to +-60: the loop's action K x + L v leaves U at every grid
+# state of at least one of them
+WIDE_V_GRID = GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), -60.0, 60.0, 5.0,
+                       -1.0, 1.0, 1.0)
+
+
+class TestSliceWiseStages:
+    """The slice-wise stages equal the whole-grid sweeps of ``references``
+    exactly: table values and dtype, witness, seed, classes and totals."""
+
+    @staticmethod
+    def whole_grid(cl, grid, alpha, monkeypatch):
+        tt = discretize_reference(cl, grid)
+        ok = constraint_table(tt)
+        witness = unsafe_witness_reference(tt, ok)
+        invariant = witness == WITNESS_NONE
+        with monkeypatch.context() as m:
+            m.setattr(discrete_safeset, "_forward_closure", forward_closure_reference)
+            seed = build_seed(tt, invariant, alpha)
+        cls, counts, grown_at = grow_reference(tt, invariant, seed)
+        return tt, ok, witness, seed, cls, counts, grown_at
+
+    @staticmethod
+    def assert_same(tt, dss, ref):
+        ref_tt, _, witness, seed, cls, counts, _ = ref
+        for got, want in ((tt.table, ref_tt.table), (dss.witness_w, witness),
+                          (dss.seed, seed), (dss.class_map, cls)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert dss.sweep_counts == counts
+        assert all(type(c) is int for row in dss.sweep_counts for c in row)
+
+    @pytest.mark.parametrize("grid", SMALL_GRIDS + [WIDE_V_GRID])
+    def test_small_grids(self, grid, monkeypatch):
+        cl = small_example()[3]
+        ref = self.whole_grid(cl, grid, 0.75, monkeypatch)
+        tt = discretize(cl, grid)
+        self.assert_same(tt, compute_safe_set(tt, 0.75), ref)
+        if grid is WIDE_V_GRID:
+            ok = ref[1]
+            assert (~ok).all(axis=0).any() and ok.any(axis=0).any()
+
+    @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
+    def test_index_width_grids(self, n1, dtype, monkeypatch):
+        cl = small_example()[3]
+        grid = width_grid(n1)
+        ref = self.whole_grid(cl, grid, 0.75, monkeypatch)
+        tt = discretize(cl, grid)
+        assert tt.table.dtype == dtype
+        self.assert_same(tt, compute_safe_set(tt, 0.75), ref)
+
+    def test_shipped_grid(self, rig, base_cfg, grid_bundle, monkeypatch):
+        _, dss, tt, grid = grid_bundle
+        ref = self.whole_grid(rig.cl, grid, base_cfg.alpha, monkeypatch)
+        self.assert_same(tt, dss, ref)
+        # slices stop growing at different sweeps, so the totals add up
+        # slices that have finished and slices that still grow
+        last_growth = np.maximum(ref[-1].max(axis=0), 0)
+        assert len(set(last_growth.tolist())) > 1
+
+    def test_forward_closure_of_random_cores(self):
+        _, _, _, cl, grid = small_example()
+        tt, ok = grid_tables(cl, None, grid)
+        invariant = invariant_set(tt, ok)
+        rng = np.random.default_rng(9)
+        for share in (0.001, 0.01, 0.1):
+            core = invariant & (rng.random(invariant.shape) < share)
+            got = discrete_safeset._forward_closure(core, tt.table)
+            assert np.array_equal(got, forward_closure_reference(core, tt.table))
+            assert np.array_equal(got & ~invariant, np.zeros_like(got))
+
+    def test_forward_closure_leaving_the_grid_raises(self):
+        _, _, _, cl, grid = small_example()
+        tt = discretize(cl, grid)
+        core = np.zeros((grid.n_xpairs, grid.n_v), dtype=bool)
+        i, j, _ = np.argwhere(tt.table < 0)[0]
+        core[i, j] = True
+        for closure in (discrete_safeset._forward_closure, forward_closure_reference):
+            with pytest.raises(SeedConstructionError, match="left the grid"):
+                closure(core, tt.table)
