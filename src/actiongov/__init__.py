@@ -47,6 +47,7 @@ from .safe_learning import (
     ObservableMap,
     QTable,
     SafeQEnv,
+    SupervisedEnv,
     epsilon_greedy,
     koopman_control,
     modified_reward,
@@ -54,6 +55,7 @@ from .safe_learning import (
     rls_update,
     run_safe_koopman,
     run_safe_q,
+    supervised_step,
 )
 from .simlab import (
     ScenarioConfig,

@@ -163,11 +163,6 @@ class GridSpec:
         """Flat x-pair index of the grid state nearest one state ``x`` (-1 outside)."""
         return int(self.snap_x(np.atleast_2d(np.ravel(x)))[0])
 
-    def snap_v(self, vals) -> np.ndarray:
-        k, out = self._snap_axis(np.asarray(vals, dtype=float), self._snap_axes[2])
-        k[out] = -1
-        return k
-
 
 class TransitionTable:
     """Successor x-pair index for every ``(x, v, w)`` grid triple.
@@ -430,15 +425,6 @@ class DiscreteGridOracle:
         self._Hy_c = H @ out.C
         self._Hy_u = np.outer(self.action_values, (H @ out.D).ravel())  # one row per action
         self._h_tol = out.constraint_set.offsets + 1e-9
-
-    def member(self, x, v) -> bool:
-        i = self.grid.index_of(x)
-        j = int(self.grid.snap_v([float(np.atleast_1d(v)[0])])[0])
-        return i >= 0 and j >= 0 and bool(self.dss.class_map[i, j] == SAFE_PLUS)
-
-    def proj_member(self, x) -> bool:
-        i = self.grid.index_of(x)
-        return bool(i >= 0 and self.dss.proj_mask[i])
 
     def pi0(self, x, v):
         return self.gain.policy(x, v)

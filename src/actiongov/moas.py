@@ -183,9 +183,8 @@ def linear_ag_step(moas: Moas, plant: LinearPlant, out: OutputMap, x, u1, norm: 
 class LinearMoasOracle:
     """Governor oracle backed by a :class:`Moas` of the loop ``cl``.
 
-    Membership checks are plain halfspace evaluations; action adjustment
-    delegates to :func:`linear_ag_step` and the backup reference solves one
-    LP over the ``v`` slice of the set.
+    Action adjustment delegates to :func:`linear_ag_step` and the backup
+    reference solves one LP over the ``v`` slice of the set.
     """
 
     def __init__(self, moas: Moas, cl: ClosedLoop):
@@ -193,13 +192,6 @@ class LinearMoasOracle:
         self.plant = cl.plant
         self.gain = cl.gain
         self.out = cl.out
-
-    def member(self, x, v) -> bool:
-        z = np.concatenate([np.ravel(x), np.atleast_1d(np.asarray(v, dtype=float))])
-        return self.moas.set_xv.contains(z)
-
-    def proj_member(self, x) -> bool:
-        return self.moas.proj_x.contains(np.asarray(x, dtype=float).ravel())
 
     def pi0(self, x, v):
         return self.gain.policy(x, v)

@@ -5,11 +5,15 @@ The Q-learning loop penalizes proposals by how far the supervisor had to
 move them, so the table learns to stay inside the safe action set while
 the applied trajectory never violates constraints.  The Koopman loop fits
 a lifted linear model recursively from the pre-adjustment actions and
-re-solves a regulator on the lifted state every step.
+re-solves a regulator on the lifted state every step.  Both loops, and the
+simulator, take every step through :func:`supervised_step`; only the
+proposer and the learning update are their own.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,6 +23,39 @@ from .control_linalg import dare_solve, riccati_finite
 from .errors import NoStabilizingSolutionError, NumericalError
 from .governor import ActionDistance, GovernorState, govern
 from .trajectory import Trajectory
+
+
+# ---------------------------------------------------------------------------
+# the supervised step shared by every loop
+
+
+@dataclass(kw_only=True)
+class SupervisedEnv:
+    """The true system a supervised loop runs on.
+
+    ``step(x, u) -> (x_next, w)`` advances it and reports the disturbance;
+    ``cost(x, u)`` and ``violated(x, u)`` score the applied action.  With
+    ``oracle=None`` the proposals pass through unsupervised.
+    """
+
+    initial_state: object
+    step: Callable
+    cost: Callable
+    violated: Callable
+    oracle: object = None
+    dist: ActionDistance = field(default_factory=ActionDistance)
+
+
+def supervised_step(env: SupervisedEnv, t: int, x, u1, gs: GovernorState, traj: Trajectory):
+    """Govern the proposal ``u1`` at ``x``, advance ``env`` and record step
+    ``t`` in ``traj``; ``gs`` is updated in place.  Returns
+    ``(u, x_next, cost)``."""
+    outcome, _ = govern(x, u1, gs, env.oracle, env.dist)
+    u = outcome.u
+    x_next, w = env.step(x, u)
+    cost = env.cost(x, u)
+    traj.append(t, x, u1, u, outcome.branch.value, gs.v_hat, w, cost, env.violated(x, u))
+    return u, x_next, cost
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +137,14 @@ def q_target(q: QTable, state_idx: int, action_idx: int, r_tilde: float, next_id
     )
 
 
-@dataclass
-class SafeQEnv:
-    """Environment bundle for the supervised Q-learning loop.
-
-    ``step(x, u, rng) -> (x_next, w)``; ``actions`` maps action indices to
-    the action values proposed to the supervisor.  When ``oracle`` is None
-    the loop runs unsupervised (plain Q-learning).
-    """
+@dataclass(kw_only=True)
+class SafeQEnv(SupervisedEnv):
+    """Supervised Q-learning env: ``actions`` maps action indices to the
+    action values proposed to the supervisor, and ``state_index`` maps a
+    state to its table row.  The reward is minus ``cost``."""
 
     actions: np.ndarray
-    initial_state: object
     state_index: Callable
-    step: Callable
-    reward: Callable
-    cost: Callable = None
-    violated: Callable = None
-    oracle: object = None
-    dist: ActionDistance = field(default_factory=ActionDistance)
 
 
 def run_safe_q(env: SafeQEnv, q: QTable, t_max: int, big_t_max: int, rng):
@@ -141,27 +168,15 @@ def run_safe_q(env: SafeQEnv, q: QTable, t_max: int, big_t_max: int, rng):
         for _ in range(t_max):
             a = epsilon_greedy(q, s, rng)
             u1 = np.atleast_1d(np.asarray(env.actions[a], dtype=float))
-            outcome, gs = govern(x, u1, gs, env.oracle, env.dist)
-            u = outcome.u
-            x_next, w = env.step(x, u, rng)
-            r = env.reward(x, u)
-            r_tilde = modified_reward(r, u1, u, q.penalty_m, env.dist)
+            u, x_next, cost = supervised_step(env, t, x, u1, gs, traj)
+            r_tilde = modified_reward(-cost, u1, u, q.penalty_m, env.dist)
             s_next = env.state_index(x_next)
             pending.append((s, a, q_target(q, s, a, r_tilde, s_next)))
-            cost = env.cost(x, u) if env.cost is not None else -r
-            violated = env.violated(x, u) if env.violated is not None else False
-            traj.append(t, _as_state_vec(x), u1, u, outcome.branch.value, gs.v_hat, w, cost,
-                        violated)
             x, s = x_next, s_next
             t += 1
         for row, col, val in pending:
             q.values[row, col] = val
     return q, traj
-
-
-def _as_state_vec(x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return arr if arr.size > 1 else np.array([float(arr[0]), 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,52 +287,41 @@ def koopman_control(km: KoopmanModel, x, q_z, r_u):
     return K @ z
 
 
-@dataclass
-class KoopmanEnv:
-    """Environment bundle for the supervised Koopman learning loop.
+@dataclass(kw_only=True)
+class KoopmanEnv(SupervisedEnv):
+    """Supervised Koopman learning env: the regulator penalties ``q_z`` and
+    ``r_u``, and ``sample_reset(rng)``, which draws a state inside the safe
+    projection so supervision stays feasible after every reset."""
 
-    ``step(x, u) -> (x_next, w)`` advances the true system; ``sample_reset``
-    draws a state inside the safe projection so supervision stays feasible
-    after every reset.
-    """
-
-    initial_state: np.ndarray
-    step: Callable
     q_z: np.ndarray
     r_u: np.ndarray
-    oracle: object = None
-    dist: ActionDistance = field(default_factory=ActionDistance)
-    sample_reset: Callable = None
-    cost: Callable = None
-    violated: Callable = None
+    sample_reset: Callable
 
 
 def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every, rng):
     """Supervised control-and-identify loop; returns the final model and
     the trajectory.
 
-    Model updates always pair the pre-adjustment action with the observed
-    transition of the supervised system, so the estimator learns the
-    dynamics as seen through the supervisor.
+    The state is redrawn with ``env.sample_reset`` every ``reset_every``
+    steps, a positive integer or ``inf`` for no resets.  Model updates
+    always pair the pre-adjustment action with the observed transition of
+    the supervised system, so the estimator learns the dynamics as seen
+    through the supervisor.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    no_resets = reset_every is None or not np.isfinite(reset_every)
-    if not no_resets and reset_every < 1:
-        raise ValueError("reset period must be positive")
+    if not (reset_every == math.inf
+            or (isinstance(reset_every, numbers.Integral) and reset_every >= 1)):
+        raise ValueError(f"reset period must be a positive integer or inf, got {reset_every!r}")
     gs = GovernorState()
     traj = Trajectory()
     x = np.asarray(env.initial_state, dtype=float).copy()
     for t in range(steps):
-        if not no_resets and t > 0 and t % int(reset_every) == 0:
+        # t % inf is t, so an infinite period never resets
+        if t > 0 and t % reset_every == 0:
             x = np.asarray(env.sample_reset(rng), dtype=float)
         u1 = np.atleast_1d(koopman_control(km, x, env.q_z, env.r_u))
-        outcome, gs = govern(x, u1, gs, env.oracle, env.dist)
-        u = outcome.u
-        x_next, w = env.step(x, u)
-        cost = env.cost(x, u) if env.cost is not None else float("nan")
-        violated = env.violated(x, u) if env.violated is not None else False
-        traj.append(t, x, u1, u, outcome.branch.value, gs.v_hat, w, cost, violated)
+        _, x_next, _ = supervised_step(env, t, x, u1, gs, traj)
         km = rls_update(km, x, u1, x_next)
         x = np.asarray(x_next, dtype=float)
     return km, traj

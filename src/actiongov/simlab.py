@@ -20,7 +20,7 @@ import numpy as np
 from .control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from .convexset import HPolytope, rejection_sample
 from .discrete_safeset import DiscreteGridOracle, GridSpec, compute_safe_set, discretize
-from .governor import ActionDistance, GovernorState, govern
+from .governor import ActionDistance, GovernorState
 from .moas import LinearMoasOracle, Moas, build_moas
 from .safe_learning import (
     KoopmanEnv,
@@ -28,8 +28,10 @@ from .safe_learning import (
     ObservableMap,
     QTable,
     SafeQEnv,
+    SupervisedEnv,
     koopman_control,
     run_safe_koopman,
+    supervised_step,
 )
 from .trajectory import Trajectory
 
@@ -321,21 +323,28 @@ def _qtable_controller(cfg: ScenarioConfig, qtable: QTable, grid: GridSpec):
     return control
 
 
+def true_step(rig: ExampleRig):
+    """The true system's step ``(x, u) -> (x_next, w)`` under :func:`disturbance`."""
+
+    def step(x, u):
+        w = disturbance(x)
+        return rig.plant.step(x, u, [w]), w
+
+    return step
+
+
 def run_supervised(rig: ExampleRig, controller, oracle, x0, steps: int,
                    dist: ActionDistance) -> Trajectory:
     """Step the true system under a controller, supervised unless ``oracle``
     is None."""
+    env = SupervisedEnv(initial_state=x0, step=true_step(rig), cost=step_cost,
+                        violated=is_violated, oracle=oracle, dist=dist)
     gs = GovernorState()
     traj = Trajectory()
     x = np.asarray(x0, dtype=float).copy()
     for t in range(steps):
         u1 = np.atleast_1d(np.asarray(controller(x), dtype=float))
-        outcome, gs = govern(x, u1, gs, oracle, dist)
-        u = outcome.u
-        w = disturbance(x)
-        traj.append(t, x, u1, u, outcome.branch.value, gs.v_hat, w, step_cost(x, u),
-                    is_violated(x, u))
-        x = rig.plant.step(x, u, [w])
+        _, x, _ = supervised_step(env, t, x, u1, gs, traj)
     return traj
 
 
@@ -381,24 +390,20 @@ def make_koopman_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, moas: Moas) -
     from its bounding box), so supervision stays feasible after each reset.
     """
 
-    def step(x, u):
-        w = disturbance(x)
-        return rig.plant.step(x, u, [w]), w
-
     def sample_reset(rng):
         return rejection_sample(moas.proj_x, rng, 1)[0]
 
     q_z, r_u = cfg.koopman_penalties()
     return KoopmanEnv(
         initial_state=np.asarray(cfg.initial_state, dtype=float),
-        step=step,
-        q_z=q_z,
-        r_u=r_u,
-        oracle=oracle,
-        dist=rig.dist,
-        sample_reset=sample_reset,
+        step=true_step(rig),
         cost=step_cost,
         violated=is_violated,
+        oracle=oracle,
+        dist=rig.dist,
+        q_z=q_z,
+        r_u=r_u,
+        sample_reset=sample_reset,
     )
 
 
@@ -430,28 +435,26 @@ def make_grid_q_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, grid: GridSpec
             raise ValueError("state left the learning grid")
         return pts[idx], idx
 
-    def step(x, u, rng):
-        w = disturbance(x)
-        last[:] = snap(rig.plant.step(x, u, [w]))
+    plant_step = true_step(rig)
+
+    def step(x, u):
+        x_next, w = plant_step(x, u)
+        last[:] = snap(x_next)
         return last[0], w
 
     def state_index(x):
         # a successor the last step returned was snapped there already
         return last[1] if x is last[0] else grid.index_of(x)
 
-    def reward(x, u):
-        return -step_cost(x, u)
-
     return SafeQEnv(
-        actions=cfg.action_values(),
         initial_state=snap(cfg.initial_state)[0],
-        state_index=state_index,
         step=step,
-        reward=reward,
         cost=step_cost,
         violated=is_violated,
         oracle=oracle,
         dist=rig.dist,
+        actions=cfg.action_values(),
+        state_index=state_index,
     )
 
 

@@ -1,8 +1,9 @@
 """Reference routines that only the tests use: set intersection and
 inclusion, the batch least-squares fit the recursive estimator must match,
 the identity lifting for linear test systems, the plain Riccati recursions
-the buffered library loop must match bitwise, and the whole-grid
-classification stages the slice-wise library stages must match exactly."""
+the buffered library loop must match bitwise, the whole-grid
+classification stages the slice-wise library stages must match exactly,
+and membership queries on both oracles' safe sets."""
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from actiongov.discrete_safeset import (
     SAFE_PLUS,
     WITNESS_CONSTRAINT,
     WITNESS_NONE,
+    GridSpec,
     TransitionTable,
 )
 from actiongov.errors import (
@@ -207,3 +209,34 @@ def grow_reference(tt, invariant, seed):
         if not grown.any():
             return cls, counts, grown_at
         rows, cols, succ = rows[~grown], cols[~grown], succ[~grown]
+
+
+def snap_v(grid: GridSpec, vals) -> np.ndarray:
+    """Nearest reference-grid indices of ``vals`` (-1 outside the range or NaN)."""
+    k, out = grid._snap_axis(np.asarray(vals, dtype=float), grid._snap_axes[2])
+    k[out] = -1
+    return k
+
+
+def grid_member(oracle, x, v) -> bool:
+    """Whether the grid pair nearest ``(x, v)`` is classified safe."""
+    i = oracle.grid.index_of(x)
+    j = int(snap_v(oracle.grid, [float(np.atleast_1d(v)[0])])[0])
+    return i >= 0 and j >= 0 and bool(oracle.dss.class_map[i, j] == SAFE_PLUS)
+
+
+def grid_proj_member(oracle, x) -> bool:
+    """Whether the grid state nearest ``x`` lies in the safe projection."""
+    i = oracle.grid.index_of(x)
+    return bool(i >= 0 and oracle.dss.proj_mask[i])
+
+
+def moas_member(oracle, x, v) -> bool:
+    """Whether ``(x, v)`` lies in the admissible set."""
+    z = np.concatenate([np.ravel(x), np.atleast_1d(np.asarray(v, dtype=float))])
+    return oracle.moas.set_xv.contains(z)
+
+
+def moas_proj_member(oracle, x) -> bool:
+    """Whether ``x`` lies in the admissible set's state projection."""
+    return oracle.moas.proj_x.contains(np.asarray(x, dtype=float).ravel())

@@ -255,7 +255,7 @@ def _chain_env():
     transitions = np.array([[0, 1], [0, 2], [1, 2]])
     rewards = np.array([[0.0, 1.0], [0.5, 2.0], [-1.0, 3.0]])
 
-    def step(x, u, rng):
+    def step(x, u):
         a = int(round(float(np.atleast_1d(u)[0])))
         return int(transitions[int(x), a]), 0.0
 
@@ -264,9 +264,10 @@ def _chain_env():
         initial_state=0,
         state_index=lambda x: int(x),
         step=step,
-        reward=lambda x, u: float(
+        cost=lambda x, u: -float(
             rewards[int(x), int(round(float(np.atleast_1d(u)[0])))]
         ),
+        violated=lambda x, u: False,
     )
     return env, transitions, rewards
 

@@ -98,7 +98,7 @@ def test_lp_hook_reads_a_real_solve(tracer):
     assert tracer._lp_attrs(args, {}, result) == (2, 4)
 
 
-def test_workload_entry_points_exist():
+def test_workload_entry_points_exist(base_cfg, rig, moas_bundle, grid_bundle):
     for name in ("build_rig", "build_moas_backend", "build_grid_backend", "make_koopman_env",
                  "make_grid_q_env", "make_example_qtable", "example_initial_koopman",
                  "run_supervised", "X1_BOUNDS", "X2_BOUNDS"):
@@ -108,3 +108,8 @@ def test_workload_entry_points_exist():
     for env in (safe_learning.SafeQEnv, safe_learning.KoopmanEnv):
         names = {f.name for f in dataclasses.fields(env)}
         assert {"initial_state", "step"} <= names, env.__name__
+    # the benchmark wraps each env's step in a pass-through ``stamped(*args)``
+    oracle, _, _, grid = grid_bundle
+    for env in (simlab.make_koopman_env(base_cfg, rig, *moas_bundle),
+                simlab.make_grid_q_env(base_cfg, rig, oracle, grid)):
+        assert list(inspect.signature(env.step).parameters) == ["x", "u"]

@@ -27,7 +27,10 @@ from ellipsoids import Ellipsoid, ellipsoid_support
 from references import (
     discretize_reference,
     forward_closure_reference,
+    grid_member,
+    grid_proj_member,
     grow_reference,
+    snap_v,
     unsafe_witness_reference,
 )
 
@@ -169,7 +172,7 @@ class TestGridSpec:
         with np.errstate(invalid="ignore"):
             assert np.array_equal(g.snap_x([[nan, 0.0], [0.0, nan], [nan, nan], [1.0, 1.0]]),
                                   [-1, -1, -1, 6])
-            assert np.array_equal(g.snap_v([nan, 0.0]), [-1, 0])
+            assert np.array_equal(snap_v(g, [nan, 0.0]), [-1, 0])
 
     def test_snap_matches_a_per_point_reference(self):
         # distinct axes, so a swapped or shared axis constant shows
@@ -198,7 +201,7 @@ class TestGridSpec:
         assert np.array_equal(g.snap_x(pts), expect)
         assert all(g.snap_x(p)[0] == e for p, e in zip(pts[::37], expect[::37]))
         vals = coords(g.v_lo, g.v_hi, g.v_delta)
-        assert np.array_equal(g.snap_v(vals),
+        assert np.array_equal(snap_v(g, vals),
                               [reference_snap(v, g.v_lo, g.v_hi, g.v_delta) for v in vals])
 
     def test_snap_matches_brute_force_nearest(self):
@@ -296,7 +299,7 @@ class TestBuildSeed:
         _, out, gain, cl, grid = small_example()
         seed = seed_on(cl, out, grid)
         i = grid.snap_x([[0.0, 0.0]])[0]
-        j = grid.snap_v([0.0])[0]
+        j = snap_v(grid, [0.0])[0]
         assert seed[i, j]
 
     def test_edge_references_excluded(self):
@@ -428,9 +431,9 @@ class TestOracle:
         orc, dss, grid = oracle
         pts = grid.x_points()
         i, j = np.argwhere(dss.seed)[0]
-        assert orc.member(pts[i], grid.v_values[j])
+        assert grid_member(orc, pts[i], grid.v_values[j])
         i, j = np.argwhere(dss.class_map == MINUS)[0]
-        assert not orc.member(pts[i], grid.v_values[j])
+        assert not grid_member(orc, pts[i], grid.v_values[j])
 
     def test_proj_member_agrees_with_exhaustive_scan(self, oracle):
         orc, dss, grid = oracle
@@ -438,12 +441,12 @@ class TestOracle:
         rng = np.random.default_rng(5)
         for i in rng.integers(0, grid.n_xpairs, size=200):
             expected = any(dss.pi[i, j] for j in range(grid.n_v))
-            assert orc.proj_member(pts[i]) == expected
+            assert grid_proj_member(orc, pts[i]) == expected
 
     def test_out_of_grid_states_are_outside(self, oracle):
         orc, _, _ = oracle
-        assert not orc.proj_member([100.0, 0.0])
-        assert not orc.member([100.0, 0.0], 0.0)
+        assert not grid_proj_member(orc, [100.0, 0.0])
+        assert not grid_member(orc, [100.0, 0.0], 0.0)
 
     def test_feasible_actions_are_truly_robust(self, oracle):
         orc, dss, grid = oracle
@@ -487,8 +490,8 @@ class TestOracle:
             x = pts[i]
             u1 = float(rng.uniform(-8.0, 8.0))
             got = orc.backup(x, np.array([u1]), dist)
-            feas = [v for v in grid.v_values if orc.member(x, v)]
-            assert (got is None) == (not feas) == (not orc.proj_member(x))
+            feas = [v for v in grid.v_values if grid_member(orc, x, v)]
+            assert (got is None) == (not feas) == (not grid_proj_member(orc, x))
             if feas:
                 best = min(feas, key=lambda v: (abs(u1 - orc.pi0(x, [v])[0]), v))
                 assert got[0] == best

@@ -18,6 +18,7 @@ from actiongov.moas import (
     linear_ag_step,
 )
 from actiongov.simlab import build_moas_backend
+from references import moas_member, moas_proj_member
 
 
 def scalar_toy():
@@ -233,7 +234,7 @@ class TestGovernWithLinearOracle:
         # selection lands inside it
         oracle, moas = moas_bundle
         x = np.array([5.0, 2.0])
-        assert oracle.proj_member(x)
+        assert moas_proj_member(oracle, x)
         v = oracle.backup(x, np.array([0.0]), rig.dist)
         assert v is not None
-        assert oracle.member(x, v)
+        assert moas_member(oracle, x, v)

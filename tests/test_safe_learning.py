@@ -6,7 +6,7 @@ from actiongov.errors import (
     NumericalError,
     UninitializedGovernorError,
 )
-from actiongov.governor import ActionDistance
+from actiongov.governor import ActionDistance, GovernorState, govern
 from actiongov.control_linalg import dare_solve, riccati_finite
 from actiongov.safe_learning import (
     KoopmanEnv,
@@ -14,6 +14,7 @@ from actiongov.safe_learning import (
     ObservableMap,
     QTable,
     SafeQEnv,
+    SupervisedEnv,
     epsilon_greedy,
     koopman_control,
     modified_reward,
@@ -21,7 +22,9 @@ from actiongov.safe_learning import (
     rls_update,
     run_safe_koopman,
     run_safe_q,
+    supervised_step,
 )
+from actiongov.trajectory import Trajectory
 from enumerated_oracle import EnumeratedOracle
 from references import batch_fit, identity_observables, prediction_residual
 
@@ -42,6 +45,43 @@ class GivesUpAfter(EnumeratedOracle):
 
     def candidate_refs(self, x):
         return np.array([])
+
+
+class BacksUpTo(EnumeratedOracle):
+    """No safe action anywhere, one reference ``v`` with nominal action ``-v``."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def feasible_actions(self, x):
+        return np.array([])
+
+    def candidate_refs(self, x):
+        return np.array([self.v])
+
+    def member(self, x, v):
+        return True
+
+    def pi0(self, x, v):
+        return -np.atleast_1d(v)
+
+
+class TestSupervisedStep:
+    def test_records_one_step_with_the_envs_scores_and_the_branch(self):
+        env = SupervisedEnv(initial_state=3.0, step=lambda x, u: (x + 1.0, 0.25),
+                            cost=lambda x, u: 7.5, violated=lambda x, u: True,
+                            oracle=BacksUpTo(2.0))
+        u1 = np.array([1.0])
+        expected, _ = govern(3.0, u1, GovernorState(), env.oracle, env.dist)
+        gs, traj = GovernorState(), Trajectory()
+        u, x_next, cost = supervised_step(env, 4, 3.0, u1, gs, traj)
+        assert len(traj) == 1
+        rec = traj.steps[0]
+        assert (rec.t, rec.w, rec.cost, rec.violated) == (4, 0.25, 7.5, True)
+        assert rec.branch == expected.branch.value == "backup_fresh"
+        assert np.array_equal(rec.u, expected.u) and np.array_equal(u, expected.u)
+        assert rec.u1[0] == 1.0 and rec.v_hat[0] == 2.0 and rec.x[0] == 3.0
+        assert (x_next, cost, gs.step) == (4.0, 7.5, 1)
 
 
 class TestEpsilonGreedy:
@@ -114,7 +154,7 @@ def chain_env():
     transitions = np.array([[0, 1], [0, 2], [1, 2]])
     rewards = np.array([[0.0, 1.0], [0.5, 2.0], [-1.0, 3.0]])
 
-    def step(x, u, rng):
+    def step(x, u):
         a = int(round(float(np.atleast_1d(u)[0])))
         return int(transitions[int(x), a]), 0.0
 
@@ -123,7 +163,8 @@ def chain_env():
         initial_state=0,
         state_index=lambda x: int(x),
         step=step,
-        reward=lambda x, u: float(rewards[int(x), int(round(float(np.atleast_1d(u)[0])))]),
+        cost=lambda x, u: -float(rewards[int(x), int(round(float(np.atleast_1d(u)[0])))]),
+        violated=lambda x, u: False,
     ), transitions, rewards
 
 
@@ -187,8 +228,9 @@ class TestRunSafeQ:
             actions=np.array([0.0, 1.0]),
             initial_state=0,
             state_index=lambda x: 0,
-            step=lambda x, u, rng: (0, 0.0),
-            reward=lambda x, u: 1.0,
+            step=lambda x, u: (0, 0.0),
+            cost=lambda x, u: -1.0,
+            violated=lambda x, u: False,
             oracle=Clamp(),
         )
         q0 = QTable.zeros(1, 2, gamma=0.9, alpha=1.0, epsilon=1.0, penalty_m=100.0)
@@ -379,6 +421,8 @@ def linear_koopman_env(A, B, oracle=None):
     return KoopmanEnv(
         initial_state=np.array([1.0, -0.5]),
         step=step,
+        cost=lambda x, u: 0.0,
+        violated=lambda x, u: False,
         q_z=np.eye(2),
         r_u=np.array([[1.0]]),
         oracle=oracle,
@@ -429,6 +473,25 @@ class TestRunSafeKoopman:
         for k in range(len(xs) - 1):
             expected = A @ xs[k] + B @ traj.steps[k].u
             assert np.allclose(xs[k + 1], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("period", [np.nan, -np.inf, 2.5, 0, -3, None],
+                             ids=["nan", "minus-inf", "fraction", "zero", "negative", "none"])
+    def test_reset_period_is_checked_before_the_first_step(self, period):
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        env = linear_koopman_env(A, B)
+        steps = []
+        env.step = lambda x, u: steps.append(x) or (A @ x + B @ u, 0.0)
+        with pytest.raises(ValueError, match="reset period"):
+            run_safe_koopman(env, KoopmanModel.initial(A, B, identity_observables(2)),
+                             20, period, np.random.default_rng(0))
+        assert steps == []
+
+    def test_env_without_sample_reset_fails_at_once(self):
+        with pytest.raises(TypeError, match="sample_reset"):
+            KoopmanEnv(initial_state=np.zeros(2), step=lambda x, u: (x, 0.0),
+                       cost=lambda x, u: 0.0, violated=lambda x, u: False,
+                       q_z=np.eye(2), r_u=np.array([[1.0]]))
 
 
 class TestValidation:

@@ -1,0 +1,42 @@
+"""Smoke test of the scripts under ``tools/`` at tiny sizes."""
+
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+ARTIFACTS = {
+    "moas.json", "discrete_safe_set.csv", "trajectory.csv", "qlearn_trajectory.csv",
+    "qtable.json", "koopman_trajectory.csv", "koopman_model.json", "koopman_cost.csv",
+    "fig2_nominal_ungoverned.csv", "fig2_nominal_governed.csv", "fig2_koopman_governed.csv",
+    "fig3_sets.json", "fig4_cost.csv",
+}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_artifact_digests_covers_every_cli_artifact(tmp_path, capsys):
+    tool = _load("artifact_digests")
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "seed": 0, "steps": 15, "q_batches": 15, "learn_steps": 25,
+        "grid_dx1": 2.5, "grid_dx2": 2.5, "grid_dv": 2.5, "grid_dw": 1.0, "action_du": 2.0,
+        "out_dir": str(tmp_path / "unused"),
+    }))
+    assert tool.main(["--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pairs = [re.fullmatch(r"([0-9a-f]{64})  (\S+)", line).groups() for line in lines]
+    names = [name for _, name in pairs]
+    assert names == sorted(ARTIFACTS)
+    digests = {name: digest for digest, name in pairs}
+    # at the default governor and controller, ``simulate`` is the governed
+    # nominal run of ``reproduce-paper``
+    assert digests["trajectory.csv"] == digests["fig2_nominal_governed.csv"]
+    assert not (tmp_path / "unused").exists()
