@@ -22,6 +22,7 @@ growth plus every slice's growth in its first ``r`` sweeps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,6 +121,8 @@ class GridSpec:
         """Per-axis snapping constants ``(lo, delta, lo - tol, hi + tol, n - 1)``
         for x1, x2 and v."""
         def consts(lo, hi, d, n):
+            # Python numbers, which :meth:`index_of` computes with directly
+            lo, hi, d = float(lo), float(hi), float(d)
             tol = _SNAP_TIE * max(1.0, abs(hi), abs(lo))
             return lo, d, lo - tol, hi + tol, n - 1
 
@@ -160,8 +163,33 @@ class GridSpec:
         return self._snap_coords(pts[:, 0], pts[:, 1])
 
     def index_of(self, x) -> int:
-        """Flat x-pair index of the grid state nearest one state ``x`` (-1 outside)."""
-        return int(self.snap_x(np.atleast_2d(np.ravel(x)))[0])
+        """Flat x-pair index of the grid state nearest one state ``x`` (-1
+        outside the range, NaN or infinite).
+
+        ``x`` must have exactly two coordinates.  The snap is that of
+        :meth:`snap_x`, in Python floats: the range test first, then the
+        same operations in the same order as :meth:`_snap_axis`.
+        """
+        coords = np.asarray(x, dtype=float).ravel()
+        if coords.size != 2:
+            raise ValueError(f"a grid state has 2 coordinates, got {coords.size}")
+        x1, x2 = coords.tolist()
+        ax1, ax2, _ = self._snap_axes
+        i1 = _snap_one(x1, ax1)
+        i2 = _snap_one(x2, ax2)
+        return -1 if i1 < 0 or i2 < 0 else i1 * (ax2[4] + 1) + i2
+
+
+def _snap_one(val: float, axis) -> int:
+    """:meth:`GridSpec._snap_axis` of one Python float (-1 outside)."""
+    lo, delta, lo_tol, hi_tol, top = axis
+    # checked first: floor of NaN or infinity raises
+    if not (val >= lo_tol and val <= hi_tol):
+        return -1
+    t = (val - lo) / delta
+    k = math.floor(t)
+    k += t - k > _SNAP_HALF
+    return min(max(k, 0), top)
 
 
 class TransitionTable:
@@ -401,10 +429,11 @@ class DiscreteGridOracle:
     range are treated as outside the safe set.  Feasible actions are the
     configured action-grid values whose current constraint holds and whose
     successors stay inside the safe projection for every disturbance-grid
-    value.  Both selections score every candidate at once with
-    :meth:`ActionDistance.many` and pick with :func:`nearest_candidate`;
-    the backup scores each safe reference by its nominal action
-    ``K x + L v``.
+    value; they depend on the state alone, so they are memoized per grid
+    point and returned read-only.  Both selections score every candidate
+    at once with :meth:`ActionDistance.many` and pick with
+    :func:`nearest_candidate`; the backup scores each safe reference by its
+    nominal action ``K x + L v``.
     """
 
     def __init__(self, dss: DiscreteSafeSet, tt: TransitionTable, action_values: np.ndarray):
@@ -425,17 +454,38 @@ class DiscreteGridOracle:
         self._Hy_c = H @ out.C
         self._Hy_u = np.outer(self.action_values, (H @ out.D).ravel())  # one row per action
         self._h_tol = out.constraint_set.offsets + 1e-9
+        self._axes = tuple(a.tolist() for a in grid.x_axes)
+        self._memo = {}  # flat grid index -> feasible actions at that grid point
 
     def pi0(self, x, v):
         return self.gain.policy(x, v)
 
     def feasible_actions(self, x) -> np.ndarray:
+        """The feasible actions at ``x``, as a read-only array.
+
+        A result is stored only when ``x`` is its grid point coordinate for
+        coordinate, so the memo holds at most ``n_xpairs`` entries; any
+        other state is computed on every call.
+        """
         x = np.asarray(x, dtype=float).ravel()
+        i = self.grid.index_of(x)
+        a1, a2 = self._axes
+        # the grid point of index i, row-major as in GridSpec.x_points
+        if i >= 0 and x.tolist() == [a1[i // len(a2)], a2[i % len(a2)]]:
+            feas = self._memo.get(i)
+            if feas is None:
+                feas = self._memo[i] = self._feasible(x)
+            return feas
+        return self._feasible(x)
+
+    def _feasible(self, x) -> np.ndarray:
         now_ok = (self._Hy_c @ x + self._Hy_u <= self._h_tol).all(axis=1)
         succ = self.grid.snap_x(self._A @ x + self._shift).reshape(self.action_values.size, -1)
         # an off-grid successor (-1) reads an arbitrary entry; the first test decides it
         robust = ((succ >= 0) & self.dss.proj_mask[succ]).all(axis=1)
-        return self.action_values[now_ok & robust]
+        feas = self.action_values[now_ok & robust]
+        feas.flags.writeable = False
+        return feas
 
     def adjust(self, x, u1, dist):
         feas = self.feasible_actions(x)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .control_linalg import dare_solve, riccati_finite
-from .errors import NoStabilizingSolutionError, NumericalError
+from .errors import ActionGovError, NoStabilizingSolutionError, NumericalError
 from .governor import ActionDistance, GovernorState, govern
 from .trajectory import Trajectory
 
@@ -306,7 +306,8 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     steps, a positive integer or ``inf`` for no resets.  Model updates
     always pair the pre-adjustment action with the observed transition of
     the supervised system, so the estimator learns the dynamics as seen
-    through the supervisor.
+    through the supervisor.  Library errors of a step leave with ``step``
+    set to its index.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -320,8 +321,12 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
         # t % inf is t, so an infinite period never resets
         if t > 0 and t % reset_every == 0:
             x = np.asarray(env.sample_reset(rng), dtype=float)
-        u1 = np.atleast_1d(koopman_control(km, x, env.q_z, env.r_u))
-        _, x_next, _ = supervised_step(env, t, x, u1, gs, traj)
-        km = rls_update(km, x, u1, x_next)
+        try:
+            u1 = np.atleast_1d(koopman_control(km, x, env.q_z, env.r_u))
+            _, x_next, _ = supervised_step(env, t, x, u1, gs, traj)
+            km = rls_update(km, x, u1, x_next)
+        except ActionGovError as exc:
+            exc.step = t
+            raise
         x = np.asarray(x_next, dtype=float)
     return km, traj

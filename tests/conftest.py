@@ -1,6 +1,8 @@
 """Shared fixtures; the expensive constructions are built once per session."""
 
+import ast
 import os
+from pathlib import Path
 
 # One BLAS/OpenMP thread, set before numpy loads its BLAS, as bench/run.py
 # does: the bitwise pins in test_dare_bitwise.py are stated for it.
@@ -45,3 +47,15 @@ def grid_bundle(base_cfg, rig):
 def koopman_learning(base_cfg, rig, moas_bundle):
     """Full supervised learning run: (model, trajectory)."""
     return learn_koopman(base_cfg, rig, *moas_bundle)
+
+
+@pytest.fixture(scope="session")
+def tiny_grid():
+    """The ``TINY_GRID`` config overrides of ``bench/run.py``, read without
+    importing it (the script pins thread-pool variables in the environment
+    on import)."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TINY_GRID"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no TINY_GRID")

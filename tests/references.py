@@ -3,7 +3,8 @@ inclusion, the batch least-squares fit the recursive estimator must match,
 the identity lifting for linear test systems, the plain Riccati recursions
 the buffered library loop must match bitwise, the whole-grid
 classification stages the slice-wise library stages must match exactly,
-and membership queries on both oracles' safe sets."""
+the grid oracle's feasible actions its memo must match, and membership
+queries on both oracles' safe sets."""
 
 import numpy as np
 
@@ -216,6 +217,17 @@ def snap_v(grid: GridSpec, vals) -> np.ndarray:
     k, out = grid._snap_axis(np.asarray(vals, dtype=float), grid._snap_axes[2])
     k[out] = -1
     return k
+
+
+def feasible_actions_reference(oracle, x) -> np.ndarray:
+    """The feasible actions of the grid oracle at ``x``, computed afresh on
+    every call, which the oracle's memoized ``feasible_actions`` must match."""
+    x = np.asarray(x, dtype=float).ravel()
+    now_ok = (oracle._Hy_c @ x + oracle._Hy_u <= oracle._h_tol).all(axis=1)
+    succ = oracle.grid.snap_x(oracle._A @ x + oracle._shift).reshape(oracle.action_values.size, -1)
+    # an off-grid successor (-1) reads an arbitrary entry; the first test decides it
+    robust = ((succ >= 0) & oracle.dss.proj_mask[succ]).all(axis=1)
+    return oracle.action_values[now_ok & robust]
 
 
 def grid_member(oracle, x, v) -> bool:

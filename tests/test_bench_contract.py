@@ -7,7 +7,6 @@ admissible-set build, the LP solve); a refactor that moves one of them
 would otherwise only show when the benchmark runs.
 """
 
-import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -65,18 +64,8 @@ def test_govern_returns_outcome_and_state(tracer, oracle):
     assert moved == (oracle is not None)
 
 
-def _tiny_grid():
-    """The ``TINY_GRID`` overrides of ``bench/run.py``, read without importing it
-    (the script pins thread-pool variables in the environment on import)."""
-    tree = ast.parse((BENCH / "run.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TINY_GRID"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/run.py defines no TINY_GRID")
-
-
-def test_grid_build_hooks_read_a_real_build(tracer):
-    cfg = simlab.ScenarioConfig(seed=0, **_tiny_grid())
+def test_grid_build_hooks_read_a_real_build(tracer, tiny_grid):
+    cfg = simlab.ScenarioConfig(seed=0, **tiny_grid)
     _, dss, tt, grid = simlab.build_grid_backend(cfg, simlab.build_rig(cfg))
     assert tracer._discretize_attrs((), {}, tt) == (tt.table.nbytes, grid.n_pairs)
     (sweeps,) = tracer._safe_set_attrs((), {}, dss)

@@ -22,10 +22,11 @@ from actiongov.discrete_safeset import (
 )
 from actiongov.errors import SeedConstructionError
 from actiongov.governor import ActionDistance
-from actiongov.simlab import example_system
+from actiongov.simlab import ScenarioConfig, example_system
 from ellipsoids import Ellipsoid, ellipsoid_support
 from references import (
     discretize_reference,
+    feasible_actions_reference,
     forward_closure_reference,
     grid_member,
     grid_proj_member,
@@ -213,6 +214,48 @@ class TestGridSpec:
             idx = g.snap_x([q])[0]
             d = np.linalg.norm(pts - q, axis=1)
             assert d[idx] == pytest.approx(d.min(), abs=1e-12)
+
+
+def edge_coordinates(axis, lo, hi):
+    """Every grid value of ``axis``; each midpoint between neighbours and the
+    next float on either side of it; each end at +- its range tolerance and
+    one ulp beyond; NaN, +-inf and -0.0."""
+    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+    mid = (axis[:-1] + axis[1:]) / 2
+    edges = np.array([lo - tol, lo + tol, hi - tol, hi + tol])
+    beyond = np.array([np.nextafter(lo - tol, -np.inf), np.nextafter(hi + tol, np.inf)])
+    return np.concatenate([axis, mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf),
+                           edges, beyond, [np.nan, np.inf, -np.inf, -0.0]])
+
+
+class TestIndexOf:
+    @pytest.mark.parametrize("which", ["shipped", "tiny"])
+    def test_equals_snap_x_on_every_point_tie_and_edge(self, which, base_cfg, tiny_grid):
+        cfg = base_cfg if which == "shipped" else ScenarioConfig(seed=0, **tiny_grid)
+        g = cfg.grid_spec()
+        pts = g.x_points()
+        assert [g.index_of(p) for p in pts] == list(range(g.n_xpairs))
+        c1, c2 = (edge_coordinates(a, lo, hi)
+                  for a, lo, hi in zip(g.x_axes, g.x_lo, g.x_hi))
+        # every pair of special coordinates, so each axis meets each case of the other
+        special = np.column_stack([np.repeat(c1, c2.size), np.tile(c2, c1.size)])
+        with np.errstate(invalid="ignore"):
+            expect = g.snap_x(special)
+        got = np.array([g.index_of(p) for p in special])
+        assert np.array_equal(got, expect)
+        # the cases the list is meant to reach do occur
+        assert (got == -1).any() and (got >= 0).sum() > g.n_xpairs
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 99.0], [1.0], [], 1.0, np.zeros((2, 2))],
+                             ids=["three", "one", "none", "scalar", "two-states"])
+    def test_a_state_has_exactly_two_coordinates(self, x):
+        g = GridSpec((0.0, 0.0), (4.0, 4.0), (1.0, 1.0), 0.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            g.index_of(x)
+
+    def test_accepts_a_one_row_state(self):
+        g = GridSpec((0.0, 0.0), (4.0, 4.0), (1.0, 1.0), 0.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        assert g.index_of([[1.0, 1.0]]) == g.index_of((1, 1)) == 6
 
 
 def width_grid(n1):
@@ -495,6 +538,61 @@ class TestOracle:
             if feas:
                 best = min(feas, key=lambda v: (abs(u1 - orc.pi0(x, [v])[0]), v))
                 assert got[0] == best
+
+
+class TestFeasibleActionsMemo:
+    @pytest.fixture
+    def fresh(self, base_cfg, grid_bundle):
+        """A grid oracle of the shipped scenario with an empty memo."""
+        _, dss, tt, grid = grid_bundle
+        return DiscreteGridOracle(dss, tt, base_cfg.action_values()), grid
+
+    def test_every_grid_point_cold_and_warm_equals_a_fresh_computation(self, fresh):
+        orc, grid = fresh
+        for x in grid.x_points():
+            cold = orc.feasible_actions(x)
+            ref = feasible_actions_reference(orc, x)
+            assert cold.dtype == ref.dtype and np.array_equal(cold, ref)
+            warm = orc.feasible_actions(x)
+            assert warm is cold and np.array_equal(warm, ref)
+        assert len(orc._memo) == grid.n_xpairs
+
+    def test_off_grid_states_are_answered_but_not_stored(self, fresh):
+        orc, grid = fresh
+        origin = grid.index_of([0.0, 0.0])
+        x0 = grid.x_points()[origin]
+        # a grid point moved off it, and the middle of a grid cell
+        for x in (x0 + 1e-3, x0 + np.array(grid.x_delta) / 2, x0 - 1e-3):
+            got = orc.feasible_actions(x)
+            ref = feasible_actions_reference(orc, x)
+            assert got.size and got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert orc.feasible_actions(x) is not got
+        assert orc._memo == {}
+        orc.feasible_actions(x0)
+        assert list(orc._memo) == [origin]
+        assert np.array_equal(orc.feasible_actions(x0 + 1e-3),
+                              feasible_actions_reference(orc, x0 + 1e-3))
+
+    def test_returned_arrays_are_read_only(self, fresh):
+        orc, grid = fresh
+        x = grid.x_points()[grid.index_of([0.0, 0.0])]
+        for feas in (orc.feasible_actions(x), orc.feasible_actions(x),
+                     orc.feasible_actions(x + 1e-3)):
+            assert feas.size
+            with pytest.raises(ValueError, match="read-only"):
+                feas[0] = 99.0
+        assert np.array_equal(orc.feasible_actions(x), feasible_actions_reference(orc, x))
+
+    def test_negative_zero_gives_the_set_of_positive_zero(self, fresh, base_cfg, grid_bundle):
+        orc, _ = fresh
+        other = DiscreteGridOracle(orc.dss, grid_bundle[2], base_cfg.action_values())
+        for x2 in (0.0, 5.0):
+            neg = orc.feasible_actions([-0.0, x2])  # cold: computed at -0.0 and stored
+            assert neg.size and np.array_equal(neg, feasible_actions_reference(orc, [0.0, x2]))
+            assert orc.feasible_actions([0.0, x2]) is neg
+            assert np.array_equal(other.feasible_actions([0.0, x2]), neg)
+        assert np.array_equal(other.feasible_actions([-0.0, -0.0]),
+                              feasible_actions_reference(orc, [0.0, 0.0]))
 
 
 class TestConstraintTable:

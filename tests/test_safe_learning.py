@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -462,6 +464,17 @@ class TestRunSafeKoopman:
         with pytest.raises(UninitializedGovernorError, match="step 6") as info:
             run_safe_koopman(env, km0, 20, 5, np.random.default_rng(0))
         assert info.value.step == 6
+
+    def test_estimator_error_reports_its_step(self):
+        # a forgetting factor below the update's threshold at the zero state,
+        # where the regressor vanishes, leaves the denominator vanishing
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        env = dataclasses.replace(linear_koopman_env(A, B), initial_state=np.zeros(2))
+        km0 = KoopmanModel.initial(A, B, identity_observables(2), lam=1e-15)
+        with pytest.raises(NumericalError, match="step 0: vanishing denominator") as info:
+            run_safe_koopman(env, km0, 20, 5, np.random.default_rng(0))
+        assert info.value.step == 0
 
     def test_no_resets_when_period_is_infinite(self):
         A = np.array([[0.9, 0.0], [0.0, 0.9]])

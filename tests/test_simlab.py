@@ -8,7 +8,7 @@ import pytest
 from actiongov.control_linalg import dare_solve
 from actiongov.errors import InfeasibleStateError
 from actiongov.governor import GovernorState, govern
-from actiongov.discrete_safeset import GridSpec
+from actiongov.discrete_safeset import DiscreteGridOracle, GridSpec
 from actiongov.safe_learning import koopman_control, run_safe_koopman, run_safe_q
 from actiongov.simlab import (
     ScenarioConfig,
@@ -280,40 +280,56 @@ class TestModelSerialization:
 
 class TestGridQEnv:
     def test_each_state_is_snapped_once(self, base_cfg, rig, grid_bundle, monkeypatch):
-        # one snap per env step, one per oracle step and one per episode start;
-        # the result equals that of an env whose index re-snaps every state
-        oracle, dss, _, grid = grid_bundle
+        # one one-point snap per env step, one per oracle step and one per
+        # episode start, and one batched successor snap per distinct state the
+        # oracle sees; the result equals that of an env whose index re-snaps
+        # every state
+        oracle, dss, tt, grid = grid_bundle
         pts = grid.x_points()
         starts = pts[np.nonzero(dss.proj_mask)[0][::400][:3]]
         env0 = make_grid_q_env(base_cfg, rig, oracle, grid)
         resnap = dataclasses.replace(
             env0, state_index=lambda x: int(grid.snap_x(np.atleast_2d(x))[0]))
         calls = []
-        snap_x = GridSpec.snap_x
+        snap_x, index_of = GridSpec.snap_x, GridSpec.index_of
 
         def counting(self, points):
             calls.append(len(np.atleast_2d(points)))
             return snap_x(self, points)
 
+        def counting_one(self, x):
+            calls.append("index_of")
+            return index_of(self, x)
+
         runs = []
         for env in (env0, resnap):
+            # a cold memo in each run, so the batched snaps are counted alike
+            env = dataclasses.replace(
+                env, oracle=DiscreteGridOracle(dss, tt, base_cfg.action_values()))
             q = make_example_qtable(base_cfg, grid)
             rng = np.random.default_rng(4)
             trajs = []
             calls.clear()
             monkeypatch.setattr(GridSpec, "snap_x", counting)
+            monkeypatch.setattr(GridSpec, "index_of", counting_one)
             for x0 in starts:
                 q, traj = run_safe_q(dataclasses.replace(env, initial_state=x0), q, 1, 40, rng)
                 trajs.append(traj)
             monkeypatch.setattr(GridSpec, "snap_x", snap_x)
+            monkeypatch.setattr(GridSpec, "index_of", index_of)
             runs.append((q.values, "".join(t.to_csv() for t in trajs), list(calls)))
         (q_once, csv_once, calls_once), (q_ref, csv_ref, calls_ref) = runs
         steps = len(starts) * 40
         assert len(starts) == 3
         assert all(s.branch == "adjusted" for t in trajs for s in t.steps)
-        assert len(calls_once) == steps + steps + len(starts)
-        assert calls_once.count(1) == steps + len(starts)
-        assert len(calls_ref) == len(calls_once) + steps
+        distinct = len(np.unique(np.vstack([t.states for t in trajs]), axis=0))
+        batch = base_cfg.action_values().size * grid.n_w
+        assert calls_once.count("index_of") == steps + steps + len(starts)
+        assert calls_once.count(batch) == distinct < steps
+        assert len(calls_once) == 2 * steps + len(starts) + distinct
+        assert calls_ref.count("index_of") == steps + steps
+        assert calls_ref.count(1) == steps + len(starts)
+        assert calls_ref.count(batch) == distinct
         assert np.array_equal(q_once, q_ref) and csv_once == csv_ref
 
 

@@ -22,14 +22,19 @@ def _load(name):
     return module
 
 
-def test_artifact_digests_covers_every_cli_artifact(tmp_path, capsys):
-    tool = _load("artifact_digests")
+def _tiny_config(tmp_path):
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({
         "seed": 0, "steps": 15, "q_batches": 15, "learn_steps": 25,
         "grid_dx1": 2.5, "grid_dx2": 2.5, "grid_dv": 2.5, "grid_dw": 1.0, "action_du": 2.0,
         "out_dir": str(tmp_path / "unused"),
     }))
+    return config
+
+
+def test_artifact_digests_covers_every_cli_artifact(tmp_path, capsys):
+    tool = _load("artifact_digests")
+    config = _tiny_config(tmp_path)
     assert tool.main(["--config", str(config)]) == 0
     lines = capsys.readouterr().out.splitlines()
     pairs = [re.fullmatch(r"([0-9a-f]{64})  (\S+)", line).groups() for line in lines]
@@ -39,4 +44,21 @@ def test_artifact_digests_covers_every_cli_artifact(tmp_path, capsys):
     # at the default governor and controller, ``simulate`` is the governed
     # nominal run of ``reproduce-paper``
     assert digests["trajectory.csv"] == digests["fig2_nominal_governed.csv"]
+    assert not (tmp_path / "unused").exists()
+
+
+def test_cli_pairs_runs_each_tree_in_a_fresh_process(tmp_path, capsys):
+    tool = _load("cli_pairs")
+    tree = str(TOOLS.parent)
+    config = _tiny_config(tmp_path)
+    assert tool.main([tree, tree, "--command", "learn-q", "--config", str(config),
+                      "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    runs = [re.fullmatch(r"pair 1 ([AB]) +[0-9.]+ s  (.*)", line) for line in lines[:2]]
+    assert [m.group(1) for m in runs] == ["A", "B"]
+    files = [re.findall(r"([0-9a-f]{64}) (\S+)", m.group(2)) for m in runs]
+    assert files[0] == files[1]
+    assert sorted(name for _, name in files[0]) == ["qlearn_trajectory.csv", "qtable.json"]
+    assert [line.split()[:2] for line in lines[2:4]] == [["median", "A"], ["median", "B"]]
+    assert lines[4] == "artifacts identical across all runs"
     assert not (tmp_path / "unused").exists()
