@@ -25,6 +25,8 @@ from .convexset import HPolytope
 from .errors import InstabilityError, NoStabilizingSolutionError, NumericalError
 
 SCHUR_MARGIN = 1e-9
+_DARE_TOL = 1e-9  # largest change of P between iterates that ends the DARE iteration
+_DARE_MAX_ITER = 100000
 
 
 def spectral_radius(m) -> float:
@@ -237,7 +239,7 @@ def _symmetrize(P, out):
     np.multiply(out, 0.5, out=out)
 
 
-def dare_solve(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
+def dare_solve(A, B, Q, R):
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
     Fixed-point iteration from ``P0 = Q``; returns ``(P, K)`` with the gain
@@ -259,7 +261,7 @@ def dare_solve(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
     P = Q.copy()
     P_next = np.empty_like(P)
     work = np.empty_like(P)
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_ITER):
         try:
             step(P, work)
         except np.linalg.LinAlgError as exc:
@@ -270,7 +272,7 @@ def dare_solve(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
             raise NoStabilizingSolutionError("Riccati iteration diverged")
         np.subtract(P_next, P, out=work)
         P, P_next = P_next, P
-        if np.abs(work, out=work).max() < tol:
+        if np.abs(work, out=work).max() < _DARE_TOL:
             break
     else:
         raise NoStabilizingSolutionError("Riccati iteration exceeded the sweep limit")

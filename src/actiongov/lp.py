@@ -2,18 +2,19 @@
 certified decision routine built on it.
 
 :func:`solve_lp` solves ``min/max c.z  s.t.  A z <= b`` with free variables,
-by splitting ``z = p - q`` (``p, q >= 0``), adding one slack per row and one
-artificial per row for phase 1.  Pivot columns follow Dantzig's rule until
-progress stalls, then switch to Bland's rule, which rules out cycling; the
-pivot sequence is deterministic either way, so reported optimizers are
-reproducible.  Intended scale is tens of variables and a few hundred rows;
-everything is kept as a dense numpy tableau with vectorized pivots.
+by splitting ``z = p - q`` (``p, q >= 0``) and adding one slack per row.
+:func:`_two_phase` solves that standard form with one artificial per row
+for phase 1.  Pivot columns follow Dantzig's rule until progress stalls,
+then switch to Bland's rule, which rules out cycling; the pivot sequence
+is deterministic either way, so reported optimizers are reproducible.
+Intended scale is tens of variables and a few hundred rows; everything is
+kept as a dense numpy tableau with vectorized pivots.
 
 :func:`max_exceeds` answers only whether ``max c.z`` exceeds a threshold.
-It runs the same simplex on the standard-form dual, whose tableau has one
-row per variable, and bounds the optimum from both sides with explicitly
-checked residuals (weak duality, as in Neumaier & Shcherbina, Math. Prog.
-2004).  When the threshold is not clear of those bounds by
+It runs :func:`_two_phase` on the standard-form dual, whose tableau has
+one row per variable, and bounds the optimum from both sides with
+explicitly checked residuals (weak duality, as in Neumaier & Shcherbina,
+Math. Prog. 2004).  When the threshold is not clear of those bounds by
 ``DECISION_MARGIN`` it falls back to :func:`solve_lp`, so its answers are
 the ones :func:`solve_lp` gives.
 """
@@ -92,8 +93,7 @@ def _run_simplex(T, basis, cost, n_cols, max_iter):
         if tied.size == 1:
             leave = int(tied[0])
         else:  # break ties on the smallest basic-variable index (Bland)
-            basis_arr = np.asarray(basis)
-            leave = int(tied[np.argmin(basis_arr[tied])])
+            leave = int(tied[np.argmin(basis[tied])])
         cost -= (cost[enter] / T[leave, enter]) * T[leave]
         _pivot(T, basis, leave, enter)
         if cost[-1] > last_obj + OPT_TOL or cost[-1] < last_obj - OPT_TOL:
@@ -119,6 +119,59 @@ def _lp_data(c, a_ub, b_ub):
     return c, a_ub, b_ub
 
 
+def _two_phase(a_eq, b_eq, cost, infeasible_tol):
+    """Two-phase simplex on ``min cost.x  s.t.  a_eq x = b_eq, x >= 0``.
+
+    Returns ``(status, T, basis)``: the final tableau, whose columns are the
+    structural ones, one artificial per row and the right-hand side, and
+    the basic column of each row.  Phase 1 starts from the artificial basis
+    (rows with ``b_eq < 0`` negated) and gives INFEASIBLE when the
+    artificials sum to more than ``infeasible_tol``.  Each artificial left
+    basic is then pivoted out on its row's first structural entry; one
+    without any stays basic at level zero (a redundant row).  Phase 2
+    prices the structural columns only, so no artificial re-enters.  A
+    phase 1 that reports unbounded, or either phase at its iteration
+    limit, raises :class:`NumericalError`.
+    """
+    m, k = a_eq.shape
+    n_total = k + m
+    T = np.zeros((m, n_total + 1))
+    T[:, :k] = a_eq
+    T[:, -1] = b_eq
+    T[b_eq < 0.0] *= -1.0
+    T[:, k:n_total] = np.eye(m)
+    basis = np.arange(k, n_total)
+    max_iter = 5000 + 50 * (m + n_total)
+
+    # phase 1: minimize the sum of artificials
+    cost1 = np.zeros(n_total + 1)
+    cost1[k:n_total] = 1.0
+    cost1 -= T.sum(axis=0)
+    if _run_simplex(T, basis, cost1, n_total, max_iter) == "unbounded":
+        # phase 1 is bounded below by 0 in exact arithmetic, but FEAS_TOL and
+        # OPT_TOL are absolute: on badly row-scaled rows the tableau entries
+        # grow large and rounding can leave a reduced cost below -OPT_TOL on
+        # a column with no entry above FEAS_TOL
+        raise NumericalError("phase-1 simplex reported unbounded")
+    if -cost1[-1] > infeasible_tol:
+        return LpStatus.INFEASIBLE, T, basis
+    for r in range(m):
+        if basis[r] >= k:
+            structural = np.nonzero(np.abs(T[r, :k]) > FEAS_TOL)[0]
+            if structural.size:
+                _pivot(T, basis, r, int(structural[0]))
+
+    # phase 2: reduced costs of the basis, one basic row at a time
+    red = np.zeros(n_total + 1)
+    red[:k] = cost
+    basic_costs = red[basis]
+    for r in np.nonzero(basic_costs != 0.0)[0]:
+        red -= basic_costs[r] * T[r]
+    if _run_simplex(T, basis, red, k, max_iter) == "unbounded":
+        return LpStatus.UNBOUNDED, T, basis
+    return LpStatus.OPTIMAL, T, basis
+
+
 def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
     """Solve ``min`` (or ``max``) ``c.z`` over ``{z : a_ub z <= b_ub}``.
 
@@ -128,71 +181,16 @@ def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
     c, a_ub, b_ub = _lp_data(c, a_ub, b_ub)
     n = c.size
     m = a_ub.shape[0]
-
     obj = c if sense is Sense.MIN else -c
-    if m == 0:
-        # unconstrained: optimal iff the objective is identically zero
-        if np.all(np.abs(obj) <= OPT_TOL):
-            return LpResult(LpStatus.OPTIMAL, 0.0, np.zeros(n))
-        return LpResult(LpStatus.UNBOUNDED, np.nan, np.empty(0))
-
-    # standard form columns: [p (n), q (n), slack (m), artificial (m)]
-    n_struct = 2 * n + m
-    n_total = n_struct + m
-    T = np.zeros((m, n_total + 1))
-    T[:, :n] = a_ub
-    T[:, n : 2 * n] = -a_ub
-    T[:, 2 * n : 2 * n + m] = np.eye(m)
-    T[:, -1] = b_ub
-    neg = T[:, -1] < 0.0
-    T[neg] *= -1.0
-    T[:, n_struct:n_total] = np.eye(m)
-    basis = [n_struct + r for r in range(m)]
-
-    max_iter = 5000 + 50 * (m + n_total)
-
-    # phase 1: minimize the sum of artificials
-    cost1 = np.zeros(n_total + 1)
-    cost1[n_struct:n_total] = 1.0
-    cost1 -= T.sum(axis=0)
-    state = _run_simplex(T, basis, cost1, n_total, max_iter)
-    if state == "unbounded":
-        # phase 1 is bounded below by 0 in exact arithmetic, but FEAS_TOL and
-        # OPT_TOL are absolute: on badly row-scaled rows the tableau entries
-        # grow large and rounding can leave a reduced cost below -OPT_TOL on
-        # a column with no entry above FEAS_TOL
-        raise NumericalError("phase-1 simplex reported unbounded")
-    if -cost1[-1] > 1e-7:
-        return LpResult(LpStatus.INFEASIBLE, np.nan, np.empty(0))
-    # drive leftover artificials out of the basis
-    for r in range(m):
-        if basis[r] >= n_struct:
-            structural = np.nonzero(np.abs(T[r, :n_struct]) > FEAS_TOL)[0]
-            if structural.size:
-                _pivot(T, basis, r, int(structural[0]))
-            # else: redundant row, harmless to leave a zero-level artificial
-
-    # phase 2 on the structural columns only (artificials are never
-    # entering candidates because the scan stops at n_struct)
-    cost2 = np.zeros(n_total + 1)
-    cost2[:n] = obj
-    cost2[n : 2 * n] = -obj
-    red = cost2.copy()
-    basic_costs = cost2[np.asarray(basis)]
-    nz = np.nonzero(basic_costs != 0.0)[0]
-    for r in nz:
-        red -= basic_costs[r] * T[r]
-    state = _run_simplex(T, basis, red, n_struct, max_iter)
-    if state == "unbounded":
-        return LpResult(LpStatus.UNBOUNDED, np.nan, np.empty(0))
-
-    x = np.zeros(n_total)
-    for r in range(m):
-        if basis[r] < n_total:
-            x[basis[r]] = T[r, -1]
+    # standard form columns: [p (n), q (n), slack (m)] with z = p - q
+    status, T, basis = _two_phase(np.hstack([a_ub, -a_ub, np.eye(m)]), b_ub,
+                                  np.concatenate([obj, -obj, np.zeros(m)]), 1e-7)
+    if status is not LpStatus.OPTIMAL:
+        return LpResult(status, np.nan, np.empty(0))
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:, -1]
     z = x[:n] - x[n : 2 * n]
-    value = float(c @ z)
-    return LpResult(LpStatus.OPTIMAL, value, z)
+    return LpResult(LpStatus.OPTIMAL, float(c @ z), z)
 
 
 def _dual_bounds(c, a_ub, b_ub):
@@ -212,39 +210,20 @@ def _dual_bounds(c, a_ub, b_ub):
     * ``hi = b.y + |a_ub^T y - c|.|z|``: weak duality, widened by the dual
       residual at the vertex.
 
-    An empty set, an unbounded objective, a rank-deficient ``a_ub`` or a
-    basis that fails the checks gives ``None``.
+    An empty set, an unbounded objective, a rank-deficient ``a_ub``, a
+    simplex that fails numerically or a basis that fails the checks gives
+    ``None``.
     """
-    m, n = a_ub.shape
-    n_cols = m + n
-    T = np.zeros((n, n_cols + 1))
-    T[:, :m] = a_ub.T
-    T[:, -1] = c
-    T[c < 0.0] *= -1.0
-    T[:, m:n_cols] = np.eye(n)
-    basis = list(range(m, n_cols))
-    max_iter = 5000 + 50 * (n + n_cols)
+    m = a_ub.shape[0]
+    try:
+        status, _, rows = _two_phase(a_ub.T, c, b_ub, FEAS_TOL * (1.0 + np.abs(c).max()))
+    except NumericalError:
+        return None
+    # an infeasible dual means an empty set or an unbounded maximum, an
+    # unbounded one an empty set; an artificial left basic, rank below n
+    if status is not LpStatus.OPTIMAL or rows.max() >= m:
+        return None
 
-    cost1 = np.zeros(n_cols + 1)
-    cost1[m:n_cols] = 1.0
-    cost1 -= T.sum(axis=0)
-    if (_run_simplex(T, basis, cost1, n_cols, max_iter) == "unbounded"
-            or -cost1[-1] > FEAS_TOL * (1.0 + np.abs(c).max())):
-        return None  # no dual point: the set is empty or the maximum is unbounded
-    for r in range(n):
-        if basis[r] >= m:
-            structural = np.nonzero(np.abs(T[r, :m]) > FEAS_TOL)[0]
-            if not structural.size:
-                return None  # a_ub has rank below n: no vertex
-            _pivot(T, basis, r, int(structural[0]))
-    cost2 = np.zeros(n_cols + 1)
-    cost2[:m] = b_ub
-    rows = np.asarray(basis)
-    cost2 -= cost2[rows] @ T
-    if _run_simplex(T, basis, cost2, m, max_iter) == "unbounded":
-        return None  # the dual is unbounded: the set is empty
-
-    rows = np.asarray(basis)
     a_b = a_ub[rows]
     try:
         z = np.linalg.solve(a_b, b_ub[rows])

@@ -59,14 +59,14 @@ class Moas:
         }
 
 
-def build_moas(cl: ClosedLoop, w_set: HPolytope, epsilon: float = 0.01, t_cap: int = 500,
-               v_bounds: HPolytope = None) -> Moas:
+def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: float = 0.01,
+               t_cap: int = 500) -> Moas:
     """Construct the admissible set for ``x+ = At x + Bt v + E w`` under the
     loop's output constraints ``cl.out``.
 
-    ``epsilon`` tightens the steady-state block (0 < epsilon < 1);
-    ``v_bounds`` optionally adds a ``|v| <= bound`` box, which keeps the
-    recursion bounded when the constraint rows alone do not bound ``v``.
+    ``v_bounds`` is a box on the reference, which keeps the recursion
+    bounded when the constraint rows alone do not bound ``v``;
+    ``epsilon`` tightens the steady-state block (0 < epsilon < 1).
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -77,6 +77,8 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, epsilon: float = 0.01, t_cap: i
     h = out.constraint_set.offsets
     n = cl.At.shape[0]
     r = cl.n_refs
+    if v_bounds.dim != r:
+        raise ValueError("v_bounds dimension must match the reference dimension")
     E = cl.plant.E
 
     eye = np.eye(n)
@@ -88,17 +90,9 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, epsilon: float = 0.01, t_cap: i
         m_t = cl.Ct @ geo_sum_t @ cl.Bt + cl.Dt
         return np.hstack([H @ cl.Ct @ a_pow_t, H @ m_t]), offsets_t.copy()
 
-    extra_rows = np.zeros((0, n + r))
-    extra_offs = np.zeros(0)
-    if v_bounds is not None:
-        if v_bounds.dim != r:
-            raise ValueError("v_bounds dimension must match the reference dimension")
-        extra_rows = np.hstack([np.zeros((v_bounds.n_rows, n)), v_bounds.normals])
-        extra_offs = v_bounds.offsets
-
     rows, offs = layer_rows(a_pow, geo_sum, h_t)
-    all_rows = [rows, extra_rows]
-    all_offs = [offs, extra_offs]
+    all_rows = [rows, np.hstack([np.zeros((v_bounds.n_rows, n)), v_bounds.normals])]
+    all_offs = [offs, v_bounds.offsets]
 
     t_star = None
     y_t = out.constraint_set

@@ -253,7 +253,8 @@ def rls_update(km: KoopmanModel, x_prev, u1_prev, x_now) -> KoopmanModel:
 
     The correction pairs the prediction error with a gain row built from
     the covariance; the covariance is deflated by the forgetting factor and
-    re-symmetrized every step.
+    re-symmetrized every step.  A covariance that is no longer positive
+    definite raises :class:`NumericalError`.
     """
     g = km.observables
     z_prev = g(x_prev)
@@ -269,6 +270,10 @@ def rls_update(km: KoopmanModel, x_prev, u1_prev, x_now) -> KoopmanModel:
     theta = np.hstack([km.A, km.B]) + np.outer(err, gain_row)
     new_cov = (km.gamma_cov - np.outer(gamma_phi, gain_row)) / km.lam
     new_cov = 0.5 * (new_cov + new_cov.T)
+    try:
+        np.linalg.cholesky(new_cov)
+    except np.linalg.LinAlgError:
+        raise NumericalError("the recursive update lost positive definiteness") from None
     nz = g.n_z
     return KoopmanModel(theta[:, :nz], theta[:, nz:], new_cov, km.lam, g)
 

@@ -81,6 +81,14 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert "step 0" in err["message"]
 
+    def test_estimator_failure_is_a_numerical_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, learn_steps=50, koopman_lambda=1e-15,
+                            out_dir=str(tmp_path))
+        assert main(["learn-koopman", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NumericalError"
+        assert err["message"].startswith("step 1:")
+
 
 class TestSimulateCommand:
     def test_csv_contract_and_exit_zero(self, tmp_path, capsys):

@@ -38,8 +38,23 @@ def test_unbounded_reported():
 def test_unconstrained():
     res = solve_lp([0.0, 0.0], np.zeros((0, 2)), [], Sense.MIN)
     assert res.status is LpStatus.OPTIMAL and res.value == 0.0
+    assert np.array_equal(res.point, np.zeros(2))
     res = solve_lp([1.0, 0.0], np.zeros((0, 2)), [], Sense.MIN)
     assert res.status is LpStatus.UNBOUNDED
+    # no rows: the dual has no point unless c = 0, and then no vertex
+    for c in ([0.0, 0.0], [1.0, 0.0]):
+        assert lp._dual_bounds(*lp._lp_data(c, np.zeros((0, 2)), [])) is None
+
+
+def test_row_scaled_phase_one_fails_loudly():
+    # max z1 - z2 over rows scaled across nine decades, which HiGHS reports
+    # unbounded: absolute pivot tolerances make phase 1 report unbounded, so
+    # solve_lp raises instead of answering, and the dual gives no certificate
+    scaled = ([1.0, -1.0], [[-2532.26, 0.0], [0.0, 3.3989e-6], [2902.97, 1935.32]],
+              [2532.26, -6.7979e-6, -967.66])
+    with pytest.raises(NumericalError, match="phase-1"):
+        solve_lp(*scaled, Sense.MAX)
+    assert lp._dual_bounds(*lp._lp_data(*scaled)) is None
 
 
 def test_dimension_mismatch():
@@ -104,6 +119,19 @@ def highs_max(c, a_ub, b_ub):
     return ref.status, (-ref.fun if ref.status == 0 else np.nan)
 
 
+@pytest.fixture
+def solve_lp_calls(monkeypatch):
+    """The argument tuples of every :func:`solve_lp` call made through ``lp``."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    return calls
+
+
 def test_max_exceeds_small_cases():
     interval = ([[1.0], [-1.0]], [2.0, 1.0])  # -1 <= z <= 2
     assert max_exceeds([1.0], *interval, 1.9)
@@ -116,22 +144,39 @@ def test_max_exceeds_small_cases():
         max_exceeds([1.0], [[np.nan]], [1.0], 0.0)
 
 
-def test_max_exceeds_falls_back_at_the_threshold(monkeypatch):
+def test_max_exceeds_falls_back_at_the_threshold(solve_lp_calls):
     # the certified bounds of max z over [-1, 2] are tight at 2, so only a
     # threshold inside the margin reaches the simplex
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return solve_lp(*args)
-
-    monkeypatch.setattr(lp, "solve_lp", counting)
     interval = ([[1.0], [-1.0]], [2.0, 1.0])
     assert max_exceeds([1.0], *interval, 2.0 - 10 * DECISION_MARGIN)
     assert not max_exceeds([1.0], *interval, 2.0 + 10 * DECISION_MARGIN)
-    assert not calls
+    assert not solve_lp_calls
     assert not max_exceeds([1.0], *interval, 2.0)
-    assert len(calls) == 1
+    assert len(solve_lp_calls) == 1
+
+
+def test_max_exceeds_falls_back_without_a_vertex(solve_lp_calls):
+    # z2 is free, so a_ub has rank 1 < 2: an artificial stays basic in the
+    # dual and only the simplex decides
+    strip = ([1.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])
+    assert lp._dual_bounds(*lp._lp_data(*strip)) is None
+    assert max_exceeds(*strip, 0.5)
+    assert len(solve_lp_calls) == 1
+
+
+def test_dual_phase_one_failure_falls_back(solve_lp_calls):
+    # absolute pivot tolerances fail the dual's phase 1 on these badly
+    # scaled rows; the decision then comes from solve_lp, whose maximum
+    # agrees with HiGHS's 523270.68
+    scaled = ([-265000.0, 220500.0], [[8752000.0, -11260000.0], [-0.002978, 0.0181],
+                                      [-2641.0, -870.5]], [3887000.0, 0.02845, 782.5])
+    c, a, b = lp._lp_data(*scaled)
+    with pytest.raises(NumericalError, match="phase-1"):
+        lp._two_phase(a.T, c, b, lp.FEAS_TOL * (1.0 + np.abs(c).max()))
+    assert lp._dual_bounds(c, a, b) is None
+    assert max_exceeds(*scaled, 5.2e5)
+    assert not max_exceeds(*scaled, 5.3e5)
+    assert len(solve_lp_calls) == 2
 
 
 KINDS = ("random", "degenerate", "redundant", "scaled", "infeasible", "unbounded")

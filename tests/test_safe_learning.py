@@ -476,6 +476,16 @@ class TestRunSafeKoopman:
             run_safe_koopman(env, km0, 20, 5, np.random.default_rng(0))
         assert info.value.step == 0
 
+    def test_lost_definiteness_reports_its_step(self):
+        # dividing by a forgetting factor this small magnifies the rounding
+        # of the rank-one downdate until the covariance is indefinite
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        km0 = KoopmanModel.initial(A, B, identity_observables(2), lam=1e-15)
+        with pytest.raises(NumericalError, match="positive definiteness") as info:
+            run_safe_koopman(linear_koopman_env(A, B), km0, 20, 5, np.random.default_rng(0))
+        assert info.value.step == 1
+
     def test_no_resets_when_period_is_infinite(self):
         A = np.array([[0.9, 0.0], [0.0, 0.9]])
         B = np.array([[1.0], [1.0]])

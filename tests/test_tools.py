@@ -62,3 +62,22 @@ def test_cli_pairs_runs_each_tree_in_a_fresh_process(tmp_path, capsys):
     assert [line.split()[:2] for line in lines[2:4]] == [["median", "A"], ["median", "B"]]
     assert lines[4] == "artifacts identical across all runs"
     assert not (tmp_path / "unused").exists()
+
+
+def test_learning_margin_prints_one_row_per_seed(tmp_path, capsys):
+    tool = _load("learning_margin")
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"seed": 0, "learn_steps": 210,
+                                  "out_dir": str(tmp_path / "unused")}))
+    assert tool.main(["--config", str(config), "--seeds", "0", "1",
+                      "--frozen-steps", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["seed", "crit8", "viol", "moved", "paired"]
+    rows = [line.split() for line in lines[1:3]]
+    assert [row[0] for row in rows] == ["0", "1"]
+    for _, crit8, violations, moved, paired in rows:
+        assert float(crit8) > 0.0 and violations == "0"
+        assert 0.0 <= float(moved) <= 1.0 and float(paired) > 0.0
+    assert re.fullmatch(r"criterion 8 holds on [0-2] of 2 seeds; paired median [0-9.]+, "
+                        r"range [0-9.]+-[0-9.]+", lines[3])
+    assert not (tmp_path / "unused").exists()
