@@ -84,12 +84,6 @@ class OutputMap:
             raise ValueError("constraint set dimension must match output dimension")
         self.constraint_set = constraint_set
 
-    def admissible(self, x, u, tol: float = 1e-9) -> bool:
-        y = self.C @ np.asarray(x, dtype=float).ravel() + self.D @ np.atleast_1d(
-            np.asarray(u, dtype=float)
-        )
-        return self.constraint_set.contains(y, tol=tol)
-
 
 class NominalGain:
     """Reference-parameterized feedback ``u = K x + L v``."""

@@ -111,10 +111,6 @@ class HPolytope:
     def to_dict(self) -> dict:
         return {"normals": self.normals.tolist(), "offsets": self.offsets.tolist()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "HPolytope":
-        return cls(np.asarray(data["normals"], dtype=float), np.asarray(data["offsets"], dtype=float))
-
     def __repr__(self):
         return f"HPolytope(dim={self.dim}, rows={self.n_rows})"
 

@@ -12,6 +12,7 @@ proposer and the learning update are their own.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -248,17 +249,15 @@ class KoopmanModel:
         }
 
 
-def rls_update(km: KoopmanModel, x_prev, u1_prev, x_now) -> KoopmanModel:
-    """One recursive least-squares step on a new transition sample.
+def rls_update(km: KoopmanModel, z_prev, u1_prev, z_now) -> KoopmanModel:
+    """One recursive least-squares step on a transition of lifted states;
+    returns a new model and leaves ``km`` unchanged.
 
     The correction pairs the prediction error with a gain row built from
     the covariance; the covariance is deflated by the forgetting factor and
     re-symmetrized every step.  A covariance that is no longer positive
-    definite raises :class:`NumericalError`.
+    definite raises :class:`NumericalError`, the update's one check.
     """
-    g = km.observables
-    z_prev = g(x_prev)
-    z_now = g(x_now)
     u1_prev = np.atleast_1d(np.asarray(u1_prev, dtype=float))
     phi = np.concatenate([z_prev, u1_prev])
     gamma_phi = km.gamma_cov @ phi
@@ -274,17 +273,18 @@ def rls_update(km: KoopmanModel, x_prev, u1_prev, x_now) -> KoopmanModel:
         np.linalg.cholesky(new_cov)
     except np.linalg.LinAlgError:
         raise NumericalError("the recursive update lost positive definiteness") from None
-    nz = g.n_z
-    return KoopmanModel(theta[:, :nz], theta[:, nz:], new_cov, km.lam, g)
+    nz = km.observables.n_z
+    new = copy.copy(km)
+    new.A, new.B, new.gamma_cov = theta[:, :nz], theta[:, nz:], new_cov
+    return new
 
 
-def koopman_control(km: KoopmanModel, x, q_z, r_u):
-    """First action of the lifted-state infinite-horizon regulator at ``x``.
+def koopman_control(km: KoopmanModel, z, q_z, r_u):
+    """First action of the infinite-horizon regulator at the lifted state ``z``.
 
     When the current model admits no stabilizing solution the controller
     falls back to a 50-step horizon with the state penalty as terminal cost.
     """
-    z = km.observables(x)
     try:
         _, K = dare_solve(km.A, km.B, q_z, r_u)
     except (NoStabilizingSolutionError, NumericalError):
@@ -311,8 +311,9 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     steps, a positive integer or ``inf`` for no resets.  Model updates
     always pair the pre-adjustment action with the observed transition of
     the supervised system, so the estimator learns the dynamics as seen
-    through the supervisor.  Library errors of a step leave with ``step``
-    set to its index.
+    through the supervisor.  Each state is lifted once (``km.observables``)
+    for the regulator and the update; ``km`` is left unchanged.  Library
+    errors of a step leave with ``step`` set to its index.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -322,16 +323,19 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     gs = GovernorState()
     traj = Trajectory()
     x = np.asarray(env.initial_state, dtype=float).copy()
+    z = km.observables(x)
     for t in range(steps):
         # t % inf is t, so an infinite period never resets
         if t > 0 and t % reset_every == 0:
             x = np.asarray(env.sample_reset(rng), dtype=float)
+            z = km.observables(x)
         try:
-            u1 = np.atleast_1d(koopman_control(km, x, env.q_z, env.r_u))
+            u1 = np.atleast_1d(koopman_control(km, z, env.q_z, env.r_u))
             _, x_next, _ = supervised_step(env, t, x, u1, gs, traj)
-            km = rls_update(km, x, u1, x_next)
+            z_next = km.observables(x_next)
+            km = rls_update(km, z, u1, z_next)
         except ActionGovError as exc:
             exc.step = t
             raise
-        x = np.asarray(x_next, dtype=float)
+        x, z = np.asarray(x_next, dtype=float), z_next
     return km, traj

@@ -306,13 +306,16 @@ def koopman_controller(cfg: ScenarioConfig, km: KoopmanModel):
     q_z, r_u = cfg.koopman_penalties()
 
     def control(x):
-        return koopman_control(km, x, q_z, r_u)
+        return koopman_control(km, km.observables(x), q_z, r_u)
 
     return control
 
 
 def _qtable_controller(cfg: ScenarioConfig, qtable: QTable, grid: GridSpec):
     actions = cfg.action_values()
+    if qtable.values.shape != (grid.n_xpairs, actions.size):
+        raise ValueError(f"Q table is {qtable.values.shape[0]} x {qtable.values.shape[1]}; "
+                         f"this grid and action set need {grid.n_xpairs} x {actions.size}")
 
     def control(x):
         idx = grid.index_of(x)

@@ -81,6 +81,20 @@ def identity_observables(n: int) -> ObservableMap:
     return ObservableMap(fn=lambda x: x, n_z=n, name="identity")
 
 
+def hpolytope_from_dict(data: dict) -> HPolytope:
+    """The inverse of ``HPolytope.to_dict``."""
+    return HPolytope(np.asarray(data["normals"], dtype=float),
+                     np.asarray(data["offsets"], dtype=float))
+
+
+def output_admissible(out, x, u, tol: float = 1e-9) -> bool:
+    """Whether the output ``C x + D u`` of ``out`` meets its constraint set."""
+    y = out.C @ np.asarray(x, dtype=float).ravel() + out.D @ np.atleast_1d(
+        np.asarray(u, dtype=float)
+    )
+    return out.constraint_set.contains(y, tol=tol)
+
+
 def _riccati_map(P, A, B, Q, R):
     G = R + B.T @ P @ B
     K = -np.linalg.solve(G, B.T @ P @ A)

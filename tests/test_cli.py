@@ -6,6 +6,7 @@ import pytest
 
 from actiongov.cli import main
 from actiongov.discrete_safeset import MINUS, REMAIN, SAFE_PLUS
+from actiongov.safe_learning import QTable
 from actiongov.simlab import ScenarioConfig, build_grid_backend, build_rig
 from actiongov.trajectory import CSV_HEADER, fmt
 
@@ -80,6 +81,21 @@ class TestExitCodes:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "step 0" in err["message"]
+
+    @pytest.mark.parametrize("shape", [(3, 2), (5151, 13)], ids=["tiny", "other-action-step"])
+    def test_misshapen_q_table_is_bad_input(self, tmp_path, capsys, shape):
+        # the shipped grid has 5,151 x-pairs and its action_du of 0.5 gives
+        # 25 actions; a table saved at action_du 1.0 has 13 columns
+        table = QTable(np.zeros(shape), 0.95, 0.5, 0.1, 100.0)
+        model = tmp_path / "qtable.json"
+        model.write_text(json.dumps(table.to_dict()))
+        path = write_config(tmp_path, controller="qlearning", model_path=str(model),
+                            out_dir=str(tmp_path))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "5151 x 25" in err["message"]
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_estimator_failure_is_a_numerical_error(self, tmp_path, capsys):
         path = write_config(tmp_path, learn_steps=50, koopman_lambda=1e-15,

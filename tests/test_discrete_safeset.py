@@ -31,6 +31,7 @@ from references import (
     grid_member,
     grid_proj_member,
     grow_reference,
+    output_admissible,
     snap_v,
     unsafe_witness_reference,
 )
@@ -500,7 +501,7 @@ class TestOracle:
         for _ in range(50):
             x = pts[rng.integers(grid.n_xpairs)]
             for u in orc.feasible_actions(x):
-                assert out.admissible(x, [u])
+                assert output_admissible(out, x, [u])
                 for w in grid.w_values:
                     succ = plant.step(x, [u], [w])
                     idx = grid.snap_x([succ])[0]

@@ -365,6 +365,18 @@ class TestRls:
         with pytest.raises(NumericalError):
             rls_update(km, np.zeros(2), np.zeros(1), np.zeros(2))
 
+    def test_update_leaves_its_argument_unchanged(self):
+        km = KoopmanModel(np.diag([0.5, 0.8]), [[0.2], [1.0]], np.eye(3), 0.97,
+                          identity_observables(2))
+        before = {name: getattr(km, name).copy() for name in ("A", "B", "gamma_cov")}
+        z = np.array([1.0, -1.0])
+        km2 = rls_update(km, z, np.array([0.5]), np.array([0.3, 0.4]))
+        assert km2 is not km
+        for name, value in before.items():
+            assert np.array_equal(getattr(km, name), value)
+            assert not np.array_equal(getattr(km2, name), value)
+        assert km2.lam == km.lam and km2.observables is km.observables
+
 
 class TestKoopmanControl:
     def test_identity_lift_equals_plain_lqr(self):
@@ -390,7 +402,8 @@ class TestKoopmanControl:
         km = example_initial_koopman()
         _, K = dare_solve(plant.A, plant.B, np.eye(2), [[10.0]])
         x = np.array([14.0, 6.0])
-        u = koopman_control(km, x, np.diag([1.0, 1.0, 0.0, 0.0]), [[10.0]])
+        z = km.observables(x)
+        u = koopman_control(km, z, np.diag([1.0, 1.0, 0.0, 0.0]), [[10.0]])
         assert u[0] == pytest.approx(float((K @ x)[0]), abs=1e-8)
 
     def test_finite_horizon_fallback_when_unstabilizable(self):
@@ -509,6 +522,37 @@ class TestRunSafeKoopman:
             run_safe_koopman(env, KoopmanModel.initial(A, B, identity_observables(2)),
                              20, period, np.random.default_rng(0))
         assert steps == []
+
+    def test_each_state_is_lifted_once_and_no_model_is_rebuilt(self, monkeypatch):
+        # 50 steps with a reset every 10: the start, 4 reset states and 50
+        # successors are each lifted once, and the updates build no model
+        # through the checking constructor
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        lifts = []
+        counting = ObservableMap(fn=lambda x: lifts.append(x) or x, n_z=2, name="counting")
+        km0 = KoopmanModel.initial(A, B, counting)
+        built = []
+        init = KoopmanModel.__init__
+        monkeypatch.setattr(KoopmanModel, "__init__", lambda self, *args, **kw:
+                            built.append(args) or init(self, *args, **kw))
+        run_safe_koopman(linear_koopman_env(A, B), km0, 50, 10, np.random.default_rng(0))
+        assert len(lifts) == 50 + 1 + 4
+        assert built == []
+
+    def test_runs_from_one_model_repeat_and_leave_it_unchanged(self):
+        # the same start model and rng seed give the same run twice over
+        A = np.array([[0.9, 0.2], [0.0, 0.8]])
+        B = np.array([[0.0], [1.0]])
+        km0 = KoopmanModel.initial(np.zeros((2, 2)), [[0.2], [0.8]],
+                                   identity_observables(2), 0.98, 1e3)
+        start = km0.to_dict()
+        runs = [run_safe_koopman(linear_koopman_env(A, B), km0, 60, 10,
+                                 np.random.default_rng(3)) for _ in range(2)]
+        assert km0.to_dict() == start
+        (km1, traj1), (km2, traj2) = runs
+        assert km1.to_dict() == km2.to_dict() != start
+        assert traj1.to_csv() == traj2.to_csv()
 
     def test_env_without_sample_reset_fails_at_once(self):
         with pytest.raises(TypeError, match="sample_reset"):

@@ -355,7 +355,7 @@ class TestLearningIntegration:
         q_z = np.diag(base_cfg.koopman_q_diag)
         r_u = np.array([[base_cfg.koopman_r]])
         learned = run_supervised(
-            rig, lambda x: koopman_control(km, x, q_z, r_u), oracle,
+            rig, lambda x: koopman_control(km, km.observables(x), q_z, r_u), oracle,
             (12.0, 6.0), 500, rig.dist)
         tail_nominal = np.linalg.norm(nominal.states[-50:], axis=1).max()
         tail_learned = np.linalg.norm(learned.states[-50:], axis=1).max()

@@ -52,7 +52,7 @@ def frozen_mean_cost(env, km, steps: int, reset_every, seed: int) -> float:
     for t in range(steps):
         if t > 0 and t % reset_every == 0:
             x = np.asarray(env.sample_reset(rng), dtype=float)
-        u1 = np.atleast_1d(koopman_control(km, x, env.q_z, env.r_u))
+        u1 = np.atleast_1d(koopman_control(km, km.observables(x), env.q_z, env.r_u))
         _, x, _ = supervised_step(env, t, x, u1, gs, traj)
     return float(traj.costs.mean())
 
