@@ -1,17 +1,17 @@
 """Small dense control-theoretic linear algebra.
 
 Closed-loop assembly, a scaled discrete Lyapunov equation (solved by
-Kronecker vectorization), the discrete algebraic Riccati equation (fixed
-point iteration), its finite-horizon counterpart, and the spectral radius.
+Kronecker vectorization), the discrete algebraic Riccati equation
+(structure-preserving doubling), its finite-horizon counterpart, and the
+spectral radius.
 
-Both Riccati recursions share one step, ``_RiccatiStep``, which writes
-every intermediate into buffers allocated once per solve and, for a
-one-input model with two or more states, replaces the 1x1 solve by a
-multiply with the reciprocal of ``R + B'PB``.  Its results are bitwise
-equal to the plain recursion (``Q + A'P(A + BK)`` with
-``K = -solve(R + B'PB, B'PA)``, each product formed left to right);
-``tests/test_dare_bitwise.py`` pins this, so a BLAS/LAPACK build that
-rounds differently fails there instead of shifting outputs.
+``_RiccatiStep`` writes every intermediate of one Riccati step into
+buffers allocated once and, with one input and two or more states,
+multiplies by the reciprocal of the 1x1 ``R + B'PB``.  The finite-horizon
+recursion built on it is bitwise equal to the plain one, which
+``tests/test_dare_bitwise.py`` pins, so a BLAS/LAPACK build that rounds
+differently fails there instead of shifting outputs; the DARE is checked
+there against the plain fixed-point loop's outcome and scipy's solution.
 
 Gain sign convention used everywhere: feedback is applied as ``u = K x``,
 so stabilizing gains carry their own negative sign.
@@ -25,8 +25,8 @@ from .convexset import HPolytope
 from .errors import InstabilityError, NoStabilizingSolutionError, NumericalError
 
 SCHUR_MARGIN = 1e-9
-_DARE_TOL = 1e-9  # largest change of P between iterates that ends the DARE iteration
-_DARE_MAX_ITER = 100000
+_DARE_TOL = 1e-9  # relative change of P between doublings that ends the DARE solve
+_DARE_MAX_ITER = 64  # doublings
 
 
 def spectral_radius(m) -> float:
@@ -228,20 +228,15 @@ class _RiccatiStep:
         return self.K
 
 
-def _symmetrize(P, out):
-    np.add(P, P.T, out=out)
-    np.multiply(out, 0.5, out=out)
-
-
 def dare_solve(A, B, Q, R):
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
-    Fixed-point iteration from ``P0 = Q``; returns ``(P, K)`` with the gain
-    in the ``u = K x`` convention, i.e. ``rho(A + B K) < 1``.  The iteration
-    runs in buffers allocated once per call and swaps the current and next
-    iterate; with one input (and two or more states) the gain uses the
-    reciprocal of the 1x1 ``G``.  Both are bitwise equal to the plain
-    recursion, which a test pins.
+    Structure-preserving doubling (Chu, Fan & Lin 2005): from ``A``,
+    ``G = B R^-1 B'`` and ``H = Q``, each doubling solves
+    ``(I + G H) [X | Y] = [A | G]`` and sets ``H += A'H X``, ``G += A Y A'``,
+    ``A = A X``; ``H`` converges quadratically to ``P``.  One Riccati step at
+    ``P`` gives the gain and checks the residual.  Returns ``(P, K)`` with
+    the gain in the ``u = K x`` convention, i.e. ``rho(A + B K) < 1``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -251,35 +246,39 @@ def dare_solve(A, B, Q, R):
         raise ValueError("Q must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(0.5 * (R + R.T))) <= 0.0:
         raise ValueError("R must be positive definite")
-    step = _RiccatiStep(A, B, Q, R)
-    P = Q.copy()
-    P_next = np.empty_like(P)
-    work = np.empty_like(P)
+    n = A.shape[0]
+    eye = np.eye(n)
+    Ak, G, H = A, B @ np.linalg.solve(R, B.T), Q
     for _ in range(_DARE_MAX_ITER):
         try:
-            step(P, work)
+            XY = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=1))
         except np.linalg.LinAlgError as exc:
-            raise NoStabilizingSolutionError("Riccati step became singular") from exc
-        _symmetrize(work, P_next)
+            raise NoStabilizingSolutionError("Riccati doubling became singular") from exc
+        H_next = H + Ak.T @ H @ XY[:, :n]
+        H_next = 0.5 * (H_next + H_next.T)
+        size = np.abs(H_next).max()
         # one test for both NaN/inf and divergence: NaN fails the comparison
-        if not (np.abs(P_next, out=work).max() <= 1e14):
+        if not size <= 1e14:
             raise NoStabilizingSolutionError("Riccati iteration diverged")
-        np.subtract(P_next, P, out=work)
-        P, P_next = P_next, P
-        if np.abs(work, out=work).max() < _DARE_TOL:
+        change = np.abs(H_next - H).max()
+        H = H_next
+        if change <= _DARE_TOL * (1.0 + size):
             break
+        G = G + Ak @ XY[:, n:] @ Ak.T
+        Ak = Ak @ XY[:, :n]
     else:
-        raise NoStabilizingSolutionError("Riccati iteration exceeded the sweep limit")
+        raise NoStabilizingSolutionError("Riccati iteration exceeded the doubling limit")
+    work = np.empty_like(H)
     try:
-        K = step(P, work)
+        K = _RiccatiStep(A, B, Q, R)(H, work)
     except np.linalg.LinAlgError as exc:
         raise NoStabilizingSolutionError("Riccati step became singular") from exc
-    np.subtract(work, P, out=work)
+    np.subtract(work, H, out=work)
     if np.abs(work, out=work).max() >= 1e-6:
         raise NoStabilizingSolutionError("Riccati fixed point not reached")
     if spectral_radius(A + B @ K) >= 1.0:
         raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
-    return P, K
+    return H, K
 
 
 def riccati_finite(A, B, Q, R, Qf, N: int):
@@ -298,5 +297,6 @@ def riccati_finite(A, B, Q, R, Qf, N: int):
             K = step(P, work)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular (R + B'PB) in backward recursion") from exc
-        _symmetrize(work, P)
+        np.add(work, work.T, out=P)
+        np.multiply(P, 0.5, out=P)
     return K

@@ -1,7 +1,8 @@
 """Reference routines that only the tests use: set intersection and
 inclusion, the batch least-squares fit the recursive estimator must match,
-the identity lifting for linear test systems, the plain Riccati recursions
-the buffered library loop must match bitwise, the whole-grid
+the identity lifting for linear test systems, the plain fixed-point DARE
+loop whose outcome the doubling DARE must reach, the plain finite-horizon
+Riccati recursion the buffered library loop must match bitwise, the whole-grid
 classification stages the slice-wise library stages must match exactly,
 the grid oracle's feasible actions its memo must match, and membership
 queries on both oracles' safe sets."""
@@ -102,8 +103,9 @@ def _riccati_map(P, A, B, Q, R):
 
 
 def dare_reference(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
-    """The fixed-point DARE iteration written plainly, one allocation per
-    operation; ``control_linalg.dare_solve`` must return the same bits."""
+    """The fixed-point DARE iteration from ``P0 = Q``, written plainly;
+    ``control_linalg.dare_solve`` must solve where it solves and raise the
+    same type where it raises."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))

@@ -1,12 +1,18 @@
-"""Bitwise pins of the buffered Riccati recursions against the plain ones.
+"""The DARE against the plain fixed-point loop and scipy, and bitwise pins
+of the buffered finite-horizon recursion against the plain one.
 
-``control_linalg.dare_solve`` and ``riccati_finite`` run the Riccati map
-in preallocated buffers and, for one-input models, replace the 1x1 solve
-by a multiply with the reciprocal of ``R + B'PB``.  Both must return the
-bits of the plain recursions in ``references.py``.  Pinned on
-scipy-openblas 0.3.31 (numpy 2.4) with one BLAS thread; on a BLAS/LAPACK
-build that rounds differently these tests fail instead of the learning
-outputs shifting silently.
+``control_linalg.riccati_finite`` runs the Riccati map in preallocated
+buffers and, for one-input models, replaces the 1x1 solve by a multiply
+with the reciprocal of ``R + B'PB``.  It must return the bits of the plain
+recursion in ``references.py``.  Pinned on scipy-openblas 0.3.31 (numpy
+2.4) with one BLAS thread; on a BLAS/LAPACK build that rounds differently
+these tests fail instead of the learning outputs shifting silently.
+
+``control_linalg.dare_solve`` solves by doubling, which cannot reproduce
+the fixed-point loop's bits.  On the same models it must reach the same
+outcome as ``references.dare_reference`` (both solve, or both raise the
+same type), and its ``P`` must lie within ``1e-12 * max(1, |P|)`` of
+``scipy.linalg.solve_discrete_are``.
 """
 
 import ctypes
@@ -18,7 +24,7 @@ import pytest
 import scipy.linalg
 
 from actiongov import safe_learning
-from actiongov.control_linalg import dare_solve, riccati_finite
+from actiongov.control_linalg import dare_solve, riccati_finite, spectral_radius
 from actiongov.errors import NoStabilizingSolutionError
 from actiongov.simlab import example_initial_koopman, example_system, make_koopman_env
 from references import dare_reference, riccati_finite_reference
@@ -37,18 +43,23 @@ def _openblas_threads():
     return None
 
 
-def _same_outcome(f, g, *args):
-    """Both calls return bitwise-equal ``(P, K)``, or raise the same type."""
+def _solves_like_the_reference(A, B, Q, R):
+    """``dare_solve`` and ``dare_reference`` both solve, or both raise the
+    same type; a solution's ``P`` is exactly symmetric and within
+    ``1e-12 * max(1, |P|)`` of scipy's."""
     outcomes = []
-    for fn in (f, g):
+    for fn in (dare_solve, dare_reference):
         try:
-            outcomes.append(fn(*args))
+            outcomes.append(fn(A, B, Q, R))
         except Exception as exc:  # the exception type is the outcome
             outcomes.append(type(exc))
-    a, b = outcomes
-    if isinstance(a, type) or isinstance(b, type):
-        return a is b
-    return all(x.tobytes() == y.tobytes() and x.shape == y.shape for x, y in zip(a, b))
+    got, ref = outcomes
+    if isinstance(got, type) or isinstance(ref, type):
+        return got is ref
+    P = got[0]
+    p_scipy = scipy.linalg.solve_discrete_are(*(np.atleast_2d(m) for m in (A, B, Q, R)))
+    return (np.array_equal(P, P.T)
+            and np.max(np.abs(P - p_scipy)) <= 1e-12 * max(1.0, np.max(np.abs(p_scipy))))
 
 
 def _random_two_input_model(rng):
@@ -85,7 +96,7 @@ def test_one_state_models_keep_the_lapack_solve():
     rng = np.random.default_rng(5)
     for _ in range(50):
         a, b, r = rng.normal(), rng.normal(), rng.uniform(0.1, 10.0)
-        assert _same_outcome(dare_solve, dare_reference, [[a]], [[b]], [[1.0]], [[r]])
+        assert _solves_like_the_reference([[a]], [[b]], [[1.0]], [[r]])
         assert (riccati_finite([[a]], [[b]], [[1.0]], [[r]], [[1.0]], 50).tobytes()
                 == riccati_finite_reference([[a]], [[b]], [[1.0]], [[r]], [[1.0]], 50).tobytes())
 
@@ -114,7 +125,7 @@ def learned_models(base_cfg, rig, moas_bundle):
 def test_dare_matches_the_plain_loop_on_learned_models(learned_models):
     assert len(learned_models) == 300
     for args in learned_models:
-        assert _same_outcome(dare_solve, dare_reference, *args)
+        assert _solves_like_the_reference(*args)
 
 
 def test_two_input_models_match_the_plain_loops_and_scipy():
@@ -122,14 +133,26 @@ def test_two_input_models_match_the_plain_loops_and_scipy():
     solved = 0
     for _ in range(50):
         A, B, Q, R = _random_two_input_model(rng)
-        assert _same_outcome(dare_solve, dare_reference, A, B, Q, R)
+        assert _solves_like_the_reference(A, B, Q, R)
         assert (riccati_finite(A, B, Q, R, Q, 50).tobytes()
                 == riccati_finite_reference(A, B, Q, R, Q, 50).tobytes())
         try:
-            P, _ = dare_solve(A, B, Q, R)
+            dare_solve(A, B, Q, R)
         except NoStabilizingSolutionError:
             continue
         solved += 1
-        ref = scipy.linalg.solve_discrete_are(A, B, Q, R)
-        assert np.max(np.abs(P - ref)) < 1e-6 * max(1.0, np.max(np.abs(ref)))
     assert solved >= 40
+
+
+def test_slowly_converging_model_is_solved():
+    # a discretized double integrator with a light state penalty: the closed
+    # loop's radius is 0.993, so the fixed-point loop needs thousands of sweeps
+    A = np.array([[1.0, 0.1], [0.0, 1.0]])
+    B = np.array([[0.005], [0.1]])
+    Q, R = 1e-4 * np.eye(2), np.array([[1.0]])
+    with pytest.raises(NoStabilizingSolutionError, match="limit"):
+        dare_reference(A, B, Q, R, max_iter=1000)
+    P, K = dare_solve(A, B, Q, R)
+    p_scipy = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    assert np.max(np.abs(P - p_scipy)) <= 1e-10 * max(1.0, np.max(np.abs(p_scipy)))
+    assert spectral_radius(A + B @ K) < 1.0

@@ -21,8 +21,8 @@ one diff of a run in each:
     diff <(python A/tools/learning_margin.py --config configs/double_integrator.json) \\
          <(python B/tools/learning_margin.py --config configs/double_integrator.json)
 
-The shipped config with seeds 0-7 takes about five minutes on a 2-core
-machine.
+The shipped config with seeds 0-7 takes about two and a half minutes on
+a 2-core machine.
 """
 
 from __future__ import annotations
