@@ -11,7 +11,8 @@ multiplies by the reciprocal of the 1x1 ``R + B'PB``.  The finite-horizon
 recursion built on it is bitwise equal to the plain one, which
 ``tests/test_dare_bitwise.py`` pins, so a BLAS/LAPACK build that rounds
 differently fails there instead of shifting outputs; the DARE is checked
-there against the plain fixed-point loop's outcome and scipy's solution.
+in ``tests/test_dare_agreement.py`` against the plain fixed-point loop's
+outcome and scipy's solution.
 
 Gain sign convention used everywhere: feedback is applied as ``u = K x``,
 so stabilizing gains carry their own negative sign.

@@ -2,11 +2,13 @@
 
 All sets are carried in H-representation ``{z : normals z <= offsets}``;
 no vertex representation is maintained anywhere.  Queries whose floats
-are returned (support, bounding box, emptiness, nearest point) are solved
-by the dense simplex :func:`actiongov.lp.solve_lp`.  Redundancy removal
-(and through it projection) only needs a yes/no answer per row, which
-:func:`actiongov.lp.max_exceeds` gives from a certified dual bound and
-falls back to the same simplex when the bound is too close to call.
+are returned (support, bounding box, emptiness) are solved by the dense
+simplex :func:`actiongov.lp.solve_lp`; so is the nearest point of an
+affine image, except in one dimension, where it is a clip to an interval
+and no LP is set up.  Redundancy removal (and through it projection)
+only needs a yes/no answer per row, which :func:`actiongov.lp.max_exceeds`
+gives from a certified dual bound and falls back to the same simplex when
+the bound is too close to call.
 """
 
 from __future__ import annotations
@@ -244,12 +246,39 @@ def project_out(poly: HPolytope, dims) -> HPolytope:
     return HPolytope(normals, offsets)
 
 
+def _nearest_on_line(poly: HPolytope, gain: float, shift: float, target: float):
+    """:func:`nearest_affine_point` for scalar ``z`` and a scalar map.
+
+    The rows cut the line to an interval ``[lo, hi]``: rows with a positive
+    coefficient bound it above, rows with a negative one below, and rows
+    with a zero coefficient only test ``0 <= offset``.  The minimizer of
+    ``|gain z + shift - target|`` is ``(target - shift) / gain`` clipped to
+    the interval (l1 and linf agree in one dimension); when ``gain == 0``
+    every point of the interval attains ``|shift - target|`` and the one
+    nearest 0 is returned.  The clipped point must meet every row up to
+    ``DEFAULT_TOL * (1 + max |offset|)``, else the interval counts as empty
+    and ``None`` comes back.
+    """
+    a = poly.normals[:, 0]
+    b = poly.offsets
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = b / a
+    hi = float(ends[a > 0.0].min(initial=np.inf))
+    lo = float(ends[a < 0.0].max(initial=-np.inf))
+    z = min(max((target - shift) / gain if gain != 0.0 else 0.0, lo), hi)
+    if not np.all(a * z - b <= DEFAULT_TOL * (1.0 + np.abs(b).max(initial=0.0))):
+        return None
+    return np.array([z]), abs(gain * z + shift - target)
+
+
 def nearest_affine_point(poly: HPolytope, lin_map, offset, target, norm: str = "l1"):
     """Minimize ``||target - (lin_map z + offset)||`` over ``z`` in ``poly``.
 
     Returns ``(z, value)`` or ``None`` when the polytope is empty.  The norm
-    is ``"l1"`` or ``"linf"``; both are posed as a single LP with epigraph
-    variables, so the minimizer is deterministic (simplex pivot order).
+    is ``"l1"`` or ``"linf"``.  For scalar ``z`` and a scalar map the answer
+    is a clip to an interval (:func:`_nearest_on_line`); otherwise both
+    norms are posed as a single LP with epigraph variables, so the
+    minimizer is deterministic (simplex pivot order).
     """
     lin_map = np.atleast_2d(np.asarray(lin_map, dtype=float))
     offset = np.asarray(offset, dtype=float).ravel()
@@ -259,6 +288,8 @@ def nearest_affine_point(poly: HPolytope, lin_map, offset, target, norm: str = "
         raise ValueError("inconsistent dimensions in nearest_affine_point")
     if norm not in ("l1", "linf"):
         raise ValueError(f"unsupported norm {norm!r}")
+    if k == nz == 1:
+        return _nearest_on_line(poly, float(lin_map[0, 0]), float(offset[0]), float(target[0]))
     ns = k if norm == "l1" else 1
     # variables: (z, s); rows: poly on z, then +/-(map z + offset - target) <= s
     rows_a = np.hstack([poly.normals, np.zeros((poly.n_rows, ns))])

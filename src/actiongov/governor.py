@@ -13,9 +13,10 @@ An oracle implements the whole contract:
   whose nominal action is nearest ``u1``, or ``None`` outside the projection;
 * ``pi0(x, v)``: the nominal policy.
 
-The polytopic oracle solves LPs; finite oracles score all their candidates
-at once with :meth:`ActionDistance.many` and pick with
-:func:`nearest_candidate`.
+The polytopic oracle selects by :func:`actiongov.convexset.nearest_affine_point`,
+a clip to an interval for one input (an LP only in more dimensions); finite
+oracles score all their candidates at once with :meth:`ActionDistance.many`
+and pick with :func:`nearest_candidate`.
 """
 
 from __future__ import annotations

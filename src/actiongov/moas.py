@@ -8,7 +8,8 @@ stops at the first index where the next layer adds nothing.  A slightly
 tightened steady-state block keeps the recursion finitely determined.
 
 Also provides the one-step minimal-adjustment action rule for this set
-(an LP) and the oracle through which the governor uses it.
+(a clip to an interval for one input, an LP for more) and the oracle
+through which the governor uses it.
 """
 
 from __future__ import annotations
@@ -178,7 +179,10 @@ class LinearMoasOracle:
     """Governor oracle backed by a :class:`Moas` of the loop ``cl``.
 
     Action adjustment delegates to :func:`linear_ag_step` and the backup
-    reference solves one LP over the ``v`` slice of the set.
+    picks the reference from the ``v`` slice of the set, both through
+    :func:`~actiongov.convexset.nearest_affine_point`: with one input and
+    one reference each selection is a clip to an interval, and an LP is
+    set up only for selections in more than one dimension.
     """
 
     def __init__(self, moas: Moas, cl: ClosedLoop):

@@ -391,7 +391,10 @@ def make_koopman_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, moas: Moas) -
 
     Resets sample uniformly inside the safe projection (rejection sampling
     from its bounding box), so supervision stays feasible after each reset.
+    The box is solved here, once per set, so that the learning loop solves
+    no LP.
     """
+    moas.proj_x.bounding_box()
 
     def sample_reset(rng):
         return rejection_sample(moas.proj_x, rng, 1)[0]

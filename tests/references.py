@@ -2,7 +2,8 @@
 inclusion, the batch least-squares fit the recursive estimator must match,
 the identity lifting for linear test systems, the plain fixed-point DARE
 loop whose outcome the doubling DARE must reach, the plain finite-horizon
-Riccati recursion the buffered library loop must match bitwise, the whole-grid
+Riccati recursion the buffered library loop must match bitwise (and the
+random two-input models both are checked on), the whole-grid
 classification stages the slice-wise library stages must match exactly,
 the grid oracle's feasible actions its memo must match, and membership
 queries on both oracles' safe sets."""
@@ -150,6 +151,16 @@ def riccati_finite_reference(A, B, Q, R, Qf, N: int):
         P = 0.5 * (P + P.T)
     return K
 
+
+def random_two_input_model(rng):
+    """A random ``(A, B, Q, R)`` with four states and two inputs, ``Q`` and
+    ``R`` positive definite; most such models have a stabilizing DARE
+    solution, some do not."""
+    A = rng.normal(size=(4, 4)) / 2.0
+    B = rng.normal(size=(4, 2))
+    C = rng.normal(size=(4, 4))
+    N = rng.normal(size=(2, 2))
+    return A, B, C @ C.T / 4.0 + 0.1 * np.eye(4), N @ N.T + 0.5 * np.eye(2)
 
 def discretize_reference(cl, grid) -> TransitionTable:
     """The closed loop tabulated one ``(v, w)`` pair at a time, one

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from actiongov import convexset, lp
+from actiongov import convexset, lp, simlab
+from actiongov import moas as moas_mod
 from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from actiongov.convexset import HPolytope, rejection_sample
 from actiongov.errors import (
@@ -17,7 +18,7 @@ from actiongov.moas import (
     feasible_action_set,
     linear_ag_step,
 )
-from actiongov.simlab import build_moas_backend
+from actiongov.simlab import build_moas_backend, learn_koopman, simulate
 from references import moas_member, moas_proj_member
 
 
@@ -238,3 +239,41 @@ class TestGovernWithLinearOracle:
         v = oracle.backup(x, np.array([0.0]), rig.dist)
         assert v is not None
         assert moas_member(oracle, x, v)
+
+
+def test_shipped_supervised_runs_solve_no_lp(base_cfg, rig, moas_bundle, monkeypatch):
+    # every simplex run goes through lp._two_phase (solve_lp and the
+    # certified decision alike); after the set-up, the supervised steps of
+    # the shipped learning run and of a moas-governed simulation run none,
+    # although both move actions through nearest_affine_point
+    runs, selections, after_build = [], [], []
+    two_phase, nearest = lp._two_phase, moas_mod.nearest_affine_point
+    build = simlab.build_moas_backend
+
+    def counted_two_phase(*args):
+        runs.append(None)
+        return two_phase(*args)
+
+    def counted_nearest(*args, **kwargs):
+        selections.append(None)
+        return nearest(*args, **kwargs)
+
+    def counted_build(*args):
+        backend = build(*args)
+        after_build.append(len(runs))
+        return backend
+
+    monkeypatch.setattr(lp, "_two_phase", counted_two_phase)
+    monkeypatch.setattr(moas_mod, "nearest_affine_point", counted_nearest)
+    monkeypatch.setattr(simlab, "build_moas_backend", counted_build)
+
+    oracle, moas = moas_bundle
+    moas.proj_x.bounding_box()  # set-up: make_koopman_env solves the reset box once per set
+    runs.clear()
+    learn_koopman(base_cfg, rig, oracle, moas)
+    assert runs == [] and len(selections) > 0
+
+    selections.clear()
+    traj = simulate(base_cfg)
+    assert base_cfg.governor == "moas" and len(traj.costs) == base_cfg.steps
+    assert len(after_build) == 1 and len(runs) == after_build[0] and len(selections) > 0

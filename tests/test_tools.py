@@ -81,3 +81,32 @@ def test_learning_margin_prints_one_row_per_seed(tmp_path, capsys):
     assert re.fullmatch(r"criterion 8 holds on [0-2] of 2 seeds; paired median [0-9.]+, "
                         r"range [0-9.]+-[0-9.]+", lines[3])
     assert not (tmp_path / "unused").exists()
+
+
+def test_artifact_shift_reports_the_largest_gap_and_the_structure(tmp_path, capsys):
+    tool = _load("artifact_shift")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "traj.csv").write_text("t,u,branch\n0,1.5,adjusted\n1,-2,backup_held\n")
+    (b / "traj.csv").write_text("t,u,branch\n0,1.5000000000000002,adjusted\n1,-2.25,backup_held\n")
+    (a / "model.json").write_text(json.dumps({"A": [[1.0, 0.5]], "name": "km", "n": 3}))
+    (b / "model.json").write_text(json.dumps({"A": [[1.0, 0.5]], "name": "km", "n": 3}))
+    assert tool.main([str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "model.json  max |diff| 0  (0 of 3 numbers differ)  structure identical",
+        "traj.csv  max |diff| 0.25  (2 of 4 numbers differ)  structure identical",
+        "largest shift 0.25; same files, structure identical",
+    ]
+
+    (b / "traj.csv").write_text("t,u,branch\n0,1.5,adjusted\n1,-2,backup_fresh\n")
+    (b / "model.json").write_text(json.dumps({"A": [[1.0]], "name": "km", "n": 3}))
+    (b / "extra.csv").write_text("t\n0\n")
+    assert tool.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"extra.csv  only in {b}"
+    assert lines[1] == "model.json  structure differs: length at /A[0]: 2 vs 1"
+    assert lines[2] == ("traj.csv  structure differs: row 2, column 'branch': "
+                        "'backup_held' vs 'backup_fresh'")
+    assert lines[3] == "largest shift 0; files or structure differ"
