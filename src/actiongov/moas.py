@@ -4,7 +4,10 @@ The set lives over stacked ``(x, v)`` coordinates.  Construction stacks
 constraint layers that propagate the output map through powers of the loop
 matrix, with offsets shrunk step by step by the disturbance support
 (supports add over Minkowski sums, so the per-step shrink is exact), and
-stops at the first index where the next layer adds nothing.  A slightly
+stops at the first index where the next layer adds nothing (Gilbert & Tan,
+IEEE TAC 1991).  The current set is carried as its generators through the
+recursion: a candidate row cuts iff its maximum over the vertices exceeds
+its offset, and each kept row cuts the generators in place.  A slightly
 tightened steady-state block keeps the recursion finitely determined.
 
 Also provides the one-step minimal-adjustment action rule for this set
@@ -17,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .convexset import (
+    DEFAULT_TOL,
+    Generators,
     HPolytope,
     nearest_affine_point,
     pontryagin_diff,
@@ -29,7 +34,6 @@ from .errors import (
     MoasConstructionError,
     MoasNotDeterminedError,
 )
-from .lp import max_exceeds
 
 
 class Moas:
@@ -68,10 +72,13 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: f
     ``v_bounds`` is a box on the reference, which keeps the recursion
     bounded when the constraint rows alone do not bound ``v``;
     ``epsilon`` tightens the steady-state block (0 < epsilon < 1).
+    Its LPs are the emptiness checks of each tightened output set and of
+    the stacked set; W's emptiness is read from the vertices that its
+    shrinks take their maxima over.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    if w_set.is_empty:
+    if w_set.generators().is_empty:
         raise MoasConstructionError("disturbance set is empty")
     out = cl.out
     H = out.constraint_set.normals
@@ -92,8 +99,9 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: f
         return np.hstack([H @ cl.Ct @ a_pow_t, H @ m_t]), offsets_t.copy()
 
     rows, offs = layer_rows(a_pow, geo_sum, h_t)
-    all_rows = [rows, np.hstack([np.zeros((v_bounds.n_rows, n)), v_bounds.normals])]
-    all_offs = [offs, v_bounds.offsets]
+    gens = Generators.of(np.vstack([rows, np.hstack([np.zeros((v_bounds.n_rows, n)),
+                                                    v_bounds.normals])]),
+                         np.concatenate([offs, v_bounds.offsets]))
 
     t_star = None
     y_t = out.constraint_set
@@ -108,32 +116,26 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: f
         a_pow = a_pow @ cl.At
         h_t = y_t.offsets
         cand_rows, cand_offs = layer_rows(a_pow, geo_sum, h_t)
-        cur_rows, cur_offs = np.vstack(all_rows), np.concatenate(all_offs)
         # keep only rows that actually cut; determination is the first layer
         # where none do (every candidate row bounds the current set's support).
         # An empty current set cuts nothing, so it ends the recursion and is
-        # caught by the emptiness check after it.
-        cutting = [
-            i
-            for i, (a, b) in enumerate(zip(cand_rows, cand_offs))
-            if max_exceeds(a, cur_rows, cur_offs, b + 1e-9)
-        ]
-        if not cutting:
+        # caught by the emptiness check after it.  A cut drops every
+        # generator more than DEFAULT_TOL outside, so a kept row cuts no more.
+        cutting = gens.support(cand_rows) > cand_offs + DEFAULT_TOL
+        if not cutting.any():
             t_star = t
             break
-        all_rows.append(cand_rows[cutting])
-        all_offs.append(cand_offs[cutting])
+        for a, b in zip(cand_rows[cutting], cand_offs[cutting]):
+            gens.cut(a, b)
     if t_star is None:
         raise MoasNotDeterminedError(f"no finite determination within t_cap = {t_cap}")
 
     # tightened steady-state admissibility block on v alone
     m_inf = cl.Ct @ np.linalg.solve(eye - cl.At, cl.Bt) + cl.Dt
-    omega_rows = np.hstack([np.zeros((H.shape[0], n)), H @ m_inf])
-    omega_offs = (1.0 - epsilon) * h_t
-    all_rows.append(omega_rows)
-    all_offs.append(omega_offs)
+    for a, b in zip(np.hstack([np.zeros((H.shape[0], n)), H @ m_inf]), (1.0 - epsilon) * h_t):
+        gens.cut(a, b)
 
-    stacked = HPolytope(np.vstack(all_rows), np.concatenate(all_offs))
+    stacked = gens.polytope()
     if stacked.is_empty:
         raise MoasConstructionError("admissible set is empty")
     set_xv = remove_redundancy(stacked)
@@ -142,18 +144,40 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: f
     return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n)
 
 
+class _ActionRows:
+    """The one-step rule's two constraints on the action at a state ``x``,
+    as rows ``normals u <= offsets(x)``: the current output stays
+    admissible, and the robust successor stays in ``proj_x_shrunk``.  The
+    rows and their state-independent parts are built once per set."""
+
+    def __init__(self, moas: Moas, plant: LinearPlant, out: OutputMap):
+        cs, ps = out.constraint_set, moas.proj_x_shrunk
+        self.normals = np.vstack([cs.normals @ out.D, ps.normals @ plant.B])
+        self.normals.flags.writeable = False
+        self._blocks = ((cs.offsets, cs.normals, out.C), (ps.offsets, ps.normals, plant.A))
+
+    def offsets(self, x) -> np.ndarray:
+        return np.concatenate([b - a @ (m @ x) for b, a, m in self._blocks])
+
+    def step(self, x, u1, norm: str):
+        """:func:`linear_ag_step` on these rows."""
+        x = np.asarray(x, dtype=float).ravel()
+        u1 = np.atleast_1d(np.asarray(u1, dtype=float))
+        offs = self.offsets(x)
+        if np.all(self.normals @ u1 <= offs + DEFAULT_TOL):  # HPolytope.contains
+            return u1.copy(), False
+        m = self.normals.shape[1]
+        sol = nearest_affine_point(HPolytope(self.normals, offs), np.eye(m), np.zeros(m), u1,
+                                   norm=norm)
+        if sol is None:
+            raise InfeasibleStateError("no admissible action at the queried state")
+        return sol[0], True
+
+
 def feasible_action_set(moas: Moas, plant: LinearPlant, out: OutputMap, x) -> HPolytope:
     """Polytope of actions satisfying the one-step rule's two constraints at ``x``."""
-    x = np.asarray(x, dtype=float).ravel()
-    rows = np.vstack([
-        out.constraint_set.normals @ out.D,
-        moas.proj_x_shrunk.normals @ plant.B,
-    ])
-    offs = np.concatenate([
-        out.constraint_set.offsets - out.constraint_set.normals @ (out.C @ x),
-        moas.proj_x_shrunk.offsets - moas.proj_x_shrunk.normals @ (plant.A @ x),
-    ])
-    return HPolytope(rows, offs)
+    rows = _ActionRows(moas, plant, out)
+    return HPolytope(rows.normals, rows.offsets(np.asarray(x, dtype=float).ravel()))
 
 
 def linear_ag_step(moas: Moas, plant: LinearPlant, out: OutputMap, x, u1, norm: str = "l1"):
@@ -164,22 +188,15 @@ def linear_ag_step(moas: Moas, plant: LinearPlant, out: OutputMap, x, u1, norm: 
     itself feasible.  Raises :class:`InfeasibleStateError` when no action is
     feasible at ``x`` (the caller decides how to proceed).
     """
-    u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-    upoly = feasible_action_set(moas, plant, out, x)
-    if upoly.contains(u1):
-        return u1.copy(), False
-    m = plant.n_inputs
-    sol = nearest_affine_point(upoly, np.eye(m), np.zeros(m), u1, norm=norm)
-    if sol is None:
-        raise InfeasibleStateError("no admissible action at the queried state")
-    return sol[0], True
+    return _ActionRows(moas, plant, out).step(x, u1, norm)
 
 
 class LinearMoasOracle:
     """Governor oracle backed by a :class:`Moas` of the loop ``cl``.
 
-    Action adjustment delegates to :func:`linear_ag_step` and the backup
-    picks the reference from the ``v`` slice of the set, both through
+    Action adjustment is :func:`linear_ag_step` on rows built once, at
+    construction, and the backup picks the reference from the ``v`` slice
+    of the set, both through
     :func:`~actiongov.convexset.nearest_affine_point`: with one input and
     one reference each selection is a clip to an interval, and an LP is
     set up only for selections in more than one dimension.
@@ -190,13 +207,14 @@ class LinearMoasOracle:
         self.plant = cl.plant
         self.gain = cl.gain
         self.out = cl.out
+        self._actions = _ActionRows(moas, cl.plant, cl.out)
 
     def pi0(self, x, v):
         return self.gain.policy(x, v)
 
     def adjust(self, x, u1, dist):
         try:
-            u, _ = linear_ag_step(self.moas, self.plant, self.out, x, u1, norm=dist.norm)
+            u, _ = self._actions.step(x, u1, dist.norm)
         except InfeasibleStateError:
             return None
         return u

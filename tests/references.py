@@ -1,17 +1,21 @@
 """Reference routines that only the tests use: set intersection and
-inclusion, the batch least-squares fit the recursive estimator must match,
-the identity lifting for linear test systems, the plain fixed-point DARE
-loop whose outcome the doubling DARE must reach, the plain finite-horizon
-Riccati recursion the buffered library loop must match bitwise (and the
-random two-input models both are checked on), the whole-grid
-classification stages the slice-wise library stages must match exactly,
-the grid oracle's feasible actions its memo must match, and membership
-queries on both oracles' safe sets."""
+inclusion, HiGHS supports at tight tolerances, the admissible-set build by
+LP decisions (with LP redundancy removal, Fourier-Motzkin projection and
+LP supports) that the vertex build must agree with, the batch
+least-squares fit the recursive estimator must match, the identity lifting
+for linear test systems, the plain fixed-point DARE loop whose outcome the
+doubling DARE must reach, the plain finite-horizon Riccati recursion the
+buffered library loop must match bitwise (and the random two-input models
+both are checked on), the whole-grid classification stages the slice-wise
+library stages must match exactly, the grid oracle's feasible actions its
+memo must match, the admissible-set oracle's action polytope its prebuilt
+rows must match, and membership queries on both oracles' safe sets."""
 
 import numpy as np
+from scipy.optimize import linprog
 
 from actiongov.control_linalg import spectral_radius
-from actiongov.convexset import DEFAULT_TOL, HPolytope, support
+from actiongov.convexset import DEFAULT_TOL, HPolytope, _dedupe_rows, support
 from actiongov.discrete_safeset import (
     MINUS,
     REMAIN,
@@ -23,11 +27,15 @@ from actiongov.discrete_safeset import (
 )
 from actiongov.errors import (
     EmptySetError,
+    MoasConstructionError,
+    MoasNotDeterminedError,
     NoStabilizingSolutionError,
     NumericalError,
     SeedConstructionError,
     UnboundedSetError,
 )
+from actiongov.lp import max_exceeds
+from actiongov.moas import Moas
 from actiongov.safe_learning import ObservableMap
 
 
@@ -50,6 +58,153 @@ def is_subset(p: HPolytope, q: HPolytope, tol: float = DEFAULT_TOL) -> bool:
         except UnboundedSetError:
             return False
     return True
+
+
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def highs_support(c, a_ub, b_ub):
+    """HiGHS's ``(status, max c.z)`` over ``{a_ub z <= b_ub}`` at its
+    tightest tolerances: status 0 optimal, 2 infeasible, 3 unbounded.
+    Unboundedness is decided on the recession cone (``max c.r`` over
+    ``a_ub r <= 0``, ``|r| <= 1``), where HiGHS itself can report numerical
+    trouble at these tolerances."""
+    c = np.asarray(c, dtype=float)
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    free = [(None, None)] * c.size
+    if np.any(c):
+        ray = linprog(-c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=[(-1, 1)] * c.size,
+                      method="highs", options=HIGHS_TIGHT)
+        if ray.status == 0 and -ray.fun > 1e-9:
+            feasible = linprog(np.zeros(c.size), A_ub=a_ub, b_ub=b_ub, bounds=free,
+                               method="highs", options=HIGHS_TIGHT)
+            return (3, np.inf) if feasible.status == 0 else (2, np.nan)
+    ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=free, method="highs", options=HIGHS_TIGHT)
+    return ref.status, (-ref.fun if ref.status == 0 else np.nan)
+
+
+def pontryagin_diff_lp(poly: HPolytope, map_matrix, w_set: HPolytope) -> HPolytope:
+    """``poly (-) map_matrix W`` with one LP support of W per row."""
+    map_matrix = np.atleast_2d(np.asarray(map_matrix, dtype=float))
+    if w_set.is_empty:
+        raise EmptySetError("Pontryagin difference with an empty subtrahend")
+    shrink = np.array([support(w_set, map_matrix.T @ a) for a in poly.normals])
+    return HPolytope(poly.normals, poly.offsets - shrink)
+
+
+def remove_redundancy_lp(poly: HPolytope) -> HPolytope:
+    """Minimal H-representation: each row is kept iff relaxing its bound by
+    1 lets its value exceed the bound, one certified LP decision per row."""
+    if poly.is_empty:
+        raise EmptySetError("cannot reduce an empty polytope")
+    normals, offsets = _dedupe_rows(poly.normals.copy(), poly.offsets.copy())
+    active = list(range(normals.shape[0]))
+    i = 0
+    while i < len(active):
+        row = active[i]
+        others = [r for r in active if r != row]
+        test_n = np.vstack([normals[others], normals[row][None, :]])
+        test_b = np.concatenate([offsets[others], [offsets[row] + 1.0]])
+        if max_exceeds(normals[row], test_n, test_b, offsets[row] + DEFAULT_TOL):
+            i += 1
+        else:
+            active.pop(i)
+    return HPolytope(normals[active], offsets[active])
+
+
+def _eliminate_one(normals, offsets, col, tol=1e-11):
+    """Fourier-Motzkin elimination of a single column."""
+    a = normals[:, col]
+    zero = np.abs(a) <= tol
+    pos = a > tol
+    neg = a < -tol
+    kept_n = [normals[zero]]
+    kept_b = [offsets[zero]]
+    if np.any(pos) and np.any(neg):
+        pn = normals[pos] / a[pos, None]
+        pb = offsets[pos] / a[pos]
+        nn = normals[neg] / (-a[neg, None])
+        nb = offsets[neg] / (-a[neg])
+        comb_n = pn[:, None, :] + nn[None, :, :]
+        comb_b = pb[:, None] + nb[None, :]
+        kept_n.append(comb_n.reshape(-1, normals.shape[1]))
+        kept_b.append(comb_b.ravel())
+    new_n = np.vstack(kept_n)
+    new_b = np.concatenate(kept_b)
+    return np.delete(new_n, col, axis=1), new_b
+
+
+def project_out_fm(poly: HPolytope, dims) -> HPolytope:
+    """Project away the listed coordinates by Fourier-Motzkin elimination,
+    removing redundant rows after each eliminated variable."""
+    normals, offsets = poly.normals.copy(), poly.offsets.copy()
+    for col in reversed(sorted(set(int(d) for d in np.atleast_1d(dims)))):
+        normals, offsets = _eliminate_one(normals, offsets, col)
+        normals, offsets = _dedupe_rows(normals, offsets)
+        reduced = remove_redundancy_lp(HPolytope(normals, offsets))
+        normals, offsets = reduced.normals.copy(), reduced.offsets.copy()
+    return HPolytope(normals, offsets)
+
+
+def build_moas_reference(cl, w_set, v_bounds, epsilon=0.01, t_cap=500) -> Moas:
+    """``moas.build_moas`` with each candidate row's cut decided by an LP
+    over the stacked rows (``lp.max_exceeds``), and the LP routines above
+    for the shrinks, the redundancy removal and the projection."""
+    if w_set.is_empty:
+        raise MoasConstructionError("disturbance set is empty")
+    out = cl.out
+    H = out.constraint_set.normals
+    h = out.constraint_set.offsets
+    n = cl.At.shape[0]
+    r = cl.n_refs
+    E = cl.plant.E
+    eye = np.eye(n)
+    a_pow = eye.copy()
+    geo_sum = np.zeros((n, n))
+    h_t = h.copy()
+
+    def layer_rows(a_pow_t, geo_sum_t, offsets_t):
+        m_t = cl.Ct @ geo_sum_t @ cl.Bt + cl.Dt
+        return np.hstack([H @ cl.Ct @ a_pow_t, H @ m_t]), offsets_t.copy()
+
+    rows, offs = layer_rows(a_pow, geo_sum, h_t)
+    all_rows = [rows, np.hstack([np.zeros((v_bounds.n_rows, n)), v_bounds.normals])]
+    all_offs = [offs, v_bounds.offsets]
+    t_star = None
+    y_t = out.constraint_set
+    for t in range(t_cap):
+        y_t = pontryagin_diff_lp(y_t, cl.Ct @ a_pow @ E, w_set)
+        if y_t.is_empty:
+            raise MoasConstructionError(
+                f"output constraints became empty after {t + 1} disturbance steps"
+            )
+        geo_sum = geo_sum + a_pow
+        a_pow = a_pow @ cl.At
+        h_t = y_t.offsets
+        cand_rows, cand_offs = layer_rows(a_pow, geo_sum, h_t)
+        cur_rows, cur_offs = np.vstack(all_rows), np.concatenate(all_offs)
+        cutting = [
+            i
+            for i, (a, b) in enumerate(zip(cand_rows, cand_offs))
+            if max_exceeds(a, cur_rows, cur_offs, b + 1e-9)
+        ]
+        if not cutting:
+            t_star = t
+            break
+        all_rows.append(cand_rows[cutting])
+        all_offs.append(cand_offs[cutting])
+    if t_star is None:
+        raise MoasNotDeterminedError(f"no finite determination within t_cap = {t_cap}")
+    m_inf = cl.Ct @ np.linalg.solve(eye - cl.At, cl.Bt) + cl.Dt
+    all_rows.append(np.hstack([np.zeros((H.shape[0], n)), H @ m_inf]))
+    all_offs.append((1.0 - epsilon) * h_t)
+    stacked = HPolytope(np.vstack(all_rows), np.concatenate(all_offs))
+    if stacked.is_empty:
+        raise MoasConstructionError("admissible set is empty")
+    set_xv = remove_redundancy_lp(stacked)
+    proj_x = project_out_fm(set_xv, list(range(n, n + r)))
+    proj_x_shrunk = pontryagin_diff_lp(proj_x, E, w_set)
+    return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n)
 
 
 def batch_fit(z_plus, z, u1, ridge: float = 0.0):
@@ -255,6 +410,21 @@ def feasible_actions_reference(oracle, x) -> np.ndarray:
     # an off-grid successor (-1) reads an arbitrary entry; the first test decides it
     robust = ((succ >= 0) & oracle.dss.proj_mask[succ]).all(axis=1)
     return oracle.action_values[now_ok & robust]
+
+
+def feasible_action_set_reference(moas, plant, out, x) -> HPolytope:
+    """The one-step rule's action polytope at ``x``, rows rebuilt on every
+    call, which ``moas.feasible_action_set`` and the oracle must match."""
+    x = np.asarray(x, dtype=float).ravel()
+    rows = np.vstack([
+        out.constraint_set.normals @ out.D,
+        moas.proj_x_shrunk.normals @ plant.B,
+    ])
+    offs = np.concatenate([
+        out.constraint_set.offsets - out.constraint_set.normals @ (out.C @ x),
+        moas.proj_x_shrunk.offsets - moas.proj_x_shrunk.normals @ (plant.A @ x),
+    ])
+    return HPolytope(rows, offs)
 
 
 def grid_member(oracle, x, v) -> bool:

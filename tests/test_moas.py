@@ -4,7 +4,7 @@ import pytest
 from actiongov import convexset, lp, simlab
 from actiongov import moas as moas_mod
 from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
-from actiongov.convexset import HPolytope, rejection_sample
+from actiongov.convexset import HPolytope, nearest_affine_point, rejection_sample
 from actiongov.errors import (
     EmptySetError,
     InfeasibleStateError,
@@ -19,7 +19,13 @@ from actiongov.moas import (
     linear_ag_step,
 )
 from actiongov.simlab import build_moas_backend, learn_koopman, simulate
-from references import moas_member, moas_proj_member
+from references import (
+    build_moas_reference,
+    feasible_action_set_reference,
+    highs_support,
+    moas_member,
+    moas_proj_member,
+)
 
 
 def scalar_toy():
@@ -100,25 +106,89 @@ class TestBuild:
             build_moas(cl, w_set, v_bounds=empty_v)
         assert not isinstance(info.value, EmptySetError)
 
-    def test_shipped_build_lp_budget_and_fallback_reference(self, base_cfg, rig, monkeypatch):
-        # certified decisions keep the shipped build under 450 simplex solves
-        # (1,009 when every decision was a solve) and change no output byte
-        calls = []
-        solve = lp.solve_lp
+    def test_empty_disturbance_set_raises_construction_error(self):
+        plant, out, gain, cl = scalar_toy()
+        empty_w = HPolytope([[1.0], [-1.0]], [-1.0, -1.0])  # w <= -1 and w >= 1
+        with pytest.raises(MoasConstructionError, match="disturbance set is empty"):
+            build_moas(cl, empty_w, v_bounds=HPolytope.from_bounds([-2.0], [2.0]))
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return solve(*args, **kwargs)
+    def test_shipped_build_lp_budget_and_lp_reference(self, base_cfg, rig, monkeypatch):
+        # the vertex build's only simplex runs are its emptiness checks (a
+        # zero objective): each tightened output set once per layer and the
+        # stacked set once; W's emptiness is read from its vertices
+        costs = []
+        two_phase = lp._two_phase
 
-        monkeypatch.setattr(lp, "solve_lp", counting)
-        monkeypatch.setattr(convexset, "solve_lp", counting)
-        _, fast = build_moas_backend(base_cfg, rig)
-        n_fast = len(calls)
-        assert n_fast <= 450
-        monkeypatch.setattr(lp, "_dual_bounds", lambda *args: None)  # every decision falls back
-        _, reference = build_moas_backend(base_cfg, rig)
-        assert len(calls) - n_fast > 2 * n_fast
-        assert fast.to_dict() == reference.to_dict()
+        def recording(a_eq, b_eq, cost, infeasible_tol):
+            costs.append(cost)
+            return two_phase(a_eq, b_eq, cost, infeasible_tol)
+
+        monkeypatch.setattr(lp, "_two_phase", recording)
+        w_set = HPolytope(rig.w_set.normals, rig.w_set.offsets)  # nothing cached
+        v_bounds = HPolytope.from_bounds([-base_cfg.v_bound], [base_cfg.v_bound])
+        fast = build_moas(rig.cl, w_set, v_bounds, base_cfg.moas_epsilon, base_cfg.moas_t_cap)
+        assert len(costs) == fast.t_star + 2
+        assert not any(np.any(cost) for cost in costs)
+        monkeypatch.undo()
+        # the LP build decides each cut by an LP over the stacked rows; its
+        # supports of W and its decisions differ in the last bits, so it may
+        # stop at another layer (51 against 52), and the sets agree to 1e-7
+        # (3.6e-9 seen)
+        reference = build_moas_reference(rig.cl, rig.w_set, v_bounds, base_cfg.moas_epsilon,
+                                         base_cfg.moas_t_cap)
+        assert abs(fast.t_star - reference.t_star) <= 2
+        rng = np.random.default_rng(7)
+        for name in ("set_xv", "proj_x", "proj_x_shrunk"):
+            a, b = getattr(fast, name), getattr(reference, name)
+            assert a.n_rows == b.n_rows
+            for d in np.vstack([a.normals, b.normals, rng.normal(size=(60, a.dim))]):
+                (sa, ha), (sb, hb) = (highs_support(d, p.normals, p.offsets) for p in (a, b))
+                assert sa == sb == 0 and ha == pytest.approx(hb, abs=1e-7), name
+
+    def test_every_cutting_decision_agrees_with_highs(self, base_cfg, rig, monkeypatch):
+        # each layer's candidates are decided by maxima over the carried
+        # vertices; HiGHS re-solves every one on the rows cut so far
+        decisions = []
+        support = convexset.Generators.support
+
+        def recording(gens, directions):
+            result = support(gens, directions)
+            if gens.normals.shape[1] == 3:  # the (x, v) set, not W
+                decisions.append((gens.normals.copy(), gens.offsets.copy(),
+                                  np.array(directions), result))
+            return result
+
+        monkeypatch.setattr(convexset.Generators, "support", recording)
+        _, moas = build_moas_backend(base_cfg, rig)
+        assert len(decisions) == moas.t_star + 1
+        for normals, offsets, candidates, values in decisions:
+            for d, value in zip(candidates, values):
+                status, want = highs_support(d, normals, offsets)
+                assert status == 0 and value == pytest.approx(want, abs=1e-9 * (1.0 + abs(want)))
+
+    def test_layer_offsets_are_the_exact_shrinks(self, base_cfg, rig, monkeypatch):
+        # for W = [-1, 1] each layer's shrink is |H Ct At^k E|, computed
+        # directly as in test_output_tightening_is_monotone; H's rows are
+        # signed unit vectors, so both groupings of the product are exact
+        assert np.array_equal(rig.w_set.generators().vertices.ravel(), [1.0, -1.0])
+        layers = []
+        diff = moas_mod.pontryagin_diff
+
+        def recording(poly, map_matrix, w_set):
+            result = diff(poly, map_matrix, w_set)
+            layers.append(result.offsets)
+            return result
+
+        monkeypatch.setattr(moas_mod, "pontryagin_diff", recording)
+        _, moas = build_moas_backend(base_cfg, rig)
+        assert len(layers) == moas.t_star + 2  # the last one erodes proj_x
+        H = rig.out.constraint_set.normals
+        want = rig.out.constraint_set.offsets.copy()
+        a_pow = np.eye(2)
+        for offsets in layers[:-1]:
+            want = want - np.abs(H @ rig.cl.Ct @ a_pow @ rig.plant.E).ravel()
+            assert np.array_equal(offsets, want)
+            a_pow = a_pow @ rig.cl.At
 
     def test_positive_invariance_sampled(self, rig, moas_bundle):
         _, moas = moas_bundle
@@ -240,6 +310,31 @@ class TestGovernWithLinearOracle:
         assert v is not None
         assert moas_member(oracle, x, v)
 
+
+    def test_rows_built_once_give_the_per_call_decisions(self, rig, moas_bundle):
+        # the oracle's rows, built at construction, give bit for bit the
+        # decisions of rows rebuilt at every call
+        oracle, moas = moas_bundle
+        rng = np.random.default_rng(41)
+        xs = np.vstack([rejection_sample(moas.proj_x, rng, 150),
+                        rng.uniform([-22.0, -6.0], [22.0, 12.0], size=(150, 2))])
+        moved = 0
+        for x in xs:
+            upoly = feasible_action_set(moas, rig.plant, rig.out, x)
+            ref = feasible_action_set_reference(moas, rig.plant, rig.out, x)
+            assert np.array_equal(upoly.normals, ref.normals)
+            assert np.array_equal(upoly.offsets, ref.offsets)
+            u1 = rng.uniform(-8.0, 8.0, size=1)
+            if ref.contains(u1):
+                want = u1
+            else:
+                sol = nearest_affine_point(ref, np.eye(1), np.zeros(1), u1, norm=rig.dist.norm)
+                want = None if sol is None else sol[0]
+                moved += 1
+            got = oracle.adjust(x, u1, rig.dist)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+        assert moved > 50
 
 def test_shipped_supervised_runs_solve_no_lp(base_cfg, rig, moas_bundle, monkeypatch):
     # every simplex run goes through lp._two_phase (solve_lp and the

@@ -5,6 +5,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 ARTIFACTS = {
@@ -110,3 +112,28 @@ def test_artifact_shift_reports_the_largest_gap_and_the_structure(tmp_path, caps
     assert lines[2] == ("traj.csv  structure differs: row 2, column 'branch': "
                         "'backup_held' vs 'backup_fresh'")
     assert lines[3] == "largest shift 0; files or structure differ"
+
+
+def test_set_distance_reads_both_artifacts_and_reports_the_support_gap(tmp_path, capsys):
+    tool = _load("set_distance")
+
+    def box(lo, hi, extra=()):
+        n = len(lo)
+        normals = [list(row) for row in np.vstack([np.eye(n), -np.eye(n)])] + [r for r, _ in extra]
+        return {"normals": normals, "offsets": list(hi) + [-v for v in lo] + [b for _, b in extra]}
+
+    sets = {"set_xv": box([-1, -1, -2], [1, 1, 2]), "proj_x": box([-1, -1], [1, 1]),
+            "proj_x_shrunk": box([-0.5, -1], [0.5, 1])}
+    a = tmp_path / "moas.json"
+    a.write_text(json.dumps({"t_star": 52, "epsilon": 0.01, **sets}))
+    # the same sets with proj_x's first bound moved by 0.25 and a redundant row added
+    moved = dict(sets, proj_x=box([-1, -1], [1.25, 1], extra=[([1.0, 1.0], 5.0)]))
+    b = tmp_path / "fig3_sets.json"
+    b.write_text(json.dumps({"moas": {"t_star": 51, "epsilon": 0.01, **moved},
+                             "jaccard_vs_moas_projection": 1.0}))
+    assert tool.main([str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t_star  52 51"
+    assert lines[1] == "set_xv  rows 6 6  largest support gap 0  (212 directions)"
+    assert lines[2] == "proj_x  rows 4 5  largest support gap 0.25  (209 directions)"
+    assert lines[3] == "proj_x_shrunk  rows 4 4  largest support gap 0  (208 directions)"
