@@ -17,6 +17,13 @@ slice reads another, so sweep ``r`` of a slice marks exactly the pairs of
 that slice that sweep ``r`` over the whole grid would mark; the totals
 after sweep ``r`` of the whole grid are therefore the totals before the
 growth plus every slice's growth in its first ``r`` sweeps.
+
+Each successor coordinate is snapped along the axes it moves with only: a
+coordinate the reference does not move is snapped once per call, before
+the slice loop, and one the disturbance does not move is snapped once per
+state and broadcast over the disturbances.  The rest is snapped slice by
+slice into buffers allocated once per :func:`discretize` call, so a call
+frees and re-faults no slice-sized temporaries.
 """
 
 from __future__ import annotations
@@ -132,26 +139,46 @@ class GridSpec:
                 consts(self.v_lo, self.v_hi, self.v_delta, self.n_v))
 
     @staticmethod
-    def _snap_axis(vals, axis):
+    def _snap_axis(vals, axis, out=None):
         """Nearest index per coordinate (ties round down, clamped into the
-        axis) and the mask of coordinates outside the axis range or NaN."""
+        axis) and the mask of coordinates outside the axis range or NaN.
+
+        Out of place by default: on small arrays ``out=`` costs more.  Given
+        ``out``, buffers ``(t, k, index, outside, scratch)`` of the shape of
+        ``vals`` (float64, float64, int64, bool, bool), the same operations
+        write every intermediate there and return ``index`` and ``outside``.
+        """
         lo, delta, lo_tol, hi_tol, top = axis
-        # out of place: on small arrays ``out=`` and ``np.clip`` cost more
-        t = (vals - lo) / delta
-        k = np.floor(t)
-        k = (k + (t - k > _SNAP_HALF)).astype(np.int64)
+        t, k, idx, outside, scratch = (None,) * 5 if out is None else out
+        t = np.divide(np.subtract(vals, lo, out=t), delta, out=t)
+        k = np.floor(t, out=k)
+        # t - k takes the place of t, which is not read again
+        k = np.add(k, np.greater(np.subtract(t, k, out=t), _SNAP_HALF, out=scratch), out=k)
+        if idx is None:
+            idx = k.astype(np.int64)
+        else:
+            np.copyto(idx, k, casting="unsafe")
+        idx = np.minimum(np.maximum(idx, 0, out=idx), top, out=idx)
         # written as "not inside" so that NaN counts as outside
-        return np.minimum(np.maximum(k, 0), top), ~((vals >= lo_tol) & (vals <= hi_tol))
+        inside = np.bitwise_and(np.greater_equal(vals, lo_tol, out=outside),
+                                np.less_equal(vals, hi_tol, out=scratch), out=outside)
+        return idx, np.invert(inside, out=outside)
+
+    def _flat_index(self, snap1, snap2, out=None):
+        """Flat x-pair indices (-1 outside) from the ``(index, outside)``
+        snaps of x1 and x2, broadcast together; written into ``out`` if
+        given."""
+        (i1, out1), (i2, out2) = snap1, snap2
+        flat = np.add(np.multiply(i1, self._snap_axes[1][4] + 1, out=out), i2, out=out)
+        np.copyto(flat, -1, where=out1)
+        np.copyto(flat, -1, where=out2)
+        return flat
 
     def _snap_coords(self, x1, x2):
         """Flat x-pair indices (-1 outside) of the states with coordinate
         arrays ``x1`` and ``x2``, of any one shape."""
         ax1, ax2, _ = self._snap_axes
-        i1, out1 = self._snap_axis(x1, ax1)
-        i2, out2 = self._snap_axis(x2, ax2)
-        flat = i1 * (ax2[4] + 1) + i2
-        flat[out1 | out2] = -1
-        return flat
+        return self._flat_index(self._snap_axis(x1, ax1), self._snap_axis(x2, ax2))
 
     def snap_x(self, points) -> np.ndarray:
         """Flat x-pair indices of the nearest grid states; -1 when outside.
@@ -212,20 +239,53 @@ class TransitionTable:
 def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
     """Tabulate the nominal closed loop on the grid, one reference slice at a time.
 
-    Per reference value, each state coordinate of every (state, disturbance)
-    successor is formed as one contiguous ``(n_xpairs, n_w)`` array, by the
-    same float operations in the same order as one successor at a time, and
-    the slice is snapped at once.
+    Successor coordinate ``a`` of a state ``x`` is ``(At x)_a + Bt_a v +
+    E_a w``, formed by the same float operations in the same order as one
+    successor at a time, and snapped along the axes it moves with only (see
+    :func:`_coordinate_snap`): once before the slice loop when ``Bt_a`` is
+    0, and one row broadcast over the disturbances when ``E_a`` is 0.  A
+    term left out adds +-0.0, which leaves the value as it is or turns -0.0
+    into +0.0, and both snap to the same index, so the table is that of the
+    full sums.  What is still snapped per slice, and the slice's flat
+    indices, go into ``(n_w, n_xpairs)`` buffers allocated once per call.
     """
-    b1, b2 = (grid.x_points() @ cl.At.T).T
-    bt1, bt2 = cl.Bt.ravel()
-    ew1, ew2 = (e * grid.w_values for e in cl.plant.E.ravel())
+    snaps = [_coordinate_snap(b, bt, e * grid.w_values if e != 0 else None, axis)
+             for b, bt, e, axis in zip((grid.x_points() @ cl.At.T).T, cl.Bt.ravel(),
+                                       cl.plant.E.ravel(), grid._snap_axes)]
     narrow = grid.n_xpairs <= np.iinfo(np.int16).max
     table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w), dtype=np.int16 if narrow else np.int32)
+    flat = np.empty((grid.n_w, grid.n_xpairs), dtype=np.int64)
     for j, v in enumerate(grid.v_values):
-        table[:, j] = grid._snap_coords((b1 + bt1 * v)[:, None] + ew1,
-                                        (b2 + bt2 * v)[:, None] + ew2)
+        table[:, j] = grid._flat_index(*(snap(v) for snap in snaps), out=flat).T
     return TransitionTable(table, grid, cl)
+
+
+def _coordinate_snap(b, bt, ew, axis):
+    """``v -> (index, outside)``: the snap on ``axis`` of the successor
+    coordinate ``ew[:, None] + (b + bt v)`` of every grid state (columns)
+    under every disturbance (rows) at the reference ``v``.
+
+    ``ew`` is None for a zero disturbance entry: the coordinate is then the
+    one row ``b + bt v``.  When ``bt`` is 0 the coordinate does not depend
+    on ``v`` and is snapped here, once.  Otherwise each call writes into
+    buffers allocated here, which the next call overwrites.
+    """
+    if bt == 0:
+        fixed = GridSpec._snap_axis(b[None, :] if ew is None else b + ew[:, None], axis)
+        return lambda v: fixed
+    shape = (1 if ew is None else ew.size, b.size)
+    base = np.empty(b.size)
+    vals = base[None, :] if ew is None else np.empty(shape)
+    buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64),
+               np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+
+    def snap(v):
+        np.add(b, bt * v, out=base)
+        if ew is not None:
+            np.add(base, ew[:, None], out=vals)
+        return GridSpec._snap_axis(vals, axis, buffers)
+
+    return snap
 
 
 def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -259,6 +264,45 @@ class TestIndexOf:
         assert g.index_of([[1.0, 1.0]]) == g.index_of((1, 1)) == 6
 
 
+def snap_buffers(shape, fill):
+    """``GridSpec._snap_axis`` buffers of ``shape``, the float ones filled
+    with ``fill`` and the bool ones with ``fill != fill``, so that over a
+    NaN fill and a number fill an entry left unwritten shows."""
+    return (np.full(shape, fill), np.full(shape, fill), np.full(shape, 7, dtype=np.int64),
+            np.full(shape, fill != fill), np.full(shape, True))
+
+
+class TestBufferedSnap:
+    # distinct axes, as in test_snap_matches_a_per_point_reference
+    GRID = GridSpec((-3.0, -1.0), (2.0, 4.0), (0.25, 0.5), -2.0, 3.0, 0.5, -1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["x1", "x2", "v"])
+    @pytest.mark.parametrize("fill", [np.nan, 7.0], ids=["nan-filled", "number-filled"])
+    def test_buffers_give_the_out_of_place_bits(self, which, fill):
+        g = self.GRID
+        axis = g._snap_axes[which]
+        lo, hi = [(g.x_lo[0], g.x_hi[0]), (g.x_lo[1], g.x_hi[1]), (g.v_lo, g.v_hi)][which]
+        grid_vals = (g.x_axes + (g.v_values,))[which]
+        d = grid_vals[1] - grid_vals[0]
+        # ties (exact half steps and half steps within the tie tolerance),
+        # each end's tolerance and beyond, NaN, +-inf and -0.0
+        halves = lo + (np.arange(grid_vals.size - 1)[:, None]
+                       + [0.5, 0.5 + 2e-10, 0.5 - 2e-10]).ravel() * d
+        vals = np.concatenate([edge_coordinates(grid_vals, lo, hi), halves,
+                               [lo - 10.0, hi + 10.0, 0.0]])
+        for shaped in (vals, vals[None, :], vals[:, None], np.tile(vals, (3, 1))):
+            buffers = snap_buffers(shaped.shape, fill)
+            with np.errstate(invalid="ignore"):
+                want = GridSpec._snap_axis(shaped, axis)
+                got = GridSpec._snap_axis(shaped, axis, buffers)
+            # the results are the buffers that hold them
+            assert got[0] is buffers[2] and got[1] is buffers[3]
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert want[1].any() and not want[1].all()
+
+
 def width_grid(n1):
     """An ``n1 x n1`` state grid around the origin: 181 x 181 = 32,761 x-pairs
     fit int16 indices, 182 x 182 = 33,124 do not."""
@@ -281,6 +325,37 @@ class TestDiscretize:
         for j in range(grid.n_v):
             for k in range(grid.n_w):
                 assert np.array_equal(tt.table[:, j, k], expect)
+
+    # B and E columns: each coordinate moves with the reference when its B
+    # entry is nonzero (Bt = B L) and with the disturbance when its E entry is
+    LOOPS = {
+        "both-move-with-v-and-w": ([[0.5], [1.0]], [[0.5], [1.0]]),
+        "x1-moves-with-w-only": ([[0.0], [1.0]], [[0.5], [1.0]]),
+        "x1-moves-with-neither": ([[0.0], [1.0]], [[0.0], [1.0]]),
+        "x1-with-neither-signed-zeros": ([[-0.0], [1.0]], [[-0.0], [1.0]]),
+        "x1-w-only-x2-v-only": ([[0.0], [1.0]], [[0.5], [0.0]]),
+    }
+
+    @pytest.mark.parametrize("case", LOOPS)
+    def test_each_snapping_case_equals_the_reference(self, case):
+        B, E = self.LOOPS[case]
+        plant = LinearPlant([[0.5, 0.8], [-0.4, 0.6]], B, E)
+        out = OutputMap(np.eye(2), np.zeros((2, 1)),
+                        HPolytope.from_bounds([-30, -30], [30, 30]))
+        cl = ClosedLoop(plant, out, NominalGain([[-0.1, -0.2]], [[0.3]]))
+        grid = GridSpec((-25.0, -10.0), (25.0, 15.0), (1.0, 1.0),
+                        -20.0, 20.0, 1.0, -1.0, 1.0, 0.5)
+        tt = discretize(cl, grid)
+        want = discretize_reference(cl, grid).table
+        assert tt.table.dtype == want.dtype and tt.table.shape == want.shape
+        assert tt.table.tobytes() == want.tobytes()
+        # successors inside and outside the grid, and the reference and
+        # disturbance move the table where the loop says they do
+        assert (want == -1).any() and (want >= 0).mean() > 0.5
+        moves_v = (cl.Bt != 0).any()
+        moves_w = (cl.plant.E != 0).any()
+        assert (want != want[:, :1]).any() == moves_v
+        assert (want != want[:, :, :1]).any() == moves_w
 
     @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
     def test_index_width_follows_the_grid_size(self, n1, dtype):
@@ -313,6 +388,28 @@ class TestDiscretize:
             else:
                 d = np.linalg.norm(pts - succ, axis=1)
                 assert d[got] == pytest.approx(d.min(), abs=1e-12)
+
+    def test_fresh_process_call_takes_few_page_faults(self):
+        # the shipped grid's first discretize in a new process; a call that
+        # allocates and frees its slice temporaries slice after slice takes
+        # over 100,000 minor faults there, one with buffers about 1,000-2,000
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import resource\n"
+            "from actiongov.discrete_safeset import discretize\n"
+            "from actiongov.simlab import ScenarioConfig, build_rig\n"
+            "cfg = ScenarioConfig(seed=0)\n"
+            "cl, grid = build_rig(cfg).cl, cfg.grid_spec()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "discretize(cl, grid)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 20_000
 
 
 class TestBuildSeed:
