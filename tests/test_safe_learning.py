@@ -9,7 +9,7 @@ from actiongov.errors import (
     UninitializedGovernorError,
 )
 from actiongov.governor import ActionDistance, GovernorState, govern
-from actiongov.control_linalg import dare_solve, riccati_finite
+from actiongov.control_linalg import dare_solve
 from actiongov.safe_learning import (
     KoopmanEnv,
     KoopmanModel,
@@ -406,28 +406,6 @@ class TestKoopmanControl:
         u = koopman_control(km, z, np.diag([1.0, 1.0, 0.0, 0.0]), [[10.0]])
         assert u[0] == pytest.approx(float((K @ x)[0]), abs=1e-8)
 
-    def test_finite_horizon_fallback_when_unstabilizable(self):
-        # an uncontrollable unstable mode defeats the infinite-horizon
-        # solver; the fallback still returns a finite action
-        A = np.array([[1.2, 0.0], [0.0, 0.5]])
-        B = np.array([[0.0], [1.0]])
-        km = KoopmanModel.initial(A, B, identity_observables(2))
-        u = koopman_control(km, np.array([1.0, 1.0]), np.eye(2), [[1.0]])
-        assert np.all(np.isfinite(u))
-
-    @pytest.mark.parametrize("A, B", [
-        (np.diag([1.2, 0.5]), np.array([[0.0], [1.0]])),
-        (1.5 * np.eye(2), np.zeros((2, 1))),
-    ], ids=["uncontrollable-mode", "no-input-authority"])
-    def test_fallback_is_exactly_the_50_step_gain(self, A, B):
-        q, r = np.eye(2), np.array([[1.0]])
-        with pytest.raises(NoStabilizingSolutionError):
-            dare_solve(A, B, q, r)
-        km = KoopmanModel.initial(A, B, identity_observables(2))
-        x = np.array([1.0, -2.0])
-        u = koopman_control(km, x, q, r)
-        assert u.tobytes() == (riccati_finite(A, B, q, r, q, 50) @ x).tobytes()
-
 
 def linear_koopman_env(A, B, oracle=None):
     def step(x, u):
@@ -443,6 +421,29 @@ def linear_koopman_env(A, B, oracle=None):
         oracle=oracle,
         sample_reset=lambda rng: rng.uniform(-1, 1, size=2),
     )
+
+
+UNSTABILIZABLE = pytest.mark.parametrize("A, B", [
+    (np.diag([1.2, 0.5]), np.array([[0.0], [1.0]])),
+    (1.5 * np.eye(2), np.zeros((2, 1))),
+], ids=["uncontrollable-mode", "no-input-authority"])
+
+
+class TestNoStabilizingSolution:
+    # the DARE is the one regulator: a model it cannot stabilize raises
+
+    @UNSTABILIZABLE
+    def test_koopman_control_raises(self, A, B):
+        km = KoopmanModel.initial(A, B, identity_observables(2))
+        with pytest.raises(NoStabilizingSolutionError):
+            koopman_control(km, np.array([1.0, -2.0]), np.eye(2), np.array([[1.0]]))
+
+    @UNSTABILIZABLE
+    def test_run_safe_koopman_raises_at_step_zero(self, A, B):
+        km = KoopmanModel.initial(A, B, identity_observables(2))
+        with pytest.raises(NoStabilizingSolutionError) as info:
+            run_safe_koopman(linear_koopman_env(A, B), km, 5, np.inf, np.random.default_rng(0))
+        assert info.value.step == 0
 
 
 class TestRunSafeKoopman:
