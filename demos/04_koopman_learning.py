@@ -18,6 +18,7 @@ from actiongov.simlab import (
     learn_koopman,
     nominal_controller,
     run_supervised,
+    write_cost_csv,
 )
 
 steps = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
@@ -40,10 +41,7 @@ print(f"tail neighborhood from {start}: nominal "
       f"{np.linalg.norm(nominal.states[-50:], axis=1).max():.2f}, learned "
       f"{np.linalg.norm(learned.states[-50:], axis=1).max():.2f}")
 
-with open("demo_learning_cost.csv", "w") as fh:
-    fh.write("t,cbar\n")
-    for t, c in enumerate(cbar):
-        fh.write(f"{t},{c!r}\n")
+write_cost_csv("demo_learning_cost.csv", traj)
 print("wrote demo_learning_cost.csv")
 
 try:

@@ -20,7 +20,6 @@ from .errors import ActionGovError
 from .safe_learning import run_safe_q
 from .simlab import (
     ScenarioConfig,
-    average_cost,
     build_grid_backend,
     build_moas_backend,
     build_rig,
@@ -31,8 +30,9 @@ from .simlab import (
     nominal_controller,
     run_supervised,
     simulate,
+    write_cost_csv,
 )
-from .trajectory import Trajectory, fmt
+from .trajectory import fmt
 
 _CLASS_NAMES = {SAFE_PLUS: "safe", MINUS: "unsafe", REMAIN: "unresolved"}
 
@@ -41,14 +41,6 @@ def _write_json(path: Path, payload: dict):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _write_cost_csv(path: Path, traj: Trajectory):
-    cbar = average_cost(traj)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,cbar\n")
-        for t, c in enumerate(cbar):
-            fh.write(f"{t},{fmt(c)}\n")
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -130,7 +122,7 @@ def _cmd_learn_koopman(args) -> int:
     out = Path(cfg.out_dir)
     traj.write_csv(out / "koopman_trajectory.csv")
     _write_json(out / "koopman_model.json", km.to_dict())
-    _write_cost_csv(out / "koopman_cost.csv", traj)
+    write_cost_csv(out / "koopman_cost.csv", traj)
     print(
         f"ran {len(traj)} learning steps, {traj.violation_count} violations; "
         f"wrote model, trajectory and cost files under {out}"
@@ -151,7 +143,7 @@ def _cmd_reproduce_paper(args) -> int:
     traj_gov.write_csv(out / "fig2_nominal_governed.csv")
 
     km, traj_learn = learn_koopman(cfg, rig, oracle, moas)
-    _write_cost_csv(out / "fig4_cost.csv", traj_learn)
+    write_cost_csv(out / "fig4_cost.csv", traj_learn)
 
     traj_koop = run_supervised(
         rig, koopman_controller(cfg, km), oracle, cfg.initial_state, cfg.steps, rig.dist

@@ -72,9 +72,9 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: f
     ``v_bounds`` is a box on the reference, which keeps the recursion
     bounded when the constraint rows alone do not bound ``v``;
     ``epsilon`` tightens the steady-state block (0 < epsilon < 1).
-    Its LPs are the emptiness checks of each tightened output set and of
-    the stacked set; W's emptiness is read from the vertices that its
-    shrinks take their maxima over.
+    Its one LP is the emptiness check of the stacked set after the
+    steady-state block; each layer's emptiness and W's are read from the
+    vertices.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -108,25 +108,23 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: f
     for t in range(t_cap):
         # advance the output tightening and the layer recursion to t+1
         y_t = pontryagin_diff(y_t, cl.Ct @ a_pow @ E, w_set)
-        if y_t.is_empty:
-            raise MoasConstructionError(
-                f"output constraints became empty after {t + 1} disturbance steps"
-            )
         geo_sum = geo_sum + a_pow
         a_pow = a_pow @ cl.At
         h_t = y_t.offsets
         cand_rows, cand_offs = layer_rows(a_pow, geo_sum, h_t)
         # keep only rows that actually cut; determination is the first layer
         # where none do (every candidate row bounds the current set's support).
-        # An empty current set cuts nothing, so it ends the recursion and is
-        # caught by the emptiness check after it.  A cut drops every
-        # generator more than DEFAULT_TOL outside, so a kept row cuts no more.
+        # A cut drops every generator more than DEFAULT_TOL outside, so a kept
+        # row cuts no more and a layer that empties the set leaves no vertex.
+        # A set empty from the start cuts nothing; the check after catches it.
         cutting = gens.support(cand_rows) > cand_offs + DEFAULT_TOL
         if not cutting.any():
             t_star = t
             break
         for a, b in zip(cand_rows[cutting], cand_offs[cutting]):
             gens.cut(a, b)
+        if gens.is_empty:
+            raise MoasConstructionError(f"admissible set became empty at layer {t + 1}")
     if t_star is None:
         raise MoasNotDeterminedError(f"no finite determination within t_cap = {t_cap}")
 

@@ -34,7 +34,7 @@ from .safe_learning import (
     run_safe_koopman,
     supervised_step,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, fmt
 
 X1_BOUNDS = (-20.0, 20.0)
 X2_BOUNDS = (-4.0, 10.0)
@@ -135,6 +135,14 @@ def average_cost(traj: Trajectory) -> np.ndarray:
     if costs.size == 0:
         raise ValueError("cannot average an empty trajectory")
     return np.cumsum(costs) / (np.arange(costs.size) + 1.0)
+
+
+def write_cost_csv(path, traj: Trajectory):
+    """Write :func:`average_cost` as ``t,cbar`` rows, round-trip exact."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,cbar\n")
+        for t, c in enumerate(average_cost(traj)):
+            fh.write(f"{t},{fmt(c)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -39,3 +39,11 @@ def test_demo_runs(tmp_path, name):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if name == "04_koopman_learning":
+        header, *rows = (tmp_path / "demo_learning_cost.csv").read_text().splitlines()
+        assert header == "t,cbar"
+        assert len(rows) == int(SMALL_RUNS[name][0])
+        for t, row in enumerate(rows):
+            step, cbar = row.split(",")
+            assert int(step) == t
+            float(cbar)
