@@ -39,7 +39,7 @@ from .governor import (
     govern,
     nearest_candidate,
 )
-from .lp import LpResult, LpStatus, Sense
+from .lp import LpResult, LpStatus
 from .moas import LinearMoasOracle, Moas, build_moas, feasible_action_set, linear_ag_step
 from .safe_learning import (
     KoopmanEnv,

@@ -7,10 +7,10 @@ unbounded -- is listed by the double description method
 projection and the Pontryagin difference work on the generators: a row is
 kept iff the generators on it span a hyperplane, a projection is the
 generators projected and turned back into rows by the same routine on the
-polar cone, and each shrink is a maximum over the subtrahend's vertices.
-Queries whose floats are returned one at a time (support, bounding box,
-emptiness) are solved by the dense simplex :func:`actiongov.lp.solve_lp`;
-so is the nearest point of an affine image, except in one dimension,
+polar cone, and each shrink is a maximum over the subtrahend's vertices;
+so is a support, and the bounding box is the supports of the axes.
+Emptiness is decided by the dense simplex :func:`actiongov.lp.solve_lp`,
+and so is the nearest point of an affine image, except in one dimension,
 where it is a clip to an interval and no LP is set up.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError, UnboundedSetError
-from .lp import LpStatus, Sense, solve_lp
+from .lp import LpStatus, solve_lp
 
 DEFAULT_TOL = 1e-9
 # a generator lies on a row when the row's residual there is within this
@@ -30,9 +30,9 @@ VERTEX_TOL = 1e-12
 class HPolytope:
     """Convex polytope ``{z : normals z <= offsets}``.
 
-    Values are immutable after construction; emptiness and the bounding box
-    are decided lazily through the module's own LP, the generators by the
-    double description method, and all three are cached.
+    Values are immutable after construction; emptiness is decided lazily
+    by the module's own LP, the generators by the double description method
+    and the bounding box from the generators, and all three are cached.
     A polytope with zero rows represents the whole space.
     """
 
@@ -96,21 +96,17 @@ class HPolytope:
     @property
     def is_empty(self) -> bool:
         if self._empty is None:
-            res = solve_lp(np.zeros(self.dim), self.normals, self.offsets, Sense.MIN)
+            res = solve_lp(np.zeros(self.dim), self.normals, self.offsets)
             self._empty = res.status is LpStatus.INFEASIBLE
         return self._empty
 
     def bounding_box(self):
-        """Tight axis-aligned bounds ``(lo, hi)`` as read-only arrays, solved
-        once and cached; requires nonempty and bounded."""
+        """Tight bounds ``(lo, hi)``, the supports of the axes, as read-only
+        arrays read once and cached; requires nonempty and bounded."""
         if self._bbox is None:
-            lo = np.empty(self.dim)
-            hi = np.empty(self.dim)
-            for d in range(self.dim):
-                e = np.zeros(self.dim)
-                e[d] = 1.0
-                hi[d] = support(self, e)
-                lo[d] = -support(self, -e)
+            axes = np.eye(self.dim)
+            lo = np.array([-support(self, -e) for e in axes])
+            hi = np.array([support(self, e) for e in axes])
             lo.flags.writeable = False
             hi.flags.writeable = False
             self._bbox = (lo, hi)
@@ -295,17 +291,21 @@ class Generators:
 
 
 def support(poly: HPolytope, direction) -> float:
-    """Support function ``h_P(a) = sup_P a.z``.
+    """Support function ``h_P(a) = sup_P a.z``, the maximum over the
+    vertices of ``poly.generators()``.
 
     Raises :class:`EmptySetError` for empty polytopes and
-    :class:`UnboundedSetError` when the supremum is infinite.
+    :class:`UnboundedSetError` when a ray or a line leaves.
     """
-    res = solve_lp(direction, poly.normals, poly.offsets, Sense.MAX)
-    if res.status is LpStatus.INFEASIBLE:
+    direction = np.asarray(direction, dtype=float).ravel()
+    if not np.all(np.isfinite(direction)):
+        raise ValueError("direction must be finite")
+    value = float(poly.generators().support(direction))
+    if value == -np.inf:
         raise EmptySetError("support of an empty polytope")
-    if res.status is LpStatus.UNBOUNDED:
+    if value == np.inf:
         raise UnboundedSetError("support is unbounded in the given direction")
-    return res.value
+    return value
 
 
 def pontryagin_diff(poly: HPolytope, map_matrix, w_set: HPolytope) -> HPolytope:
@@ -467,7 +467,7 @@ def nearest_affine_point(poly: HPolytope, lin_map, offset, target, norm: str = "
     a_all = np.vstack([rows_a, upper, lower])
     b_all = np.concatenate([rows_b, target - offset, offset - target])
     c = np.concatenate([np.zeros(nz), np.ones(ns)])
-    res = solve_lp(c, a_all, b_all, Sense.MIN)
+    res = solve_lp(c, a_all, b_all)
     if res.status is not LpStatus.OPTIMAL:
         return None
     return res.point[:nz], res.value

@@ -1,6 +1,6 @@
 """Small inequality-form linear programs: a dense two-phase simplex.
 
-:func:`solve_lp` solves ``min/max c.z  s.t.  A z <= b`` with free variables,
+:func:`solve_lp` solves ``min c.z  s.t.  A z <= b`` with free variables,
 by splitting ``z = p - q`` (``p, q >= 0``) and adding one slack per row.
 :func:`_two_phase` solves that standard form with one artificial per row
 for phase 1.  Pivot columns follow Dantzig's rule until progress stalls,
@@ -28,11 +28,6 @@ class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-class Sense(enum.Enum):
-    MIN = "min"
-    MAX = "max"
 
 
 @dataclass(frozen=True)
@@ -162,19 +157,19 @@ def _two_phase(a_eq, b_eq, cost, infeasible_tol):
     return LpStatus.OPTIMAL, T, basis
 
 
-def solve_lp(c, a_ub, b_ub, sense: Sense = Sense.MIN) -> LpResult:
-    """Solve ``min`` (or ``max``) ``c.z`` over ``{z : a_ub z <= b_ub}``.
+def solve_lp(c, a_ub, b_ub) -> LpResult:
+    """Solve ``min c.z`` over ``{z : a_ub z <= b_ub}``.
 
     Free variables; no implicit bounds.  Infeasibility and unboundedness
-    are reported through the result status, never raised.
+    are reported through the result status, never raised.  A maximum is
+    the negated minimum of ``-c``.
     """
     c, a_ub, b_ub = _lp_data(c, a_ub, b_ub)
     n = c.size
     m = a_ub.shape[0]
-    obj = c if sense is Sense.MIN else -c
     # standard form columns: [p (n), q (n), slack (m)] with z = p - q
     status, T, basis = _two_phase(np.hstack([a_ub, -a_ub, np.eye(m)]), b_ub,
-                                  np.concatenate([obj, -obj, np.zeros(m)]), 1e-7)
+                                  np.concatenate([c, -c, np.zeros(m)]), 1e-7)
     if status is not LpStatus.OPTIMAL:
         return LpResult(status, np.nan, np.empty(0))
     x = np.zeros(T.shape[1] - 1)

@@ -51,13 +51,17 @@ class SupervisedEnv:
 
 def supervised_step(env: SupervisedEnv, t: int, x, u1, gs: GovernorState, traj: Trajectory):
     """Govern the proposal ``u1`` at ``x``, advance ``env`` and record step
-    ``t`` in ``traj``; ``gs`` is updated in place.  Returns
-    ``(u, x_next, cost)``."""
-    outcome, _ = govern(x, u1, gs, env.oracle, env.dist)
-    u = outcome.u
-    x_next, w = env.step(x, u)
-    cost = env.cost(x, u)
-    traj.append(t, x, u1, u, outcome.branch.value, gs.v_hat, w, cost, env.violated(x, u))
+    ``t`` in ``traj``; ``gs`` is updated in place.  Returns ``(u, x_next,
+    cost)``; library errors of govern and of the env carry ``step = t``."""
+    try:
+        outcome, _ = govern(x, u1, gs, env.oracle, env.dist)
+        u = outcome.u
+        x_next, w = env.step(x, u)
+        cost = env.cost(x, u)
+        traj.append(t, x, u1, u, outcome.branch.value, gs.v_hat, w, cost, env.violated(x, u))
+    except ActionGovError as exc:
+        exc.step = t
+        raise
     return u, x_next, cost
 
 

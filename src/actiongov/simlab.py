@@ -405,8 +405,8 @@ def make_koopman_env(cfg: ScenarioConfig, rig: ExampleRig, oracle, moas: Moas) -
 
     Resets sample uniformly inside the safe projection (rejection sampling
     from its bounding box), so supervision stays feasible after each reset.
-    The box is solved here, once per set, so that the learning loop solves
-    no LP.
+    The box is read here from the set's vertices, once per set, so that no
+    reset of the learning loop computes it.
     """
     moas.proj_x.bounding_box()
 

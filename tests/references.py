@@ -1,9 +1,9 @@
 """Reference routines that only the tests use: set intersection and
-inclusion, HiGHS supports at tight tolerances, the certified LP decision
-(weak-duality bounds from a simplex on the dual, the simplex itself near
-the threshold), the admissible-set build by those decisions (with LP
-redundancy removal, Fourier-Motzkin projection and LP supports) that the
-vertex build must agree with, the batch
+inclusion by LP supports, HiGHS supports at tight tolerances, the
+certified LP decision (weak-duality bounds from a simplex on the dual,
+the simplex itself near the threshold), the admissible-set build by those
+decisions (with LP redundancy removal, Fourier-Motzkin projection and LP
+supports) that the vertex build must agree with, the batch
 least-squares fit the recursive estimator must match, the identity lifting
 for linear test systems, the plain fixed-point DARE loop whose outcome the
 doubling DARE must reach, the plain finite-horizon Riccati recursion the
@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from actiongov import lp
 from actiongov.control_linalg import spectral_radius
-from actiongov.convexset import DEFAULT_TOL, HPolytope, _dedupe_rows, support
+from actiongov.convexset import DEFAULT_TOL, HPolytope, _dedupe_rows
 from actiongov.discrete_safeset import (
     MINUS,
     REMAIN,
@@ -47,6 +47,17 @@ def intersect(p: HPolytope, q: HPolytope) -> HPolytope:
     return HPolytope(np.vstack([p.normals, q.normals]), np.concatenate([p.offsets, q.offsets]))
 
 
+def lp_support(poly: HPolytope, direction) -> float:
+    """``sup_P a.z`` by the library's simplex, the negated minimum of
+    ``-a.z``; raises as :func:`actiongov.convexset.support` does."""
+    res = lp.solve_lp(np.negative(direction, dtype=float), poly.normals, poly.offsets)
+    if res.status is lp.LpStatus.INFEASIBLE:
+        raise EmptySetError("support of an empty polytope")
+    if res.status is lp.LpStatus.UNBOUNDED:
+        raise UnboundedSetError("support is unbounded in the given direction")
+    return -res.value
+
+
 def is_subset(p: HPolytope, q: HPolytope, tol: float = DEFAULT_TOL) -> bool:
     """True iff every halfspace of ``q`` is satisfied by all of ``p``."""
     if p.dim != q.dim:
@@ -55,7 +66,7 @@ def is_subset(p: HPolytope, q: HPolytope, tol: float = DEFAULT_TOL) -> bool:
         raise EmptySetError("subset test requires a nonempty left operand")
     for a, b in zip(q.normals, q.offsets):
         try:
-            if support(p, a) > b + tol:
+            if lp_support(p, a) > b + tol:
                 return False
         except UnboundedSetError:
             return False
@@ -157,9 +168,9 @@ def max_exceeds(c, a_ub, b_ub, threshold) -> bool:
             return True
         if bounds[1] < threshold - margin:
             return False
-    res = lp.solve_lp(c, a_ub, b_ub, lp.Sense.MAX)
+    res = lp.solve_lp(-c, a_ub, b_ub)
     if res.status is lp.LpStatus.OPTIMAL:
-        return res.value > threshold
+        return -res.value > threshold
     return res.status is lp.LpStatus.UNBOUNDED
 
 
@@ -168,7 +179,7 @@ def pontryagin_diff_lp(poly: HPolytope, map_matrix, w_set: HPolytope) -> HPolyto
     map_matrix = np.atleast_2d(np.asarray(map_matrix, dtype=float))
     if w_set.is_empty:
         raise EmptySetError("Pontryagin difference with an empty subtrahend")
-    shrink = np.array([support(w_set, map_matrix.T @ a) for a in poly.normals])
+    shrink = np.array([lp_support(w_set, map_matrix.T @ a) for a in poly.normals])
     return HPolytope(poly.normals, poly.offsets - shrink)
 
 

@@ -12,7 +12,7 @@ from actiongov.convexset import (
     support,
 )
 from actiongov.errors import EmptySetError, UnboundedSetError
-from actiongov.lp import LpStatus, Sense, solve_lp
+from actiongov.lp import LpStatus, solve_lp
 from ellipsoids import Ellipsoid, ellipsoid_contains, ellipsoid_support
 from references import hpolytope_from_dict, intersect, is_subset
 
@@ -66,8 +66,13 @@ class TestSupport:
         half = HPolytope([[1.0, 0.0]], [1.0])
         with pytest.raises(UnboundedSetError):
             support(half, [0.0, 1.0])
+        assert support(half, [1.0, 0.0]) == 1.0
 
-    def test_lp_support_matches_vertex_oracle_random(self):
+    def test_non_finite_direction_rejected(self):
+        with pytest.raises(ValueError):
+            support(unit_box, [np.nan, 1.0])
+
+    def test_support_matches_vertex_oracle_random(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             poly = random_poly_2d(rng)
@@ -142,7 +147,7 @@ class TestProjection:
                 # lift feasibility: does some z exist with (x, z) in poly?
                 a_z = poly.normals[:, 2:]
                 rhs = poly.offsets - poly.normals[:, :2] @ x
-                lift = solve_lp(np.zeros(1), a_z, rhs, Sense.MIN)
+                lift = solve_lp(np.zeros(1), a_z, rhs)
                 feasible = lift.status is not LpStatus.INFEASIBLE
                 member = proj.contains(x, tol=1e-7)
                 if feasible != member:
@@ -270,17 +275,17 @@ class TestHPolytope:
         diff = pontryagin_diff(unit_box, np.eye(2), big_w)
         assert diff.is_empty
 
-    def test_bounding_box_is_solved_once_and_read_only(self, monkeypatch):
+    def test_bounding_box_is_computed_once_and_read_only(self, monkeypatch):
         poly = HPolytope(triangle.normals, triangle.offsets)
         lo, hi = poly.bounding_box()
         verts = vertices_2d(poly)
         assert np.allclose(lo, verts.min(axis=0), atol=1e-9)
         assert np.allclose(hi, verts.max(axis=0), atol=1e-9)
 
-        def no_more_lps(*args):
-            raise AssertionError("bounding box solved again")
+        def no_more_supports(*args):
+            raise AssertionError("bounding box computed again")
 
-        monkeypatch.setattr(convexset, "support", no_more_lps)
+        monkeypatch.setattr(convexset, "support", no_more_supports)
         again = poly.bounding_box()
         assert again[0] is lo and again[1] is hi
         with pytest.raises(ValueError):

@@ -554,6 +554,20 @@ class TestComputeSafeSet:
             steps += 1
             assert steps <= grid.n_xpairs
 
+    def test_shipped_safe_set_is_closed_under_every_disturbance(self, grid_bundle):
+        # exhaustive where the rollouts above sample: every SAFE pair of the
+        # shipped grid (45,902) is admissible, and each of its successors,
+        # one per disturbance grid value, is on the grid and SAFE at the
+        # same reference
+        _, dss, tt, grid = grid_bundle
+        i, j = np.nonzero(dss.pi)
+        assert i.size > 0
+        assert np.all(constraint_table(tt)[i, j])
+        succ = tt.table[i, j, :]
+        assert succ.shape[1] == grid.n_w
+        assert np.all(succ >= 0)
+        assert np.all(dss.pi[succ, j[:, None]])
+
 
 def dss_constraint_oracle(out, gain, grid):
     """Independent recomputation of the per-pair admissibility table."""

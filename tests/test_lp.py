@@ -6,19 +6,20 @@ from scipy.optimize import linprog
 
 from actiongov import lp
 from actiongov.errors import NumericalError
-from actiongov.lp import LpStatus, Sense, solve_lp
+from actiongov.lp import LpStatus, solve_lp
 from references import DECISION_MARGIN, _dual_bounds, max_exceeds
 
 
 def test_box_support_max_x1():
-    res = solve_lp([1, 0], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1], Sense.MAX)
+    # a maximum is the negated minimum of the negated objective
+    res = solve_lp([-1, 0], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
     assert res.status is LpStatus.OPTIMAL
-    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert -res.value == pytest.approx(1.0, abs=1e-9)
     assert res.point[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_contradictory_halfspaces_infeasible():
-    res = solve_lp([1.0], [[1.0], [-1.0]], [0.0, -1.0], Sense.MAX)
+    res = solve_lp([-1.0], [[1.0], [-1.0]], [0.0, -1.0])
     assert res.status is LpStatus.INFEASIBLE
 
 
@@ -26,21 +27,21 @@ def test_triangle_vertex_oracle():
     # max (1,1).x over {x >= 0, x1 + x2 <= 1}: enumerate the three vertices
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     expected = max(v @ np.ones(2) for v in vertices)
-    res = solve_lp([1, 1], [[-1, 0], [0, -1], [1, 1]], [0, 0, 1], Sense.MAX)
+    res = solve_lp([-1, -1], [[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
     assert res.status is LpStatus.OPTIMAL
-    assert res.value == pytest.approx(expected, abs=1e-9)
+    assert -res.value == pytest.approx(expected, abs=1e-9)
 
 
 def test_unbounded_reported():
-    res = solve_lp([1.0, 0.0], [[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0], Sense.MAX)
+    res = solve_lp([-1.0, 0.0], [[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0])
     assert res.status is LpStatus.UNBOUNDED
 
 
 def test_unconstrained():
-    res = solve_lp([0.0, 0.0], np.zeros((0, 2)), [], Sense.MIN)
+    res = solve_lp([0.0, 0.0], np.zeros((0, 2)), [])
     assert res.status is LpStatus.OPTIMAL and res.value == 0.0
     assert np.array_equal(res.point, np.zeros(2))
-    res = solve_lp([1.0, 0.0], np.zeros((0, 2)), [], Sense.MIN)
+    res = solve_lp([1.0, 0.0], np.zeros((0, 2)), [])
     assert res.status is LpStatus.UNBOUNDED
     # no rows: the dual has no point unless c = 0, and then no vertex
     for c in ([0.0, 0.0], [1.0, 0.0]):
@@ -54,7 +55,7 @@ def test_row_scaled_phase_one_fails_loudly():
     scaled = ([1.0, -1.0], [[-2532.26, 0.0], [0.0, 3.3989e-6], [2902.97, 1935.32]],
               [2532.26, -6.7979e-6, -967.66])
     with pytest.raises(NumericalError, match="phase-1"):
-        solve_lp(*scaled, Sense.MAX)
+        solve_lp(np.negative(scaled[0]), *scaled[1:])
     assert _dual_bounds(*lp._lp_data(*scaled)) is None
 
 
@@ -71,7 +72,7 @@ def test_optimal_point_feasible_within_tolerance():
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m) * 2
         c = rng.normal(size=n)
-        res = solve_lp(c, A, b, Sense.MIN)
+        res = solve_lp(c, A, b)
         if res.status is LpStatus.OPTIMAL:
             assert np.all(A @ res.point <= b + 1e-7)
             assert res.value == pytest.approx(float(c @ res.point), abs=1e-7)
@@ -86,7 +87,7 @@ def test_agrees_with_reference_solver():
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m) * 2
         c = rng.normal(size=n)
-        res = solve_lp(c, A, b, Sense.MIN)
+        res = solve_lp(c, A, b)
         ref = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * int(n), method="highs")
         if ref.status in statuses:
             assert res.status is statuses[ref.status]
@@ -97,8 +98,8 @@ def test_agrees_with_reference_solver():
 def test_deterministic_minimizer():
     A = [[1, 1], [-1, 0], [0, -1], [1, 0], [0, 1]]
     b = [1.5, 0, 0, 1, 1]
-    first = solve_lp([-1, -1], A, b, Sense.MIN)
-    second = solve_lp([-1, -1], A, b, Sense.MIN)
+    first = solve_lp([-1, -1], A, b)
+    second = solve_lp([-1, -1], A, b)
     assert np.array_equal(first.point, second.point)
 
 
@@ -107,9 +108,9 @@ def test_deterministic_minimizer():
 
 def solve_lp_decision(c, a_ub, b_ub, threshold):
     """The decision as :func:`solve_lp` states it (sup of an empty set is -inf)."""
-    res = solve_lp(c, a_ub, b_ub, Sense.MAX)
+    res = solve_lp(np.negative(c, dtype=float), a_ub, b_ub)
     if res.status is LpStatus.OPTIMAL:
-        return res.value > threshold
+        return -res.value > threshold
     return res.status is LpStatus.UNBOUNDED
 
 

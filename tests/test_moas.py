@@ -11,7 +11,7 @@ from actiongov.errors import (
     MoasConstructionError,
     MoasNotDeterminedError,
 )
-from actiongov.lp import LpStatus, Sense, solve_lp
+from actiongov.lp import LpStatus, solve_lp
 from actiongov.moas import (
     Moas,
     build_moas,
@@ -210,6 +210,28 @@ class TestBuild:
             assert np.array_equal(offsets, want)
             a_pow = a_pow @ rig.cl.At
 
+    def test_invariance_certified_on_the_vertices(self, rig, moas_bundle):
+        # exact where test_positive_invariance_sampled samples: a linear
+        # function peaks at a vertex, so each row's largest value over the
+        # successors of the set is its maximum over the vertices of M z plus
+        # the largest disturbance term; HiGHS, which reads no vertex,
+        # confirms each maximum
+        _, moas = moas_bundle
+        cl, n, s = rig.cl, moas.n_states, moas.set_xv
+        verts = s.generators().vertices
+        m = cl.n_refs
+        M = np.block([[cl.At, cl.Bt], [np.zeros((m, n)), np.eye(m)]])
+        rows = s.normals @ M
+        peak = (verts @ rows.T).max(axis=0)
+        shove = (rig.w_set.generators().vertices @ (s.normals[:, :n] @ rig.plant.E).T).max(axis=0)
+        assert np.all(peak + shove - s.offsets <= 1e-12)
+        out = rig.out.constraint_set
+        outputs = verts[:, :n] @ cl.Ct.T + verts[:, n:] @ cl.Dt.T
+        assert np.all(outputs @ out.normals.T - out.offsets <= 1e-12)
+        for a, value in zip(rows, peak):
+            status, want = highs_support(a, s.normals, s.offsets)
+            assert status == 0 and abs(value - want) <= 1e-12
+
     def test_positive_invariance_sampled(self, rig, moas_bundle):
         _, moas = moas_bundle
         rng = np.random.default_rng(17)
@@ -229,7 +251,7 @@ class TestBuild:
         for _ in range(200):
             x = rng.uniform([-22, -6], [22, 12])
             rhs = moas.set_xv.offsets - moas.set_xv.normals[:, :n] @ x
-            lift = solve_lp(np.zeros(1), a_v, rhs, Sense.MIN)
+            lift = solve_lp(np.zeros(1), a_v, rhs)
             feasible = lift.status is not LpStatus.INFEASIBLE
             member = moas.proj_x.contains(x, tol=1e-7)
             if feasible != member:
@@ -358,9 +380,11 @@ class TestGovernWithLinearOracle:
 
 def test_shipped_supervised_runs_solve_no_lp(base_cfg, rig, moas_bundle, monkeypatch):
     # every simplex run goes through lp._two_phase (solve_lp and the
-    # certified decision alike); after the set-up, the supervised steps of
-    # the shipped learning run and of a moas-governed simulation run none,
-    # although both move actions through nearest_affine_point
+    # certified decision alike); the reset box of the learning run is read
+    # from the vertices and runs none, and after the set-up the supervised
+    # steps of the shipped learning run and of a moas-governed simulation
+    # run none either, although both move actions through
+    # nearest_affine_point
     runs, selections, after_build = [], [], []
     two_phase, nearest = lp._two_phase, moas_mod.nearest_affine_point
     build = simlab.build_moas_backend
@@ -383,8 +407,9 @@ def test_shipped_supervised_runs_solve_no_lp(base_cfg, rig, moas_bundle, monkeyp
     monkeypatch.setattr(simlab, "build_moas_backend", counted_build)
 
     oracle, moas = moas_bundle
-    moas.proj_x.bounding_box()  # set-up: make_koopman_env solves the reset box once per set
-    runs.clear()
+    fresh = HPolytope(moas.proj_x.normals, moas.proj_x.offsets)  # nothing cached
+    assert np.array_equal(fresh.bounding_box(), moas.proj_x.bounding_box())
+    assert runs == []
     learn_koopman(base_cfg, rig, oracle, moas)
     assert runs == [] and len(selections) > 0
 

@@ -259,6 +259,24 @@ class TestRunSafeQ:
             run_safe_q(env, q0, 1, 10, np.random.default_rng(0))
         assert info.value.step == 4
 
+    def test_env_error_reports_its_step(self):
+        # a library error of the env's own step carries the step it was
+        # raised in, as the supervisor's do
+        env, *_ = chain_env()
+        step, calls = env.step, []
+
+        def failing_step(x, u):
+            calls.append(x)
+            if len(calls) == 3:
+                raise NumericalError("plant diverged")
+            return step(x, u)
+
+        env.step = failing_step
+        q0 = QTable.zeros(3, 2, epsilon=0.5)
+        with pytest.raises(NumericalError, match="step 2: plant diverged") as info:
+            run_safe_q(env, q0, 1, 10, np.random.default_rng(0))
+        assert info.value.step == 2
+
 
 class TestBatchFit:
     def test_exact_recovery(self):
