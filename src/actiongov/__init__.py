@@ -29,7 +29,6 @@ from .discrete_safeset import (
     compute_safe_set,
     constraint_table,
     discretize,
-    unsafe_witness,
 )
 from .governor import (
     ActionDistance,

@@ -3,17 +3,18 @@
 The closed loop is discretized onto a regular product grid (nearest grid
 point in Euclidean distance, which on a product grid reduces to nearest
 per coordinate; exact ties take the smaller index).  Each ``(x, v)`` pair
-is classified safe, unsafe or unresolved in three stages, each computed
-once: a backward fixed point marks the unsafe pairs, leaving the greatest
-invariant admissible set; a seed built from steady-state ellipsoids inside
-that set; and the growth of the safe set from the seed.  The fixed points
-apply each vectorized sweep at its end, which reaches the same sets as a
+is classified safe, unsafe or unresolved in three stages: a backward fixed
+point marks the unsafe pairs, leaving the greatest invariant admissible
+set; a seed built from steady-state ellipsoids inside that set; and the
+growth of the safe set from the seed.  The fixed points apply each
+vectorized sweep at its end, which reaches the same sets as a
 pair-at-a-time sweep because the marked sets only ever grow.
 
 The nominal loop holds the reference, so every successor of a pair
-``(x, v)`` is a pair of the same reference slice ``v``: the table, both
-fixed points and the seed's closure are computed one slice at a time.  No
-slice reads another, so sweep ``r`` of a slice marks exactly the pairs of
+``(x, v)`` is a pair of the same reference slice ``v``, and no slice reads
+another.  The table is computed one slice at a time, and one pass per
+slice takes it through all three stages on one gather of its admissible
+pairs' successor rows.  Sweep ``r`` of a slice marks exactly the pairs of
 that slice that sweep ``r`` over the whole grid would mark; the totals
 after sweep ``r`` of the whole grid are therefore the totals before the
 growth plus every slice's growth in its first ``r`` sweeps.
@@ -174,12 +175,6 @@ class GridSpec:
         np.copyto(flat, -1, where=out2)
         return flat
 
-    def _snap_coords(self, x1, x2):
-        """Flat x-pair indices (-1 outside) of the states with coordinate
-        arrays ``x1`` and ``x2``, of any one shape."""
-        ax1, ax2, _ = self._snap_axes
-        return self._flat_index(self._snap_axis(x1, ax1), self._snap_axis(x2, ax2))
-
     def snap_x(self, points) -> np.ndarray:
         """Flat x-pair indices of the nearest grid states; -1 when outside.
 
@@ -187,7 +182,8 @@ class GridSpec:
         its own axis with constants computed once per grid.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._snap_coords(pts[:, 0], pts[:, 1])
+        ax1, ax2, _ = self._snap_axes
+        return self._flat_index(self._snap_axis(pts[:, 0], ax1), self._snap_axis(pts[:, 1], ax2))
 
     def index_of(self, x) -> int:
         """Flat x-pair index of the grid state nearest one state ``x`` (-1
@@ -291,41 +287,36 @@ def _coordinate_snap(b, bt, ew, axis):
 def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Smallest superset of ``core`` closed under every disturbance successor.
 
-    Successors keep the reference coordinate, so each reference slice
-    closes on its own, frontier by frontier.  Callers must ensure
-    successors never leave the grid.
+    ``core`` is a pair mask (n_xpairs,) of one reference slice and ``table``
+    that slice's successor rows (n_xpairs, n_w); successors keep the
+    reference, so the slice closes on its own, frontier by frontier.
+    Callers must ensure successors never leave the grid.
     """
-    seed = core.copy()
-    for j in np.flatnonzero(core.any(axis=0)):
-        reached = core[:, j].copy()
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            succ = table[frontier, j]
-            if (succ < 0).any():
-                raise SeedConstructionError("seed closure left the grid range")
-            new = np.zeros_like(reached)
-            new[succ.ravel()] = True
-            new &= ~reached
-            reached |= new
-            frontier = np.flatnonzero(new)
-        seed[:, j] = reached
-    return seed
+    reached = core.copy()
+    frontier = np.flatnonzero(core)
+    while frontier.size:
+        succ = table[frontier]
+        if (succ < 0).any():
+            raise SeedConstructionError("seed closure left the grid range")
+        new = np.zeros_like(reached)
+        new[succ.ravel()] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    return reached
 
 
-def build_seed(tt: TransitionTable, invariant: np.ndarray, alpha: float) -> np.ndarray:
-    """Boolean mask (n_xpairs, n_v) of the certified safe invariant seed.
-
-    ``tt`` is the transition table of the loop ``tt.cl`` and ``invariant``
-    its greatest invariant admissible pair set (the pairs
-    :func:`unsafe_witness` leaves at ``WITNESS_NONE``).
+def build_seed(tt: TransitionTable, alpha: float) -> np.ndarray:
+    """Boolean mask (n_xpairs, n_v) of the raw seed collection of the loop
+    ``tt.cl``: the grid states inside the eligible steady-state ellipsoids.
 
     A reference is eligible when the worst case of every output constraint
-    over its steady-state ellipsoid is admissible; the raw collection is the
-    grid states inside eligible ellipsoids.  Snapping the dynamics to the
-    grid can make that collection non-invariant (worst-case disturbances
-    drive boundary members just outside), so the collection is completed to
-    its forward closure inside the invariant set.  When the collection is
-    already invariant the closure adds nothing.
+    over its steady-state ellipsoid is admissible.  Snapping the dynamics to
+    the grid can make the collection non-invariant (worst-case disturbances
+    drive boundary members just outside), so :func:`compute_safe_set`
+    completes its members inside the invariant set to their forward
+    closure; when the collection is already invariant the closure adds
+    nothing.
     """
     cl = tt.cl
     P = dlyap_scaled(cl.At, cl.plant.E, alpha)
@@ -350,23 +341,18 @@ def build_seed(tt: TransitionTable, invariant: np.ndarray, alpha: float) -> np.n
         members[:, j] = quad <= 1.0 + 1e-12
     if not members.any():
         raise SeedConstructionError("no grid pair passed the ellipsoid constraint check")
-
-    core = members & invariant
-    if not core.any():
-        raise SeedConstructionError(
-            "no ellipsoid member lies in any invariant admissible set"
-        )
-    return _forward_closure(core, tt.table)
+    return members
 
 
 class DiscreteSafeSet:
     """Classification of every grid pair plus the seed it grew from.
 
     ``class_map`` holds REMAIN / SAFE_PLUS / MINUS codes; ``pi`` is the
-    selected safe set (the full SAFE_PLUS class).  ``witness_w`` is the
-    :func:`unsafe_witness` of every pair.  ``sweep_counts`` lists (safe,
-    minus, remain) totals once the seed and the MINUS class are known, then
-    after every sweep of the safe set's growth.
+    selected safe set (the full SAFE_PLUS class).  ``witness_w`` is every
+    pair's witness of unsafety (see :func:`compute_safe_set`).
+    ``sweep_counts`` lists (safe, minus, remain) totals once the seed and
+    the MINUS class are known, then after every sweep of the safe set's
+    growth.
     """
 
     __slots__ = ("class_map", "seed", "grid", "witness_w", "sweep_counts", "_proj")
@@ -407,35 +393,6 @@ def constraint_table(tt: TransitionTable) -> np.ndarray:
     return ok
 
 
-def unsafe_witness(tt: TransitionTable, ok: np.ndarray) -> np.ndarray:
-    """Witness of unsafety for every grid pair, int16 of shape (n_xpairs, n_v).
-
-    ``WITNESS_CONSTRAINT`` where ``ok`` (the loop's :func:`constraint_table`)
-    fails; for an admissible pair, the first disturbance-grid index whose
-    successor leaves the grid or was marked in an earlier sweep, so every
-    witness chain ends at a violation or an exit; ``WITNESS_NONE`` on the
-    greatest invariant admissible set.
-
-    Each reference slice sweeps to its own fixed point over its admissible
-    pairs' successor rows; a sweep marks at its end.
-    """
-    witness = np.where(ok, WITNESS_NONE, WITNESS_CONSTRAINT).astype(np.int16)
-    for j in range(tt.grid.n_v):
-        rows = np.flatnonzero(ok[:, j])
-        succ = tt.table[rows, j].astype(np.intp)  # gathers index faster as intp
-        # one extra entry, always marked, which the off-grid successors (-1) read
-        marked = np.append(~ok[:, j], True)
-        while rows.size:
-            hit = marked[succ]
-            new = hit.any(axis=1)
-            if not new.any():
-                break
-            witness[rows[new], j] = np.argmax(hit[new], axis=1)
-            marked[rows[new]] = True
-            rows, succ = rows[~new], succ[~new]
-    return witness
-
-
 def _totals(cls: np.ndarray) -> tuple:
     remain, safe, minus = np.bincount(cls.ravel(), minlength=3)
     return int(safe), int(minus), int(remain)
@@ -444,41 +401,69 @@ def _totals(cls: np.ndarray) -> tuple:
 def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     """Classify all grid pairs of the loop tabulated in ``tt``.
 
-    ``alpha`` is the seed's Lyapunov scaling.  Pairs with an
-    :func:`unsafe_witness` against the loop's :func:`constraint_table` are
-    MINUS; the seed is built inside the remaining invariant set, and a pair
-    of that set becomes SAFE_PLUS once every disturbance successor is
-    SAFE_PLUS.  Invariant pairs that never reach the seed stay REMAIN.
+    ``alpha`` is the seed's Lyapunov scaling.  One pass per reference slice
+    gathers the successor rows of the slice's pairs admissible in the loop's
+    :func:`constraint_table` once, and runs three stages on them.  The
+    unsafe fixed point marks MINUS every pair with a successor off the grid
+    or MINUS, its witness the first such disturbance-grid index
+    (``WITNESS_CONSTRAINT`` for an inadmissible pair), so every witness
+    chain ends at a violation or an exit.  The slice's :func:`build_seed`
+    members among the pairs left (the greatest invariant admissible set, at
+    ``WITNESS_NONE``) close forward to the seed.  A pair left becomes
+    SAFE_PLUS once every disturbance successor is; invariant pairs that
+    never reach the seed stay REMAIN.
 
-    The growth sweeps each reference slice to its own fixed point; the
+    ``sweep_counts`` lists (safe, minus, remain) totals once the seed and
+    the MINUS class are known, then after every sweep of the growth: the
     totals after sweep ``r`` add up every slice's growth in its first ``r``
     sweeps, and the last entry repeats the one before, as the sweep that
     grows no slice any more.
     """
-    witness = unsafe_witness(tt, constraint_table(tt))
-    invariant = witness == WITNESS_NONE
-    seed = build_seed(tt, invariant, alpha)
-    cls = np.where(invariant, REMAIN, MINUS).astype(np.int8)
-    cls[seed] = SAFE_PLUS
-    safe, minus, remain = _totals(cls)
+    ok = constraint_table(tt)
+    members = build_seed(tt, alpha)
+    witness = np.where(ok, WITNESS_NONE, WITNESS_CONSTRAINT).astype(np.int16)
+    cls = np.full(ok.shape, REMAIN, dtype=np.int8)
+    seed = np.zeros_like(ok)
+    minus = 0
     grown = []  # pairs grown in sweep r, summed over the slices
     for j in range(tt.grid.n_v):
-        rows = np.flatnonzero(cls[:, j] == REMAIN)
-        # successors of invariant pairs are invariant, hence on the grid
-        succ = tt.table[rows, j].astype(np.intp)
-        marked = seed[:, j].copy()
+        rows = np.flatnonzero(ok[:, j])
+        succ = tt.table[rows, j].astype(np.intp)  # gathers index faster as intp
+        # one extra entry, always marked, which the off-grid successors (-1) read
+        unsafe = np.append(~ok[:, j], True)
+        while rows.size:
+            hit = unsafe[succ]
+            new = hit.any(axis=1)
+            if not new.any():
+                break
+            witness[rows[new], j] = np.argmax(hit[new], axis=1)
+            unsafe[rows[new]] = True
+            rows, succ = rows[~new], succ[~new]
+        unsafe = unsafe[:-1]
+        # rows holds the slice's invariant pairs: their successors are
+        # invariant too, hence on the grid
+        safe = _forward_closure(members[:, j] & ~unsafe, tt.table[:, j])
+        seed[:, j] = safe
+        keep = ~safe[rows]
+        rows, succ = rows[keep], succ[keep]
         for r in itertools.count():
-            new = marked[succ].all(axis=1)
+            new = safe[succ].all(axis=1)
             if r == len(grown):
                 grown.append(0)
             grown[r] += int(np.count_nonzero(new))
             if not new.any():
                 break
-            marked[rows[new]] = True
+            safe[rows[new]] = True
             rows, succ = rows[~new], succ[~new]
-        cls[marked, j] = SAFE_PLUS
-    counts = [(safe, minus, remain)] + [(safe + n, minus, remain - n)
-                                        for n in itertools.accumulate(grown)]
+        cls[unsafe, j] = MINUS
+        cls[safe, j] = SAFE_PLUS
+        minus += int(np.count_nonzero(unsafe))
+    if not seed.any():
+        raise SeedConstructionError("no ellipsoid member lies in any invariant admissible set")
+    safe0 = int(np.count_nonzero(seed))
+    remain = tt.grid.n_pairs - safe0 - minus
+    counts = [(safe0, minus, remain)] + [(safe0 + n, minus, remain - n)
+                                         for n in itertools.accumulate(grown)]
     return DiscreteSafeSet(cls, seed, tt.grid, witness, counts)
 
 

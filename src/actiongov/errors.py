@@ -4,8 +4,10 @@
 class ActionGovError(Exception):
     """Base class for all library-specific errors.
 
-    ``step`` is the supervision step at which the error was raised, set by
-    the supervision step itself; when set, it prefixes the message.
+    ``step`` is the index of the supervised step during which the error was
+    raised: ``govern`` and ``supervised_step`` set it for their own errors
+    and the env's, and ``run_supervised`` and ``run_safe_koopman`` for
+    their controller's and estimator's.  When set, it prefixes the message.
     """
 
     step = None

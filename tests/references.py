@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from actiongov import lp
-from actiongov.control_linalg import spectral_radius
+from actiongov.control_linalg import dlyap_scaled, spectral_radius
 from actiongov.convexset import DEFAULT_TOL, HPolytope, _dedupe_rows
 from actiongov.discrete_safeset import (
     MINUS,
@@ -39,6 +39,7 @@ from actiongov.errors import (
 )
 from actiongov.moas import Moas
 from actiongov.safe_learning import ObservableMap
+from ellipsoids import Ellipsoid, ellipsoid_support
 
 
 def intersect(p: HPolytope, q: HPolytope) -> HPolytope:
@@ -425,8 +426,8 @@ def discretize_reference(cl, grid) -> TransitionTable:
 
 
 def unsafe_witness_reference(tt, ok) -> np.ndarray:
-    """``discrete_safeset.unsafe_witness`` as sweeps over every pair of the
-    grid at once, each marking at its end."""
+    """The witness of unsafety of ``discrete_safeset.compute_safe_set`` as
+    sweeps over every pair of the grid at once, each marking at its end."""
     witness = np.where(ok, WITNESS_NONE, WITNESS_CONSTRAINT).astype(np.int16)
     rows, cols = np.nonzero(ok)
     succ = tt.table[rows, cols]
@@ -442,7 +443,8 @@ def unsafe_witness_reference(tt, ok) -> np.ndarray:
 
 def forward_closure_reference(core, table) -> np.ndarray:
     """``discrete_safeset._forward_closure`` as frontier sweeps over every
-    reference slice at once."""
+    reference slice at once: ``core`` is a pair mask (n_xpairs, n_v) and
+    ``table`` the whole transition table."""
     seed = core.copy()
     frontier = core.copy()
     while frontier.any():
@@ -455,6 +457,26 @@ def forward_closure_reference(core, table) -> np.ndarray:
         frontier = flat_new & ~seed
         seed |= frontier
     return seed
+
+
+def build_seed_reference(tt, invariant, alpha) -> np.ndarray:
+    """The seed of ``discrete_safeset.compute_safe_set`` over the whole grid:
+    the grid states inside the steady-state ellipsoids whose support in every
+    output constraint's direction is admissible, intersected with the
+    ``invariant`` pair mask and closed by :func:`forward_closure_reference`."""
+    cl, grid = tt.cl, tt.grid
+    P = dlyap_scaled(cl.At, cl.plant.E, alpha)
+    xv = np.linalg.solve(np.eye(cl.At.shape[0]) - cl.At, cl.Bt).ravel()
+    H, h = cl.out.constraint_set.normals, cl.out.constraint_set.offsets
+    pts, p_inv = grid.x_points(), np.linalg.inv(P)
+    members = np.zeros((grid.n_xpairs, grid.n_v), dtype=bool)
+    for j, v in enumerate(grid.v_values):
+        ell = Ellipsoid(xv * v, P)
+        if all(ellipsoid_support(ell, H[i] @ cl.Ct) + H[i] @ cl.Dt @ [v] <= h[i] + 1e-12
+               for i in range(H.shape[0])):
+            d = pts - xv * v
+            members[:, j] = np.einsum("ij,jk,ik->i", d, p_inv, d) <= 1 + 1e-12
+    return forward_closure_reference(members & invariant, tt.table)
 
 
 def grow_reference(tt, invariant, seed):

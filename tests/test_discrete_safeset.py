@@ -23,13 +23,13 @@ from actiongov.discrete_safeset import (
     compute_safe_set,
     constraint_table,
     discretize,
-    unsafe_witness,
 )
 from actiongov.errors import SeedConstructionError
 from actiongov.governor import ActionDistance
 from actiongov.simlab import ScenarioConfig, example_system
 from ellipsoids import Ellipsoid, ellipsoid_support
 from references import (
+    build_seed_reference,
     discretize_reference,
     feasible_actions_reference,
     forward_closure_reference,
@@ -72,12 +72,11 @@ def grid_tables(cl, out, grid):
 
 def invariant_set(tt, ok):
     """Greatest invariant admissible pair set, the domain of the seed."""
-    return unsafe_witness(tt, ok) == WITNESS_NONE
+    return unsafe_witness_reference(tt, ok) == WITNESS_NONE
 
 
 def seed_on(cl, out, grid, alpha=0.75):
-    tt, ok = grid_tables(cl, out, grid)
-    return build_seed(tt, invariant_set(tt, ok), alpha)
+    return compute_safe_set(discretize(cl, grid), alpha).seed
 
 
 def compute_safe_set_sequential(seed, tt, ok):
@@ -417,7 +416,9 @@ class TestBuildSeed:
         plant, out, gain, cl, grid = small_example(w_hi=1.0, dw=1.0)
         grid0 = GridSpec(grid.x_lo, grid.x_hi, grid.x_delta, grid.v_lo, grid.v_hi,
                          grid.v_delta, -0.0001, 0.0001, 0.0001)
-        seed = seed_on(cl, out, grid0)
+        tt = discretize(cl, grid0)
+        members = build_seed(tt, 0.75)
+        seed = compute_safe_set(tt, 0.75).seed
         # reproduce the collection with an independent membership check
         P = dlyap_scaled(cl.At, plant.E, 0.75)
         xv = np.linalg.solve(np.eye(2) - cl.At, cl.Bt).ravel()
@@ -434,6 +435,7 @@ class TestBuildSeed:
                 continue
             d = pts - xv * v
             expected[:, j] = np.einsum("ij,jk,ik->i", d, np.linalg.inv(P), d) <= 1 + 1e-12
+        assert np.array_equal(members, expected)
         assert np.array_equal(seed, expected)
 
     def test_origin_pair_included(self):
@@ -456,12 +458,31 @@ class TestBuildSeed:
 
     def test_seed_is_invariant_under_the_table(self):
         _, out, gain, cl, grid = small_example()
-        tt, ok = grid_tables(cl, out, grid)
-        seed = build_seed(tt, invariant_set(tt, ok), 0.75)
+        tt = discretize(cl, grid)
+        seed = compute_safe_set(tt, 0.75).seed
         rows, cols = np.nonzero(seed)
         succ = tt.table[rows, cols, :]
         assert np.all(succ >= 0)
         assert np.all(seed[succ, cols[:, None]])
+
+    def test_no_eligible_ellipsoid_raises(self):
+        # every reference in 40..60 puts its ellipsoid past the position bound
+        cl = small_example()[3]
+        grid = GridSpec((-25.0, -10.0), (25.0, 15.0), (2.5, 2.5), 40.0, 60.0, 5.0,
+                        -1.0, 1.0, 1.0)
+        with pytest.raises(SeedConstructionError, match="ellipsoid constraint check"):
+            compute_safe_set(discretize(cl, grid), 0.75)
+
+    def test_no_invariant_member_raises(self):
+        # a grid well inside the constraint box: every pair's successors
+        # leave it, so no pair is invariant although ellipsoid members exist
+        # (else the first message would be raised)
+        cl = small_example()[3]
+        grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (1.0, 1.0), -1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
+        tt, ok = grid_tables(cl, None, grid)
+        assert ok.all() and not invariant_set(tt, ok).any()
+        with pytest.raises(SeedConstructionError, match="no ellipsoid member lies in any"):
+            compute_safe_set(tt, 0.75)
 
 
 @pytest.fixture(scope="module")
@@ -762,14 +783,12 @@ class TestSliceWiseStages:
     exactly: table values and dtype, witness, seed, classes and totals."""
 
     @staticmethod
-    def whole_grid(cl, grid, alpha, monkeypatch):
+    def whole_grid(cl, grid, alpha):
         tt = discretize_reference(cl, grid)
         ok = constraint_table(tt)
         witness = unsafe_witness_reference(tt, ok)
         invariant = witness == WITNESS_NONE
-        with monkeypatch.context() as m:
-            m.setattr(discrete_safeset, "_forward_closure", forward_closure_reference)
-            seed = build_seed(tt, invariant, alpha)
+        seed = build_seed_reference(tt, invariant, alpha)
         cls, counts, grown_at = grow_reference(tt, invariant, seed)
         return tt, ok, witness, seed, cls, counts, grown_at
 
@@ -784,9 +803,9 @@ class TestSliceWiseStages:
         assert all(type(c) is int for row in dss.sweep_counts for c in row)
 
     @pytest.mark.parametrize("grid", SMALL_GRIDS + [WIDE_V_GRID])
-    def test_small_grids(self, grid, monkeypatch):
+    def test_small_grids(self, grid):
         cl = small_example()[3]
-        ref = self.whole_grid(cl, grid, 0.75, monkeypatch)
+        ref = self.whole_grid(cl, grid, 0.75)
         tt = discretize(cl, grid)
         self.assert_same(tt, compute_safe_set(tt, 0.75), ref)
         if grid is WIDE_V_GRID:
@@ -794,17 +813,17 @@ class TestSliceWiseStages:
             assert (~ok).all(axis=0).any() and ok.any(axis=0).any()
 
     @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
-    def test_index_width_grids(self, n1, dtype, monkeypatch):
+    def test_index_width_grids(self, n1, dtype):
         cl = small_example()[3]
         grid = width_grid(n1)
-        ref = self.whole_grid(cl, grid, 0.75, monkeypatch)
+        ref = self.whole_grid(cl, grid, 0.75)
         tt = discretize(cl, grid)
         assert tt.table.dtype == dtype
         self.assert_same(tt, compute_safe_set(tt, 0.75), ref)
 
-    def test_shipped_grid(self, rig, base_cfg, grid_bundle, monkeypatch):
+    def test_shipped_grid(self, rig, base_cfg, grid_bundle):
         _, dss, tt, grid = grid_bundle
-        ref = self.whole_grid(rig.cl, grid, base_cfg.alpha, monkeypatch)
+        ref = self.whole_grid(rig.cl, grid, base_cfg.alpha)
         self.assert_same(tt, dss, ref)
         # slices stop growing at different sweeps, so the totals add up
         # slices that have finished and slices that still grow
@@ -818,9 +837,11 @@ class TestSliceWiseStages:
         rng = np.random.default_rng(9)
         for share in (0.001, 0.01, 0.1):
             core = invariant & (rng.random(invariant.shape) < share)
-            got = discrete_safeset._forward_closure(core, tt.table)
-            assert np.array_equal(got, forward_closure_reference(core, tt.table))
-            assert np.array_equal(got & ~invariant, np.zeros_like(got))
+            want = forward_closure_reference(core, tt.table)
+            for j in range(grid.n_v):
+                got = discrete_safeset._forward_closure(core[:, j], tt.table[:, j])
+                assert np.array_equal(got, want[:, j])
+                assert not (got & ~invariant[:, j]).any()
 
     def test_forward_closure_leaving_the_grid_raises(self):
         _, _, _, cl, grid = small_example()
@@ -828,6 +849,7 @@ class TestSliceWiseStages:
         core = np.zeros((grid.n_xpairs, grid.n_v), dtype=bool)
         i, j, _ = np.argwhere(tt.table < 0)[0]
         core[i, j] = True
-        for closure in (discrete_safeset._forward_closure, forward_closure_reference):
-            with pytest.raises(SeedConstructionError, match="left the grid"):
-                closure(core, tt.table)
+        with pytest.raises(SeedConstructionError, match="left the grid"):
+            discrete_safeset._forward_closure(core[:, j], tt.table[:, j])
+        with pytest.raises(SeedConstructionError, match="left the grid"):
+            forward_closure_reference(core, tt.table)
