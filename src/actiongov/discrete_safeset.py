@@ -12,19 +12,24 @@ pair-at-a-time sweep because the marked sets only ever grow.
 
 The nominal loop holds the reference, so every successor of a pair
 ``(x, v)`` is a pair of the same reference slice ``v``, and no slice reads
-another.  The table is computed one slice at a time, and one pass per
-slice takes it through all three stages on one gather of its admissible
-pairs' successor rows.  Sweep ``r`` of a slice marks exactly the pairs of
-that slice that sweep ``r`` over the whole grid would mark; the totals
-after sweep ``r`` of the whole grid are therefore the totals before the
-growth plus every slice's growth in its first ``r`` sweeps.
+another.  The set-up therefore holds one slice's successor rows at a time:
+:func:`discretize` prepares the snapping, and
+:meth:`TransitionTable.slice_rows` tabulates one slice into a buffer that
+the next slice overwrites.  One pass per slice tabulates it and takes it
+through all three stages on one gather of its admissible pairs' rows.
+Sweep ``r`` of a slice marks exactly the pairs of that slice that sweep
+``r`` over the whole grid would mark; the totals after sweep ``r`` of the
+whole grid are therefore the totals before the growth plus every slice's
+growth in its first ``r`` sweeps.  The whole table,
+:attr:`TransitionTable.table`, is assembled from the slices on demand; no
+pipeline reads it.
 
 Each successor coordinate is snapped along the axes it moves with only: a
-coordinate the reference does not move is snapped once per call, before
-the slice loop, and one the disturbance does not move is snapped once per
-state and broadcast over the disturbances.  The rest is snapped slice by
-slice into buffers allocated once per :func:`discretize` call, so a call
-frees and re-faults no slice-sized temporaries.
+coordinate the reference does not move is snapped once per table, and one
+the disturbance does not move is snapped once per state and broadcast over
+the disturbances.  The rest is snapped slice by slice into buffers
+allocated once per table, so tabulating a slice frees and re-faults no
+slice-sized temporaries.
 """
 
 from __future__ import annotations
@@ -216,69 +221,94 @@ def _snap_one(val: float, axis) -> int:
 
 
 class TransitionTable:
-    """Successor x-pair index for every ``(x, v, w)`` grid triple.
+    """Successor x-pair indices of every ``(x, v, w)`` grid triple, one
+    reference slice at a time.
 
-    ``table[i, j, k]`` is the flat index of the grid state nearest to the
-    closed-loop successor, or -1 when the successor leaves the grid range.
-    Indices are int16 when every x-pair index fits, int32 otherwise.  Every
+    Entry ``[i, k]`` of :meth:`slice_rows` ``(j)`` is the flat index of the
+    grid state nearest to the closed-loop successor of grid state ``i``
+    under reference ``j`` and disturbance ``k``, or -1 when the successor
+    leaves the grid range.  :attr:`table` holds every slice at once.  Every
     later stage reads the grid and the loop ``cl`` from the table.
     """
 
-    __slots__ = ("table", "grid", "cl")
+    __slots__ = ("grid", "cl", "_snaps", "_rows", "_table")
 
-    def __init__(self, table: np.ndarray, grid: GridSpec, cl: ClosedLoop):
-        self.table = table
+    def __init__(self, snaps, grid: GridSpec, cl: ClosedLoop):
         self.grid = grid
         self.cl = cl
+        self._snaps = snaps
+        self._rows = np.empty((grid.n_xpairs, grid.n_w), dtype=np.intp)
+        self._table = None
+
+    def slice_rows(self, j: int) -> np.ndarray:
+        """The successor rows (n_xpairs, n_w) of reference slice ``j``, as
+        intp, written into one buffer of the table that the next call
+        overwrites."""
+        v = self.grid.v_values[j]
+        self.grid._flat_index(*(snap(v) for snap in self._snaps), out=self._rows)
+        return self._rows
+
+    @property
+    def table(self) -> np.ndarray:
+        """Every slice's successor rows, ``table[i, j, k]``, assembled from
+        :meth:`slice_rows` on first read and kept, read-only.  Indices are
+        int16 when every x-pair index fits, int32 otherwise."""
+        if self._table is None:
+            grid = self.grid
+            narrow = grid.n_xpairs <= np.iinfo(np.int16).max
+            table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w),
+                             dtype=np.int16 if narrow else np.int32)
+            for j in range(grid.n_v):
+                table[:, j] = self.slice_rows(j)
+            table.flags.writeable = False
+            self._table = table
+        return self._table
 
 
 def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
-    """Tabulate the nominal closed loop on the grid, one reference slice at a time.
+    """The nominal closed loop on the grid, ready to tabulate slice by slice.
 
     Successor coordinate ``a`` of a state ``x`` is ``(At x)_a + Bt_a v +
     E_a w``, formed by the same float operations in the same order as one
     successor at a time, and snapped along the axes it moves with only (see
-    :func:`_coordinate_snap`): once before the slice loop when ``Bt_a`` is
-    0, and one row broadcast over the disturbances when ``E_a`` is 0.  A
-    term left out adds +-0.0, which leaves the value as it is or turns -0.0
-    into +0.0, and both snap to the same index, so the table is that of the
-    full sums.  What is still snapped per slice, and the slice's flat
-    indices, go into ``(n_w, n_xpairs)`` buffers allocated once per call.
+    :func:`_coordinate_snap`): here, once, when ``Bt_a`` is 0, and one column
+    broadcast over the disturbances when ``E_a`` is 0.  A term left out
+    adds +-0.0, which leaves the value as it is or turns -0.0 into +0.0, and
+    both snap to the same index, so the rows are those of the full sums.
+    Nothing is tabulated here: :meth:`TransitionTable.slice_rows` snaps
+    what depends on the reference into ``(n_xpairs, n_w)`` buffers
+    allocated here, once per table.
     """
     snaps = [_coordinate_snap(b, bt, e * grid.w_values if e != 0 else None, axis)
              for b, bt, e, axis in zip((grid.x_points() @ cl.At.T).T, cl.Bt.ravel(),
                                        cl.plant.E.ravel(), grid._snap_axes)]
-    narrow = grid.n_xpairs <= np.iinfo(np.int16).max
-    table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w), dtype=np.int16 if narrow else np.int32)
-    flat = np.empty((grid.n_w, grid.n_xpairs), dtype=np.int64)
-    for j, v in enumerate(grid.v_values):
-        table[:, j] = grid._flat_index(*(snap(v) for snap in snaps), out=flat).T
-    return TransitionTable(table, grid, cl)
+    return TransitionTable(snaps, grid, cl)
 
 
 def _coordinate_snap(b, bt, ew, axis):
     """``v -> (index, outside)``: the snap on ``axis`` of the successor
-    coordinate ``ew[:, None] + (b + bt v)`` of every grid state (columns)
-    under every disturbance (rows) at the reference ``v``.
+    coordinate ``(b + bt v)[:, None] + ew`` of every grid state (rows)
+    under every disturbance (columns) at the reference ``v``.
 
     ``ew`` is None for a zero disturbance entry: the coordinate is then the
-    one row ``b + bt v``.  When ``bt`` is 0 the coordinate does not depend
-    on ``v`` and is snapped here, once.  Otherwise each call writes into
-    buffers allocated here, which the next call overwrites.
+    one column ``b + bt v``.  When ``bt`` is 0 the coordinate does not
+    depend on ``v`` and is snapped here, once.  Otherwise each call writes
+    into buffers allocated here, which the next call overwrites.
     """
+    col = b[:, None]
     if bt == 0:
-        fixed = GridSpec._snap_axis(b[None, :] if ew is None else b + ew[:, None], axis)
+        fixed = GridSpec._snap_axis(col if ew is None else col + ew, axis)
         return lambda v: fixed
-    shape = (1 if ew is None else ew.size, b.size)
-    base = np.empty(b.size)
-    vals = base[None, :] if ew is None else np.empty(shape)
+    shape = (b.size, 1 if ew is None else ew.size)
+    base = np.empty((b.size, 1))
+    vals = base if ew is None else np.empty(shape)
     buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64),
                np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
 
     def snap(v):
-        np.add(b, bt * v, out=base)
+        np.add(col, bt * v, out=base)
         if ew is not None:
-            np.add(base, ew[:, None], out=vals)
+            np.add(base, ew, out=vals)
         return GridSpec._snap_axis(vals, axis, buffers)
 
     return snap
@@ -399,10 +429,12 @@ def _totals(cls: np.ndarray) -> tuple:
 
 
 def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
-    """Classify all grid pairs of the loop tabulated in ``tt``.
+    """Classify all grid pairs of the loop discretized in ``tt``.
 
     ``alpha`` is the seed's Lyapunov scaling.  One pass per reference slice
-    gathers the successor rows of the slice's pairs admissible in the loop's
+    tabulates the slice's successor rows with
+    :meth:`TransitionTable.slice_rows`, so the whole table is never held,
+    gathers the rows of the slice's pairs admissible in the loop's
     :func:`constraint_table` once, and runs three stages on them.  The
     unsafe fixed point marks MINUS every pair with a successor off the grid
     or MINUS, its witness the first such disturbance-grid index
@@ -421,14 +453,16 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     """
     ok = constraint_table(tt)
     members = build_seed(tt, alpha)
-    witness = np.where(ok, WITNESS_NONE, WITNESS_CONSTRAINT).astype(np.int16)
+    witness = np.full(ok.shape, WITNESS_NONE, dtype=np.int16)
+    witness[~ok] = WITNESS_CONSTRAINT
     cls = np.full(ok.shape, REMAIN, dtype=np.int8)
     seed = np.zeros_like(ok)
     minus = 0
     grown = []  # pairs grown in sweep r, summed over the slices
     for j in range(tt.grid.n_v):
+        table = tt.slice_rows(j)
         rows = np.flatnonzero(ok[:, j])
-        succ = tt.table[rows, j].astype(np.intp)  # gathers index faster as intp
+        succ = table[rows]
         # one extra entry, always marked, which the off-grid successors (-1) read
         unsafe = np.append(~ok[:, j], True)
         while rows.size:
@@ -442,7 +476,7 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
         unsafe = unsafe[:-1]
         # rows holds the slice's invariant pairs: their successors are
         # invariant too, hence on the grid
-        safe = _forward_closure(members[:, j] & ~unsafe, tt.table[:, j])
+        safe = _forward_closure(members[:, j] & ~unsafe, table)
         seed[:, j] = safe
         keep = ~safe[rows]
         rows, succ = rows[keep], succ[keep]

@@ -287,8 +287,9 @@ def build_moas_backend(cfg: ScenarioConfig, rig: ExampleRig):
 
 
 def build_grid_backend(cfg: ScenarioConfig, rig: ExampleRig):
-    """Grid classification of the nominal loop; the transition table is
-    computed once and carries the loop to every stage."""
+    """Grid classification of the nominal loop; the loop is discretized
+    once, and its transition table carries the loop to every stage and is
+    tabulated one reference slice at a time."""
     grid = cfg.grid_spec()
     tt = discretize(rig.cl, grid)
     dss = compute_safe_set(tt, cfg.alpha)

@@ -13,6 +13,8 @@ library stages must match exactly, the grid oracle's feasible actions its
 memo must match, the admissible-set oracle's action polytope its prebuilt
 rows must match, and membership queries on both oracles' safe sets."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -26,7 +28,6 @@ from actiongov.discrete_safeset import (
     WITNESS_CONSTRAINT,
     WITNESS_NONE,
     GridSpec,
-    TransitionTable,
 )
 from actiongov.errors import (
     EmptySetError,
@@ -409,9 +410,12 @@ def random_two_input_model(rng):
     N = rng.normal(size=(2, 2))
     return A, B, C @ C.T / 4.0 + 0.1 * np.eye(4), N @ N.T + 0.5 * np.eye(2)
 
-def discretize_reference(cl, grid) -> TransitionTable:
+def discretize_reference(cl, grid) -> SimpleNamespace:
     """The closed loop tabulated one ``(v, w)`` pair at a time, one
-    ``GridSpec.snap_x`` call of every grid state each."""
+    ``GridSpec.snap_x`` call of every grid state each: the whole table
+    ``table[i, j, k]`` (int16 when every x-pair index fits, int32
+    otherwise) with its ``grid`` and loop ``cl``, which the whole-grid
+    references below read as they would a ``TransitionTable``."""
     pts = grid.x_points()
     base = pts @ cl.At.T
     bt = cl.Bt.ravel()
@@ -422,7 +426,7 @@ def discretize_reference(cl, grid) -> TransitionTable:
         shift_v = base + bt * v
         for k, w in enumerate(grid.w_values):
             table[:, j, k] = grid.snap_x(shift_v + ew * w)
-    return TransitionTable(table, grid, cl)
+    return SimpleNamespace(table=table, grid=grid, cl=cl)
 
 
 def unsafe_witness_reference(tt, ok) -> np.ndarray:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from actiongov.discrete_safeset import (
     DiscreteGridOracle,
     DiscreteSafeSet,
     GridSpec,
+    TransitionTable,
     build_seed,
     compute_safe_set,
     constraint_table,
@@ -26,7 +28,7 @@ from actiongov.discrete_safeset import (
 )
 from actiongov.errors import SeedConstructionError
 from actiongov.governor import ActionDistance
-from actiongov.simlab import ScenarioConfig, example_system
+from actiongov.simlab import ScenarioConfig, build_grid_backend, example_system
 from ellipsoids import Ellipsoid, ellipsoid_support
 from references import (
     build_seed_reference,
@@ -356,6 +358,18 @@ class TestDiscretize:
         assert (want != want[:, :1]).any() == moves_v
         assert (want != want[:, :, :1]).any() == moves_w
 
+    def test_slices_share_one_buffer_and_the_table_is_assembled_once(self):
+        _, _, _, cl, grid = small_example()
+        tt = discretize(cl, grid)
+        first = tt.slice_rows(0).copy()
+        rows = tt.slice_rows(grid.n_v - 1)
+        assert rows.dtype == np.intp and rows.shape == (grid.n_xpairs, grid.n_w)
+        assert tt.slice_rows(0) is rows and np.array_equal(rows, first)
+        table = tt.table
+        assert tt.table is table and not table.flags.writeable
+        for j in range(grid.n_v):
+            assert np.array_equal(table[:, j], tt.slice_rows(j))
+
     @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
     def test_index_width_follows_the_grid_size(self, n1, dtype):
         _, _, _, cl, _ = small_example()
@@ -389,18 +403,19 @@ class TestDiscretize:
                 assert d[got] == pytest.approx(d.min(), abs=1e-12)
 
     def test_fresh_process_call_takes_few_page_faults(self):
-        # the shipped grid's first discretize in a new process; a call that
-        # allocates and frees its slice temporaries slice after slice takes
-        # over 100,000 minor faults there, one with buffers about 1,000-2,000
+        # the shipped grid's first classification in a new process, which
+        # tabulates every slice; a set-up that allocates and frees its slice
+        # temporaries slice after slice takes over 100,000 minor faults
+        # there, one with buffers allocated once per table about 2,500
         src = Path(__file__).resolve().parent.parent / "src"
         script = (
             "import resource\n"
-            "from actiongov.discrete_safeset import discretize\n"
+            "from actiongov.discrete_safeset import compute_safe_set, discretize\n"
             "from actiongov.simlab import ScenarioConfig, build_rig\n"
             "cfg = ScenarioConfig(seed=0)\n"
             "cl, grid = build_rig(cfg).cl, cfg.grid_spec()\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "discretize(cl, grid)\n"
+            "compute_safe_set(discretize(cl, grid), cfg.alpha)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -770,6 +785,26 @@ class TestPipeline:
                                     grid_dw=1.0, action_du=2.0)
         simlab.build_grid_backend(cfg, simlab.build_rig(cfg))
         assert calls == {"discretize": 1, "constraint_table": 1}
+
+    def test_grid_backend_never_assembles_the_whole_table(self, rig, base_cfg, monkeypatch):
+        def whole_table(tt):
+            raise AssertionError("the set-up read the whole transition table")
+
+        monkeypatch.setattr(TransitionTable, "table", property(whole_table))
+        _, dss, _, _ = build_grid_backend(base_cfg, rig)
+        assert dss.pi.any()
+
+    def test_grid_backend_peak_memory_stays_below_the_whole_table(self, rig, base_cfg):
+        # the shipped grid's whole table alone is 5,151 x 101 x 21 int16
+        # indices, 21.9 MB; holding one slice's rows at a time keeps the
+        # set-up's traced peak near 9 MB
+        tracemalloc.start()
+        try:
+            build_grid_backend(base_cfg, rig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 # references up to +-60: the loop's action K x + L v leaves U at every grid

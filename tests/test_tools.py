@@ -137,3 +137,19 @@ def test_set_distance_reads_both_artifacts_and_reports_the_support_gap(tmp_path,
     assert lines[1] == "set_xv  rows 6 6  largest support gap 0  (212 directions)"
     assert lines[2] == "proj_x  rows 4 5  largest support gap 0.25  (209 directions)"
     assert lines[3] == "proj_x_shrunk  rows 4 4  largest support gap 0  (208 directions)"
+
+
+def test_setup_memory_prints_one_line_per_backend(tmp_path, capsys, tiny_grid):
+    tool = _load("setup_memory")
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"seed": 0, **tiny_grid}))
+    assert tool.main(["--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["backend", "maxrss_before", "maxrss_after", "minflt",
+                                "traced_peak"]
+    rows = [re.fullmatch(r"(\w+) +([0-9.]+) MB +([0-9.]+) MB +(\d+) +([0-9.]+) MB", line)
+            for line in lines[1:]]
+    assert [m.group(1) for m in rows] == ["grid", "moas"]
+    for m in rows:
+        before, after, _, peak = (float(g) for g in m.groups()[1:])
+        assert 0 < before <= after and peak > 0
