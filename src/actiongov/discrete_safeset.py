@@ -14,22 +14,25 @@ The nominal loop holds the reference, so every successor of a pair
 ``(x, v)`` is a pair of the same reference slice ``v``, and no slice reads
 another.  The set-up therefore holds one slice's successor rows at a time:
 :func:`discretize` prepares the snapping, and
-:meth:`TransitionTable.slice_rows` tabulates one slice into a buffer that
-the next slice overwrites.  One pass per slice tabulates it and takes it
-through all three stages on one gather of its admissible pairs' rows.
-Sweep ``r`` of a slice marks exactly the pairs of that slice that sweep
-``r`` over the whole grid would mark; the totals after sweep ``r`` of the
-whole grid are therefore the totals before the growth plus every slice's
-growth in its first ``r`` sweeps.  The whole table,
-:attr:`TransitionTable.table`, is assembled from the slices on demand; no
-pipeline reads it.
+:meth:`TransitionTable.slice_rows` tabulates the rows of some states of
+one slice into a buffer that the next slice overwrites.  The
+classification reads the rows of admissible pairs only (an inadmissible
+pair is unsafe before any sweep, and the seed and the safe set lie inside
+the invariant set), so one pass per slice tabulates just those rows and
+takes them through all three stages, then certifies that the slice's safe
+set is closed on the same rows.  Sweep ``r`` of a slice marks exactly the
+pairs of that slice that sweep ``r`` over the whole grid would mark; the
+totals after sweep ``r`` of the whole grid are therefore the totals before
+the growth plus every slice's growth in its first ``r`` sweeps.  The whole
+table, :attr:`TransitionTable.table`, is assembled from the slices on
+demand; no pipeline reads it.
 
 Each successor coordinate is snapped along the axes it moves with only: a
 coordinate the reference does not move is snapped once per table, and one
 the disturbance does not move is snapped once per state and broadcast over
-the disturbances.  The rest is snapped slice by slice into buffers
-allocated once per table, so tabulating a slice frees and re-faults no
-slice-sized temporaries.
+the disturbances.  The rest is snapped slice by slice, for the requested
+states only, into buffers allocated once per table, so tabulating a slice
+frees and re-faults no slice-sized temporaries.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .control_linalg import ClosedLoop, dlyap_scaled
-from .errors import SeedConstructionError
+from .errors import SafeSetClosureError, SeedConstructionError
 from .governor import nearest_candidate
 
 REMAIN = 0
@@ -221,14 +224,15 @@ def _snap_one(val: float, axis) -> int:
 
 
 class TransitionTable:
-    """Successor x-pair indices of every ``(x, v, w)`` grid triple, one
-    reference slice at a time.
+    """Successor x-pair indices of ``(x, v, w)`` grid triples, for some
+    states of one reference slice at a time.
 
-    Entry ``[i, k]`` of :meth:`slice_rows` ``(j)`` is the flat index of the
-    grid state nearest to the closed-loop successor of grid state ``i``
-    under reference ``j`` and disturbance ``k``, or -1 when the successor
-    leaves the grid range.  :attr:`table` holds every slice at once.  Every
-    later stage reads the grid and the loop ``cl`` from the table.
+    Entry ``[r, k]`` of :meth:`slice_rows` ``(j, states)`` is the flat
+    index of the grid state nearest to the closed-loop successor of grid
+    state ``states[r]`` under reference ``j`` and disturbance ``k``, or -1
+    when the successor leaves the grid range.  :attr:`table` holds every
+    state of every slice at once.  Every later stage reads the grid and the
+    loop ``cl`` from the table.
     """
 
     __slots__ = ("grid", "cl", "_snaps", "_rows", "_table")
@@ -240,13 +244,15 @@ class TransitionTable:
         self._rows = np.empty((grid.n_xpairs, grid.n_w), dtype=np.intp)
         self._table = None
 
-    def slice_rows(self, j: int) -> np.ndarray:
-        """The successor rows (n_xpairs, n_w) of reference slice ``j``, as
-        intp, written into one buffer of the table that the next call
+    def slice_rows(self, j: int, states: np.ndarray) -> np.ndarray:
+        """The successor rows (len(states), n_w) of the grid states
+        ``states`` (flat x-pair indices) under reference slice ``j``, as
+        intp: row ``r`` is ``table[states[r], j]``.  Written into the first
+        ``len(states)`` rows of one buffer of the table, which the next call
         overwrites."""
         v = self.grid.v_values[j]
-        self.grid._flat_index(*(snap(v) for snap in self._snaps), out=self._rows)
-        return self._rows
+        out = self._rows[:len(states)]
+        return self.grid._flat_index(*(snap(v, states) for snap in self._snaps), out=out)
 
     @property
     def table(self) -> np.ndarray:
@@ -258,8 +264,9 @@ class TransitionTable:
             narrow = grid.n_xpairs <= np.iinfo(np.int16).max
             table = np.empty((grid.n_xpairs, grid.n_v, grid.n_w),
                              dtype=np.int16 if narrow else np.int32)
+            states = np.arange(grid.n_xpairs)
             for j in range(grid.n_v):
-                table[:, j] = self.slice_rows(j)
+                table[:, j] = self.slice_rows(j, states)
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -276,8 +283,9 @@ def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
     adds +-0.0, which leaves the value as it is or turns -0.0 into +0.0, and
     both snap to the same index, so the rows are those of the full sums.
     Nothing is tabulated here: :meth:`TransitionTable.slice_rows` snaps
-    what depends on the reference into ``(n_xpairs, n_w)`` buffers
-    allocated here, once per table.
+    what depends on the reference, for the states it is given, into the
+    first rows of ``(n_xpairs, n_w)`` buffers allocated here, once per
+    table.
     """
     snaps = [_coordinate_snap(b, bt, e * grid.w_values if e != 0 else None, axis)
              for b, bt, e, axis in zip((grid.x_points() @ cl.At.T).T, cl.Bt.ravel(),
@@ -286,46 +294,53 @@ def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
 
 
 def _coordinate_snap(b, bt, ew, axis):
-    """``v -> (index, outside)``: the snap on ``axis`` of the successor
-    coordinate ``(b + bt v)[:, None] + ew`` of every grid state (rows)
-    under every disturbance (columns) at the reference ``v``.
+    """``(v, states) -> (index, outside)``: the snap on ``axis`` of the
+    successor coordinate ``(b + bt v)[states, None] + ew`` of the grid
+    states ``states`` (rows) under every disturbance (columns) at the
+    reference ``v``.
 
     ``ew`` is None for a zero disturbance entry: the coordinate is then the
     one column ``b + bt v``.  When ``bt`` is 0 the coordinate does not
-    depend on ``v`` and is snapped here, once.  Otherwise each call writes
-    into buffers allocated here, which the next call overwrites.
+    depend on ``v``: every state is snapped here, once, and each call
+    gathers the rows of ``states``.  Otherwise each call snaps the rows of
+    ``states`` only, into the first ``len(states)`` rows of buffers
+    allocated here for every state, which the next call overwrites; only
+    the column ``b[states] + bt v`` is new per call.
     """
     col = b[:, None]
     if bt == 0:
         fixed = GridSpec._snap_axis(col if ew is None else col + ew, axis)
-        return lambda v: fixed
+        return lambda v, states: tuple(a[states] for a in fixed)
     shape = (b.size, 1 if ew is None else ew.size)
-    base = np.empty((b.size, 1))
-    vals = base if ew is None else np.empty(shape)
+    sums = None if ew is None else np.empty(shape)
     buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64),
                np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
 
-    def snap(v):
-        np.add(col, bt * v, out=base)
+    def snap(v, states):
+        m = len(states)
+        vals = col[states]
+        vals += bt * v
         if ew is not None:
-            np.add(base, ew, out=vals)
-        return GridSpec._snap_axis(vals, axis, buffers)
+            vals = np.add(vals, ew, out=sums[:m])
+        return GridSpec._snap_axis(vals, axis, tuple(buf[:m] for buf in buffers))
 
     return snap
 
 
-def _forward_closure(core: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _forward_closure(core: np.ndarray, table: np.ndarray, row_of: np.ndarray) -> np.ndarray:
     """Smallest superset of ``core`` closed under every disturbance successor.
 
-    ``core`` is a pair mask (n_xpairs,) of one reference slice and ``table``
-    that slice's successor rows (n_xpairs, n_w); successors keep the
-    reference, so the slice closes on its own, frontier by frontier.
-    Callers must ensure successors never leave the grid.
+    ``core`` is a pair mask (n_xpairs,) of one reference slice, ``table``
+    successor rows of that slice and ``row_of`` the row of ``table`` that
+    holds each state's successors; successors keep the reference, so the
+    slice closes on its own, frontier by frontier.  Every state the closure
+    reaches must have a row.  Callers must ensure successors never leave
+    the grid.
     """
     reached = core.copy()
     frontier = np.flatnonzero(core)
     while frontier.size:
-        succ = table[frontier]
+        succ = table[row_of[frontier]]
         if (succ < 0).any():
             raise SeedConstructionError("seed closure left the grid range")
         new = np.zeros_like(reached)
@@ -428,22 +443,44 @@ def _totals(cls: np.ndarray) -> tuple:
     return int(safe), int(minus), int(remain)
 
 
+def _certify_closed(safe, admissible, table, row_of, j):
+    """Raise :class:`SafeSetClosureError` unless every pair of the slice-``j``
+    mask ``safe`` is admissible and each of its successors, read from the
+    tabulated ``table`` through ``row_of``, is on the grid and in ``safe``."""
+    pairs = np.flatnonzero(safe)
+    bad = ~admissible[pairs]
+    if bad.any():
+        what = "is inadmissible"
+    else:
+        succ = table[row_of[pairs]]
+        # an off-grid successor (-1) reads an arbitrary entry; the first test decides it
+        bad = ((succ < 0) | ~safe[succ]).any(axis=1)
+        what = "has a successor off the grid or outside the safe set"
+    if bad.any():
+        raise SafeSetClosureError(
+            f"safe pair (x-pair {pairs[np.argmax(bad)]}, reference slice {j}) {what}")
+
+
 def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     """Classify all grid pairs of the loop discretized in ``tt``.
 
     ``alpha`` is the seed's Lyapunov scaling.  One pass per reference slice
-    tabulates the slice's successor rows with
-    :meth:`TransitionTable.slice_rows`, so the whole table is never held,
-    gathers the rows of the slice's pairs admissible in the loop's
-    :func:`constraint_table` once, and runs three stages on them.  The
-    unsafe fixed point marks MINUS every pair with a successor off the grid
-    or MINUS, its witness the first such disturbance-grid index
-    (``WITNESS_CONSTRAINT`` for an inadmissible pair), so every witness
-    chain ends at a violation or an exit.  The slice's :func:`build_seed`
-    members among the pairs left (the greatest invariant admissible set, at
-    ``WITNESS_NONE``) close forward to the seed.  A pair left becomes
-    SAFE_PLUS once every disturbance successor is; invariant pairs that
-    never reach the seed stay REMAIN.
+    tabulates, with :meth:`TransitionTable.slice_rows`, the successor rows
+    of the slice's pairs admissible in the loop's :func:`constraint_table`
+    and of no other pair, so the whole table is never held, and runs three
+    stages on those rows.  The unsafe fixed point marks MINUS every pair
+    with a successor off the grid or MINUS, its witness the first such
+    disturbance-grid index (``WITNESS_CONSTRAINT`` for an inadmissible
+    pair, whose row is never read), so every witness chain ends at a
+    violation or an exit.  The slice's :func:`build_seed` members among the
+    pairs left (the greatest invariant admissible set, at ``WITNESS_NONE``)
+    close forward to the seed, reading each visited pair's row through a
+    state-to-row map.  A pair left becomes SAFE_PLUS once every disturbance
+    successor is; invariant pairs that never reach the seed stay REMAIN.
+    Last, the same rows certify the slice's safe set: every SAFE_PLUS pair
+    must be admissible with every successor on the grid and SAFE_PLUS at
+    the same reference, or :class:`SafeSetClosureError` names the slice and
+    the pair.
 
     ``sweep_counts`` lists (safe, minus, remain) totals once the seed and
     the MINUS class are known, then after every sweep of the growth: the
@@ -459,10 +496,12 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     seed = np.zeros_like(ok)
     minus = 0
     grown = []  # pairs grown in sweep r, summed over the slices
+    # row of the slice's tabulated rows per state; read for admissible states only
+    row_of = np.empty(tt.grid.n_xpairs, dtype=np.intp)
     for j in range(tt.grid.n_v):
-        table = tt.slice_rows(j)
         rows = np.flatnonzero(ok[:, j])
-        succ = table[rows]
+        succ = table = tt.slice_rows(j, rows)
+        row_of[rows] = np.arange(rows.size)
         # one extra entry, always marked, which the off-grid successors (-1) read
         unsafe = np.append(~ok[:, j], True)
         while rows.size:
@@ -476,7 +515,7 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
         unsafe = unsafe[:-1]
         # rows holds the slice's invariant pairs: their successors are
         # invariant too, hence on the grid
-        safe = _forward_closure(members[:, j] & ~unsafe, table)
+        safe = _forward_closure(members[:, j] & ~unsafe, table, row_of)
         seed[:, j] = safe
         keep = ~safe[rows]
         rows, succ = rows[keep], succ[keep]
@@ -489,6 +528,7 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
                 break
             safe[rows[new]] = True
             rows, succ = rows[~new], succ[~new]
+        _certify_closed(safe, ok[:, j], table, row_of, j)
         cls[unsafe, j] = MINUS
         cls[safe, j] = SAFE_PLUS
         minus += int(np.count_nonzero(unsafe))

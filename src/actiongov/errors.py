@@ -59,3 +59,8 @@ class NonFiniteInputError(ActionGovError):
 
 class SeedConstructionError(ActionGovError):
     """The invariant seed set of the grid classifier came out empty."""
+
+
+class SafeSetClosureError(ActionGovError):
+    """A safe pair of the grid classification is inadmissible or has a
+    disturbance successor off the grid or outside the safe set."""

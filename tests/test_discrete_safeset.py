@@ -26,7 +26,7 @@ from actiongov.discrete_safeset import (
     constraint_table,
     discretize,
 )
-from actiongov.errors import SeedConstructionError
+from actiongov.errors import SafeSetClosureError, SeedConstructionError
 from actiongov.governor import ActionDistance
 from actiongov.simlab import ScenarioConfig, build_grid_backend, example_system
 from ellipsoids import Ellipsoid, ellipsoid_support
@@ -337,15 +337,20 @@ class TestDiscretize:
         "x1-w-only-x2-v-only": ([[0.0], [1.0]], [[0.5], [0.0]]),
     }
 
-    @pytest.mark.parametrize("case", LOOPS)
-    def test_each_snapping_case_equals_the_reference(self, case):
-        B, E = self.LOOPS[case]
+    @classmethod
+    def snapping_case(cls, case):
+        B, E = cls.LOOPS[case]
         plant = LinearPlant([[0.5, 0.8], [-0.4, 0.6]], B, E)
         out = OutputMap(np.eye(2), np.zeros((2, 1)),
                         HPolytope.from_bounds([-30, -30], [30, 30]))
         cl = ClosedLoop(plant, out, NominalGain([[-0.1, -0.2]], [[0.3]]))
         grid = GridSpec((-25.0, -10.0), (25.0, 15.0), (1.0, 1.0),
                         -20.0, 20.0, 1.0, -1.0, 1.0, 0.5)
+        return cl, grid
+
+    @pytest.mark.parametrize("case", LOOPS)
+    def test_each_snapping_case_equals_the_reference(self, case):
+        cl, grid = self.snapping_case(case)
         tt = discretize(cl, grid)
         want = discretize_reference(cl, grid).table
         assert tt.table.dtype == want.dtype and tt.table.shape == want.shape
@@ -358,17 +363,38 @@ class TestDiscretize:
         assert (want != want[:, :1]).any() == moves_v
         assert (want != want[:, :, :1]).any() == moves_w
 
+    @pytest.mark.parametrize("case", LOOPS)
+    def test_rows_of_some_states_equal_the_table(self, case):
+        cl, grid = self.snapping_case(case)
+        tt = discretize(cl, grid)
+        table = tt.table
+        rng = np.random.default_rng(3)
+        n = grid.n_xpairs
+        subsets = {"full": np.arange(n), "random": rng.choice(n, n // 3, replace=False),
+                   "single": np.array([n // 2]), "empty": np.array([], dtype=np.intp)}
+        for j in range(grid.n_v):
+            for states in subsets.values():
+                got = tt.slice_rows(j, states)
+                want = table[states, j].astype(np.intp)
+                assert got.dtype == np.intp and got.shape == (states.size, grid.n_w)
+                assert got.tobytes() == want.tobytes()
+
     def test_slices_share_one_buffer_and_the_table_is_assembled_once(self):
         _, _, _, cl, grid = small_example()
         tt = discretize(cl, grid)
-        first = tt.slice_rows(0).copy()
-        rows = tt.slice_rows(grid.n_v - 1)
+        states = np.arange(grid.n_xpairs)
+        first = tt.slice_rows(0, states).copy()
+        rows = tt.slice_rows(grid.n_v - 1, states)
         assert rows.dtype == np.intp and rows.shape == (grid.n_xpairs, grid.n_w)
-        assert tt.slice_rows(0) is rows and np.array_equal(rows, first)
+        again = tt.slice_rows(0, states)
+        assert np.shares_memory(again, rows) and np.array_equal(rows, first)
+        # fewer states fill the first rows of the same buffer
+        assert np.shares_memory(tt.slice_rows(0, states[::2]), rows)
+        assert np.array_equal(rows[:states[::2].size], first[::2])
         table = tt.table
         assert tt.table is table and not table.flags.writeable
         for j in range(grid.n_v):
-            assert np.array_equal(table[:, j], tt.slice_rows(j))
+            assert np.array_equal(table[:, j], tt.slice_rows(j, states))
 
     @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
     def test_index_width_follows_the_grid_size(self, n1, dtype):
@@ -404,9 +430,10 @@ class TestDiscretize:
 
     def test_fresh_process_call_takes_few_page_faults(self):
         # the shipped grid's first classification in a new process, which
-        # tabulates every slice; a set-up that allocates and frees its slice
-        # temporaries slice after slice takes over 100,000 minor faults
-        # there, one with buffers allocated once per table about 2,500
+        # tabulates every slice's admissible rows; a set-up that allocates
+        # and frees its slice temporaries slice after slice takes over
+        # 100,000 minor faults there, one with buffers allocated once per
+        # table about 2,500
         src = Path(__file__).resolve().parent.parent / "src"
         script = (
             "import resource\n"
@@ -604,6 +631,31 @@ class TestComputeSafeSet:
         assert np.all(succ >= 0)
         assert np.all(dss.pi[succ, j[:, None]])
 
+    @pytest.mark.parametrize("kind", ["inadmissible", "exits"])
+    def test_unsound_closure_fails_the_build_time_certificate(self, bundle, kind,
+                                                              monkeypatch):
+        # a seed closure that also returns one MINUS pair of one slice: an
+        # inadmissible pair, or an admissible one whose witness successor is
+        # off the grid or MINUS
+        *_, tt, _, dss = bundle
+        pick = dss.witness_w == WITNESS_CONSTRAINT if kind == "inadmissible" else dss.witness_w >= 0
+        i, j = np.argwhere(pick)[0]
+        real = discrete_safeset._forward_closure
+        slices = iter(range(tt.grid.n_v))
+
+        def unsound(core, table, row_of):
+            reached = real(core, table, row_of)
+            # the closure runs once per slice, in slice order
+            if next(slices) == j:
+                reached[i] = True
+            return reached
+
+        monkeypatch.setattr(discrete_safeset, "_forward_closure", unsound)
+        what = ("is inadmissible" if kind == "inadmissible"
+                else "has a successor off the grid or outside the safe set")
+        with pytest.raises(SafeSetClosureError, match=rf"x-pair {i}, reference slice {j}\) {what}"):
+            compute_safe_set(tt, 0.75)
+
 
 def dss_constraint_oracle(out, gain, grid):
     """Independent recomputation of the per-pair admissibility table."""
@@ -794,6 +846,25 @@ class TestPipeline:
         _, dss, _, _ = build_grid_backend(base_cfg, rig)
         assert dss.pi.any()
 
+    def test_grid_backend_tabulates_the_admissible_rows_only(self, rig, base_cfg,
+                                                             monkeypatch):
+        # the classification reads no inadmissible pair's successors: they
+        # are MINUS before any sweep
+        real = TransitionTable.slice_rows
+        tabulated = {}
+
+        def spy(self, j, states):
+            tabulated[j] = states.copy()
+            return real(self, j, states)
+
+        monkeypatch.setattr(TransitionTable, "slice_rows", spy)
+        _, _, tt, grid = build_grid_backend(base_cfg, rig)
+        ok = constraint_table(tt)
+        assert sorted(tabulated) == list(range(grid.n_v))
+        for j, states in tabulated.items():
+            assert np.array_equal(states, np.flatnonzero(ok[:, j]))
+        assert sum(s.size for s in tabulated.values()) == 167_039
+
     def test_grid_backend_peak_memory_stays_below_the_whole_table(self, rig, base_cfg):
         # the shipped grid's whole table alone is 5,151 x 101 x 21 int16
         # indices, 21.9 MB; holding one slice's rows at a time keeps the
@@ -870,11 +941,16 @@ class TestSliceWiseStages:
         tt, ok = grid_tables(cl, None, grid)
         invariant = invariant_set(tt, ok)
         rng = np.random.default_rng(9)
+        row_of = np.full(grid.n_xpairs, -1)
         for share in (0.001, 0.01, 0.1):
             core = invariant & (rng.random(invariant.shape) < share)
             want = forward_closure_reference(core, tt.table)
             for j in range(grid.n_v):
-                got = discrete_safeset._forward_closure(core[:, j], tt.table[:, j])
+                # the admissible rows, as compute_safe_set tabulates them
+                rows = np.flatnonzero(ok[:, j])
+                row_of[rows] = np.arange(rows.size)
+                got = discrete_safeset._forward_closure(
+                    core[:, j], tt.slice_rows(j, rows), row_of)
                 assert np.array_equal(got, want[:, j])
                 assert not (got & ~invariant[:, j]).any()
 
@@ -885,6 +961,7 @@ class TestSliceWiseStages:
         i, j, _ = np.argwhere(tt.table < 0)[0]
         core[i, j] = True
         with pytest.raises(SeedConstructionError, match="left the grid"):
-            discrete_safeset._forward_closure(core[:, j], tt.table[:, j])
+            discrete_safeset._forward_closure(core[:, j], tt.table[:, j],
+                                              np.arange(grid.n_xpairs))
         with pytest.raises(SeedConstructionError, match="left the grid"):
             forward_closure_reference(core, tt.table)
