@@ -432,9 +432,13 @@ def constraint_table(tt: TransitionTable) -> np.ndarray:
     h = cl.out.constraint_set.offsets
     xh = grid.x_points() @ (H @ cl.Ct).T
     vh = np.outer(grid.v_values, (H @ cl.Dt).ravel())
-    ok = np.empty((grid.n_xpairs, grid.n_v), dtype=bool)
-    for j in range(grid.n_v):
-        ok[:, j] = np.all(xh + vh[j] <= h + 1e-9, axis=1)
+    # one broadcast per constraint row over a block of 256 states: the
+    # temporaries stay near 200 KB, so the table sets no memory peak
+    ok = np.ones((grid.n_xpairs, grid.n_v), dtype=bool)
+    for s in range(0, grid.n_xpairs, 256):
+        block = ok[s:s + 256]
+        for r in range(h.size):
+            block &= xh[s:s + 256, r, None] + vh[:, r] <= h[r] + 1e-9
     return ok
 
 

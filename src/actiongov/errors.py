@@ -5,9 +5,11 @@ class ActionGovError(Exception):
     """Base class for all library-specific errors.
 
     ``step`` is the index of the supervised step during which the error was
-    raised: ``govern`` and ``supervised_step`` set it for their own errors
-    and the env's, and ``run_supervised`` and ``run_safe_koopman`` for
-    their controller's and estimator's.  When set, it prefixes the message.
+    raised, set only by the code that holds the loop's step index:
+    ``supervised_step`` for the errors of ``govern``, its oracle and the env;
+    ``run_supervised`` for its controller's; and ``run_safe_koopman`` for
+    everything in its step, the reset draw included.  ``govern`` called on
+    its own sets none.  When set, it prefixes the message.
     """
 
     step = None

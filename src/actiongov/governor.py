@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ActionGovError, NonFiniteInputError, UninitializedGovernorError
+from .errors import NonFiniteInputError, UninitializedGovernorError
 
 
 class ActionDistance:
@@ -62,11 +62,9 @@ class Branch(enum.Enum):
 
 @dataclass
 class GovernorState:
-    """Held reference (``None`` until the backup branch first solves) and
-    the number of supervision steps taken."""
+    """Held reference: ``None`` until the backup branch first solves."""
 
     v_hat: Optional[np.ndarray] = None
-    step: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def nearest_candidate(candidates, distances):
 
 
 def govern(x, u1, gs: GovernorState, oracle, dist: ActionDistance = None):
-    """One supervision step; returns ``(outcome, gs)`` with ``gs`` updated.
+    """One supervision decision; returns ``(outcome, gs)`` with ``gs`` updated.
 
     ``oracle = None`` passes ``u1`` through unsupervised.  Otherwise raises
     :class:`NonFiniteInputError` before the oracle is consulted when ``x``
@@ -102,37 +100,32 @@ def govern(x, u1, gs: GovernorState, oracle, dist: ActionDistance = None):
     :class:`UninitializedGovernorError` when both the adjustment and the
     backup selection are infeasible and no reference was ever held
     (supervision presumes the adjustment is feasible at the first step).
-    Library errors leave with ``step`` set to this step's index.
+    ``govern`` knows no time: its errors and the oracle's leave without a
+    ``step``, which the loop that holds the step index sets.
     """
-    step = gs.step
-    gs.step += 1
     u1 = np.atleast_1d(np.asarray(u1, dtype=float))
     if oracle is None:
         return GovernorOutcome(u=u1, branch=Branch.NONE), gs
     if dist is None:
         dist = ActionDistance()
-    try:
-        xs = np.asarray(x, dtype=float)
-        # a scalar loop: on these few entries it is cheaper than np.isfinite
-        if not all(map(math.isfinite, xs.ravel().tolist() + u1.tolist())):
-            raise NonFiniteInputError(
-                f"non-finite input to the supervisor: x={xs.tolist()}, u1={u1.tolist()}"
-            )
-        u = oracle.adjust(x, u1, dist)
-        if u is not None:
-            return GovernorOutcome(u=np.atleast_1d(u), branch=Branch.ADJUSTED), gs
-        v = oracle.backup(x, u1, dist)
-        if v is not None:
-            gs.v_hat = np.atleast_1d(np.asarray(v, dtype=float))
-            branch = Branch.BACKUP_FRESH
-        elif gs.v_hat is not None:
-            branch = Branch.BACKUP_HELD
-        else:
-            raise UninitializedGovernorError(
-                "no feasible adjustment or backup and no previously held reference"
-            )
-        u = np.atleast_1d(np.asarray(oracle.pi0(x, gs.v_hat), dtype=float))
-        return GovernorOutcome(u=u, branch=branch), gs
-    except ActionGovError as exc:
-        exc.step = step
-        raise
+    xs = np.asarray(x, dtype=float)
+    # a scalar loop: on these few entries it is cheaper than np.isfinite
+    if not all(map(math.isfinite, xs.ravel().tolist() + u1.tolist())):
+        raise NonFiniteInputError(
+            f"non-finite input to the supervisor: x={xs.tolist()}, u1={u1.tolist()}"
+        )
+    u = oracle.adjust(x, u1, dist)
+    if u is not None:
+        return GovernorOutcome(u=np.atleast_1d(u), branch=Branch.ADJUSTED), gs
+    v = oracle.backup(x, u1, dist)
+    if v is not None:
+        gs.v_hat = np.atleast_1d(np.asarray(v, dtype=float))
+        branch = Branch.BACKUP_FRESH
+    elif gs.v_hat is not None:
+        branch = Branch.BACKUP_HELD
+    else:
+        raise UninitializedGovernorError(
+            "no feasible adjustment or backup and no previously held reference"
+        )
+    u = np.atleast_1d(np.asarray(oracle.pi0(x, gs.v_hat), dtype=float))
+    return GovernorOutcome(u=u, branch=branch), gs

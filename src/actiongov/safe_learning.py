@@ -52,7 +52,8 @@ class SupervisedEnv:
 def supervised_step(env: SupervisedEnv, t: int, x, u1, gs: GovernorState, traj: Trajectory):
     """Govern the proposal ``u1`` at ``x``, advance ``env`` and record step
     ``t`` in ``traj``; ``gs`` is updated in place.  Returns ``(u, x_next,
-    cost)``; library errors of govern and of the env carry ``step = t``."""
+    cost)``.  The loop's index ``t`` is the one step count: library errors
+    of govern, its oracle and the env leave with ``step = t``."""
     try:
         outcome, _ = govern(x, u1, gs, env.oracle, env.dist)
         u = outcome.u
@@ -67,6 +68,16 @@ def supervised_step(env: SupervisedEnv, t: int, x, u1, gs: GovernorState, traj: 
 
 # ---------------------------------------------------------------------------
 # tabular Q-learning
+
+
+def require_keys(data, keys, what: str):
+    """Raise ``ValueError`` unless ``data``, a saved ``what`` read from
+    JSON, is an object holding every key in ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"the {what} file holds no JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"the {what} file lacks the keys {missing}")
 
 
 @dataclass
@@ -112,6 +123,7 @@ class QTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QTable":
+        require_keys(data, ("values", "gamma", "alpha", "epsilon", "penalty_m"), "Q table")
         return cls(
             np.asarray(data["values"], dtype=float),
             data["gamma"],
@@ -315,8 +327,10 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     always pair the pre-adjustment action with the observed transition of
     the supervised system, so the estimator learns the dynamics as seen
     through the supervisor.  Each state is lifted once (``km.observables``)
-    for the regulator and the update; ``km`` is left unchanged.  Library
-    errors of a step leave with ``step`` set to its index.
+    for the regulator and the update; ``km`` is left unchanged.  A reset
+    draw belongs to the step it starts: library errors of the draw, its
+    lift, the regulator, the supervised step and the update leave with
+    ``step`` set to that step's index.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -328,11 +342,11 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     x = np.asarray(env.initial_state, dtype=float).copy()
     z = km.observables(x)
     for t in range(steps):
-        # t % inf is t, so an infinite period never resets
-        if t > 0 and t % reset_every == 0:
-            x = np.asarray(env.sample_reset(rng), dtype=float)
-            z = km.observables(x)
         try:
+            # t % inf is t, so an infinite period never resets
+            if t > 0 and t % reset_every == 0:
+                x = np.asarray(env.sample_reset(rng), dtype=float)
+                z = km.observables(x)
             u1 = np.atleast_1d(koopman_control(km, z, env.q_z, env.r_u))
             _, x_next, _ = supervised_step(env, t, x, u1, gs, traj)
             z_next = km.observables(x_next)

@@ -31,6 +31,7 @@ from .safe_learning import (
     SafeQEnv,
     SupervisedEnv,
     koopman_control,
+    require_keys,
     run_safe_koopman,
     supervised_step,
 )
@@ -99,6 +100,7 @@ def example_initial_koopman(lam: float = 1.0, delta: float = 1e3) -> KoopmanMode
 
 
 def koopman_model_from_dict(data: dict) -> KoopmanModel:
+    require_keys(data, ("A", "B", "gamma_cov", "lam", "observables"), "Koopman model")
     obs = example_observables()
     if data["observables"] != obs.name:
         raise ValueError(f"unknown observable map {data['observables']!r}")
@@ -350,7 +352,7 @@ def run_supervised(rig: ExampleRig, controller, oracle, x0, steps: int,
                    dist: ActionDistance) -> Trajectory:
     """Step the true system under a controller, supervised unless ``oracle``
     is None.  Library errors of the controller leave with ``step`` set to
-    its step's index, as the supervisor's do."""
+    its step's index, as those of ``supervised_step`` do."""
     env = SupervisedEnv(initial_state=x0, step=true_step(rig), cost=step_cost,
                         violated=is_violated, oracle=oracle, dist=dist)
     gs = GovernorState()

@@ -12,6 +12,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import pytest
 
+from actiongov import lp, moas
 from actiongov.simlab import (
     ScenarioConfig,
     build_grid_backend,
@@ -44,9 +45,33 @@ def grid_bundle(base_cfg, rig):
 
 
 @pytest.fixture(scope="session")
-def koopman_learning(base_cfg, rig, moas_bundle):
+def counted_koopman_learning(base_cfg, rig, moas_bundle):
+    """Full supervised learning run, counted: ``((model, trajectory),
+    simplex_runs, selections)``, the numbers of ``lp._two_phase`` runs and
+    of ``moas.nearest_affine_point`` calls during the run.  The counters
+    pass every call through, so the run is the uncounted one."""
+    counts = {"runs": 0, "selections": 0}
+    two_phase, nearest = lp._two_phase, moas.nearest_affine_point
+
+    def counted_two_phase(*args):
+        counts["runs"] += 1
+        return two_phase(*args)
+
+    def counted_nearest(*args, **kwargs):
+        counts["selections"] += 1
+        return nearest(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_two_phase", counted_two_phase)
+        mp.setattr(moas, "nearest_affine_point", counted_nearest)
+        run = learn_koopman(base_cfg, rig, *moas_bundle)
+    return run, counts["runs"], counts["selections"]
+
+
+@pytest.fixture(scope="session")
+def koopman_learning(counted_koopman_learning):
     """Full supervised learning run: (model, trajectory)."""
-    return learn_koopman(base_cfg, rig, *moas_bundle)
+    return counted_koopman_learning[0]
 
 
 @pytest.fixture(scope="session")

@@ -104,6 +104,24 @@ class TestExitCodes:
         assert "5151 x 25" in err["message"]
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("controller, payload, message", [
+        ("qlearning", {"A": [[1.0]]}, "lacks the keys ['values', 'gamma'"),
+        ("koopman", {"A": [[1.0]]}, "lacks the keys ['B', 'gamma_cov', 'lam', 'observables']"),
+        ("qlearning", [[1.0]], "holds no JSON object"),
+        ("koopman", [[1.0]], "holds no JSON object"),
+    ], ids=["q-table-missing-keys", "koopman-missing-keys", "q-table-array", "koopman-array"])
+    def test_malformed_model_file_is_bad_input(self, tmp_path, capsys, controller, payload,
+                                               message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        path = write_config(tmp_path, controller=controller, model_path=str(model),
+                            out_dir=str(tmp_path))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_estimator_failure_is_a_numerical_error(self, tmp_path, capsys):
         path = write_config(tmp_path, learn_steps=50, koopman_lambda=1e-15,
                             out_dir=str(tmp_path))

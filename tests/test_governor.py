@@ -13,7 +13,9 @@ from actiongov.governor import (
     govern,
     nearest_candidate,
 )
+from actiongov.safe_learning import SupervisedEnv, supervised_step
 from actiongov.simlab import ScenarioConfig, build_grid_backend, build_rig
+from actiongov.trajectory import Trajectory
 from enumerated_oracle import EnumeratedOracle
 
 
@@ -63,6 +65,12 @@ class RingOracle(EnumeratedOracle):
 
 def ring_step(x):
     return (int(x) + 1) % 5
+
+
+def supervised_env(oracle):
+    """A supervised env around ``oracle``: the ring's step, no cost, no violation."""
+    return SupervisedEnv(initial_state=0, step=lambda x, u: (ring_step(x), 0.0),
+                         cost=lambda x, u: 0.0, violated=lambda x, u: False, oracle=oracle)
 
 
 class TestRing:
@@ -340,7 +348,18 @@ class TestDistance:
 
 
 # ---------------------------------------------------------------------------
-# the step itself: pass-through, step count, error tagging
+# the step itself: pass-through and error tagging; govern knows no time,
+# and the supervised step stamps its errors with the loop's index
+
+
+class FailsAtThird(RingOracle):
+    calls = 0
+
+    def adjust(self, x, u1, dist):
+        self.calls += 1
+        if self.calls == 3:
+            raise InfeasibleStateError("lost", 42)
+        return u1
 
 
 class TestGovernStep:
@@ -350,31 +369,38 @@ class TestGovernStep:
             outcome, gs = govern(0, [float(k)], gs, None)
             assert outcome.branch is Branch.NONE
             assert outcome.u.tolist() == [float(k)]
-        assert gs.step == 3 and gs.v_hat is None
+        assert gs.v_hat is None
 
     def test_library_error_carries_its_step(self):
-        class FailsAtThird(RingOracle):
-            calls = 0
-
-            def adjust(self, x, u1, dist):
-                self.calls += 1
-                if self.calls == 3:
-                    raise InfeasibleStateError("lost", 42)
-                return u1
-
         oracle, gs = FailsAtThird(), GovernorState()
         govern(0, [0.0], gs, oracle)
         govern(1, [0.0], gs, oracle)
         with pytest.raises(InfeasibleStateError) as info:
             govern(2, [0.0], gs, oracle)
+        assert info.value.step is None
+        assert info.value.args == ("lost", 42)
+        assert str(info.value) == str(("lost", 42))
+
+        env, gs, traj = supervised_env(FailsAtThird()), GovernorState(), Trajectory()
+        supervised_step(env, 0, 0, [0.0], gs, traj)
+        supervised_step(env, 1, 1, [0.0], gs, traj)
+        with pytest.raises(InfeasibleStateError) as info:
+            supervised_step(env, 2, 2, [0.0], gs, traj)
         assert info.value.step == 2
         assert info.value.args == ("lost", 42)
         assert str(info.value).startswith("step 2: ")
 
     def test_uninitialized_error_carries_its_step(self):
-        gs = GovernorState(step=7)
-        with pytest.raises(UninitializedGovernorError, match="step 7"):
+        gs = GovernorState()
+        with pytest.raises(UninitializedGovernorError) as info:
             govern(2, np.array([0.0]), gs, RingOracle())
+        assert info.value.step is None and "step" not in str(info.value)
+        assert gs.v_hat is None
+
+        env = supervised_env(RingOracle())
+        with pytest.raises(UninitializedGovernorError, match="step 7") as info:
+            supervised_step(env, 7, 2, np.array([0.0]), GovernorState(), Trajectory())
+        assert info.value.step == 7
 
 
 @pytest.fixture(scope="module")
@@ -394,11 +420,17 @@ NAN, INF = float("nan"), float("inf")
                          ids=["nan-u1", "nan-x", "inf-x", "inf-u1"])
 def test_non_finite_input_is_a_typed_error_with_its_step(request, backend, x, u1):
     bundle = request.getfixturevalue(backend)
-    gs = GovernorState(step=5)
+    gs = GovernorState()
     with pytest.raises(NonFiniteInputError) as info:
         govern(np.array(x), np.array(u1), gs, bundle[0], ActionDistance())
-    assert info.value.step == 5
+    assert info.value.step is None
     assert gs.v_hat is None
+
+    env, traj = supervised_env(bundle[0]), Trajectory()
+    with pytest.raises(NonFiniteInputError) as info:
+        supervised_step(env, 5, np.array(x), np.array(u1), gs, traj)
+    assert info.value.step == 5
+    assert gs.v_hat is None and len(traj) == 0
 
 
 class TestNearestCandidate:

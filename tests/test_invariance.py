@@ -27,11 +27,11 @@ def supervise(x, proposals, disturbances, oracle, dist, step, inside):
     """Run ``govern`` on the proposals; after every step check the applied
     pair and the successor ``step(x, u, w)`` with ``inside``."""
     gs = GovernorState()
-    for u1, w in zip(proposals, disturbances):
+    for t, (u1, w) in enumerate(zip(proposals, disturbances)):
         outcome, gs = govern(x, [u1], gs, oracle, dist)
-        assert not is_violated(x, outcome.u), (gs.step, x, outcome)
+        assert not is_violated(x, outcome.u), (t, x, outcome)
         x = step(x, outcome.u, w)
-        assert inside(x), (gs.step, x, outcome)
+        assert inside(x), (t, x, outcome)
 
 
 @PROPERTY_SETTINGS

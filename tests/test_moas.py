@@ -18,7 +18,7 @@ from actiongov.moas import (
     feasible_action_set,
     linear_ag_step,
 )
-from actiongov.simlab import build_moas_backend, learn_koopman, simulate
+from actiongov.simlab import build_moas_backend, simulate
 from references import (
     build_moas_reference,
     feasible_action_set_reference,
@@ -378,13 +378,16 @@ class TestGovernWithLinearOracle:
             assert got is None or np.array_equal(got, want)
         assert moved > 50
 
-def test_shipped_supervised_runs_solve_no_lp(base_cfg, rig, moas_bundle, monkeypatch):
+def test_shipped_supervised_runs_solve_no_lp(base_cfg, moas_bundle, counted_koopman_learning,
+                                             monkeypatch):
     # every simplex run goes through lp._two_phase (solve_lp and the
     # certified decision alike); the reset box of the learning run is read
     # from the vertices and runs none, and after the set-up the supervised
-    # steps of the shipped learning run and of a moas-governed simulation
-    # run none either, although both move actions through
-    # nearest_affine_point
+    # steps of the shipped learning run (counted in the session's one run)
+    # and of a moas-governed simulation run none either, although both
+    # move actions through nearest_affine_point
+    _, learning_runs, learning_selections = counted_koopman_learning
+    assert learning_runs == 0 and learning_selections > 0
     runs, selections, after_build = [], [], []
     two_phase, nearest = lp._two_phase, moas_mod.nearest_affine_point
     build = simlab.build_moas_backend
@@ -406,14 +409,11 @@ def test_shipped_supervised_runs_solve_no_lp(base_cfg, rig, moas_bundle, monkeyp
     monkeypatch.setattr(moas_mod, "nearest_affine_point", counted_nearest)
     monkeypatch.setattr(simlab, "build_moas_backend", counted_build)
 
-    oracle, moas = moas_bundle
+    _, moas = moas_bundle
     fresh = HPolytope(moas.proj_x.normals, moas.proj_x.offsets)  # nothing cached
     assert np.array_equal(fresh.bounding_box(), moas.proj_x.bounding_box())
     assert runs == []
-    learn_koopman(base_cfg, rig, oracle, moas)
-    assert runs == [] and len(selections) > 0
 
-    selections.clear()
     traj = simulate(base_cfg)
     assert base_cfg.governor == "moas" and len(traj.costs) == base_cfg.steps
     assert len(after_build) == 1 and len(runs) == after_build[0] and len(selections) > 0

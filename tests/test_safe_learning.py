@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from actiongov.errors import (
+    EmptySetError,
     NoStabilizingSolutionError,
     NumericalError,
     UninitializedGovernorError,
@@ -83,7 +84,7 @@ class TestSupervisedStep:
         assert rec.branch == expected.branch.value == "backup_fresh"
         assert np.array_equal(rec.u, expected.u) and np.array_equal(u, expected.u)
         assert rec.u1[0] == 1.0 and rec.v_hat[0] == 2.0 and rec.x[0] == 3.0
-        assert (x_next, cost, gs.step) == (4.0, 7.5, 1)
+        assert (x_next, cost) == (4.0, 7.5)
 
 
 class TestEpsilonGreedy:
@@ -517,6 +518,26 @@ class TestRunSafeKoopman:
         with pytest.raises(NumericalError, match="positive definiteness") as info:
             run_safe_koopman(linear_koopman_env(A, B), km0, 20, 5, np.random.default_rng(0))
         assert info.value.step == 1
+
+    def test_reset_draw_error_reports_its_step(self):
+        # the reset draw starts its step: a draw from an empty set at the
+        # step-20 reset leaves as an error of step 20, after 20 whole steps
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        env = linear_koopman_env(A, B)
+        steps = []
+        env.step = lambda x, u: steps.append(x) or (A @ x + B @ u, 0.0)
+
+        def empty_reset(rng):
+            raise EmptySetError("nothing to draw from")
+
+        env.sample_reset = empty_reset
+        with pytest.raises(EmptySetError) as info:
+            run_safe_koopman(env, KoopmanModel.initial(A, B, identity_observables(2)),
+                             40, 20, np.random.default_rng(0))
+        assert info.value.step == 20
+        assert str(info.value).startswith("step 20: ")
+        assert len(steps) == 20
 
     def test_no_resets_when_period_is_infinite(self):
         A = np.array([[0.9, 0.0], [0.0, 0.9]])
