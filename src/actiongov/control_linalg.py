@@ -9,13 +9,27 @@ The DARE, the one regulator of the learning pipeline, is checked in
 ``tests/test_dare_agreement.py`` against the plain fixed-point loop's
 outcome and scipy's solution.
 
+The DARE, the spectral radius and the Cholesky test of the recursive
+model update call LAPACK through the gufuncs of ``numpy.linalg._umath_linalg``
+with the signatures ``np.linalg.solve``, ``eigvals``, ``eigvalsh`` and
+``cholesky`` pass them: the same routines and the same bits, without the
+wrappers' checks, which cost more than the LAPACK work on 4x4 matrices.
+``_umath_linalg`` is private numpy API, verified on numpy 2.4;
+``tests/test_control_linalg.py`` fails if it stops matching the public
+functions.  A gufunc reports a LAPACK failure as a NaN result and the
+floating-point invalid flag, so each public function enters one
+``np.errstate`` and asks why a result is NaN only once a test on it failed.
+
 Gain sign convention used everywhere: feedback is applied as ``u = K x``,
 so stabilizing gains carry their own negative sign.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .convexset import HPolytope
 from .errors import InstabilityError, NoStabilizingSolutionError, NumericalError
@@ -25,15 +39,67 @@ _DARE_TOL = 1e-9  # relative change of P between doublings that ends the DARE so
 _DARE_MAX_ITER = 64  # doublings
 
 
+# LAPACK on float64 matrices; under the caller's np.errstate(all="ignore")
+# a failure comes back as an all-NaN result.
+
+
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for a 2-d ``b`` (gesv); NaN if ``a`` is singular."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def _eigvals(a):
+    """``np.linalg.eigvals(a)`` as complex values (geev) for a finite ``a``;
+    NaN if geev does not converge.  geev must not see a non-finite ``a``."""
+    return _umath_linalg.eigvals(a, signature="d->D")
+
+
+def _eigvalsh(a):
+    """``np.linalg.eigvalsh(a)`` (syevd on the lower triangle); NaN if it
+    does not converge."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+def _singular(a, b) -> bool:
+    """Whether ``np.linalg.solve(a, b)`` raises: gesv met an exactly
+    singular ``a``.  Run only to explain a result that came out NaN."""
+    try:
+        np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _is_pd(a) -> bool:
+    """Whether the Cholesky factorization of ``a`` (potrf on the lower
+    triangle) succeeds, the test ``np.linalg.cholesky`` raises on.  The
+    gufunc flags a failure as invalid, which this one errstate raises."""
+    with np.errstate(all="ignore", invalid="raise"):
+        try:
+            _umath_linalg.cholesky_lo(a, signature="d->d")
+        except FloatingPointError:
+            return False
+    return True
+
+
+def _radius(m) -> float:
+    """Spectral radius of a finite square float64 matrix, under the
+    caller's errstate."""
+    rho = float(np.abs(_eigvals(m)).max())
+    if math.isnan(rho):
+        raise NumericalError("eigenvalue computation did not converge")
+    return rho
+
+
 def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ValueError("spectral radius needs a square matrix")
-    try:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigensolver failure
-        raise NumericalError("eigenvalue computation did not converge") from exc
+    if not np.isfinite(m).all():
+        raise NumericalError("spectral radius of a non-finite matrix")
+    with np.errstate(all="ignore"):
+        return _radius(m)
 
 
 class LinearPlant:
@@ -177,46 +243,55 @@ def dare_solve(A, B, Q, R):
     ``A = A X``; ``H`` converges quadratically to ``P``.  One Riccati step at
     ``P`` gives the gain and checks the residual.  Returns ``(P, K)`` with
     the gain in the ``u = K x`` convention, i.e. ``rho(A + B K) < 1``.
+
+    A singular system leaves its solve as NaN, which fails the next size
+    test; only then is the solve re-run to tell singular from diverged.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-12:
-        raise ValueError("Q must be positive semidefinite")
-    if np.min(np.linalg.eigvalsh(0.5 * (R + R.T))) <= 0.0:
-        raise ValueError("R must be positive definite")
     n = A.shape[0]
     eye = np.eye(n)
-    Ak, G, H = A, B @ np.linalg.solve(R, B.T), Q
-    for _ in range(_DARE_MAX_ITER):
-        try:
-            XY = np.linalg.solve(eye + G @ H, np.concatenate((Ak, G), axis=1))
-        except np.linalg.LinAlgError as exc:
-            raise NoStabilizingSolutionError("Riccati doubling became singular") from exc
-        H_next = H + Ak.T @ H @ XY[:, :n]
-        H_next = 0.5 * (H_next + H_next.T)
-        size = np.abs(H_next).max()
-        # one test for both NaN/inf and divergence: NaN fails the comparison
-        if not size <= 1e14:
-            raise NoStabilizingSolutionError("Riccati iteration diverged")
-        change = np.abs(H_next - H).max()
-        H = H_next
-        if change <= _DARE_TOL * (1.0 + size):
-            break
-        G = G + Ak @ XY[:, n:] @ Ak.T
-        Ak = Ak @ XY[:, :n]
-    else:
-        raise NoStabilizingSolutionError("Riccati iteration exceeded the doubling limit")
-    BtH = B.T @ H
-    try:
-        K = -np.linalg.solve(R + BtH @ B, BtH @ A)
-    except np.linalg.LinAlgError as exc:
-        raise NoStabilizingSolutionError("Riccati step became singular") from exc
-    if np.abs(Q + A.T @ H @ (A + B @ K) - H).max() >= 1e-6:
-        raise NoStabilizingSolutionError("Riccati fixed point not reached")
-    if spectral_radius(A + B @ K) >= 1.0:
-        raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
+    with np.errstate(all="ignore"):
+        if _eigvalsh(0.5 * (Q + Q.T)).min() < -1e-12:
+            raise ValueError("Q must be positive semidefinite")
+        if _eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
+            raise ValueError("R must be positive definite")
+        Ak, G, H = A, B @ _solve(R, B.T), Q
+        for _ in range(_DARE_MAX_ITER):
+            lhs, rhs = eye + G @ H, np.concatenate((Ak, G), axis=1)
+            XY = _solve(lhs, rhs)
+            H_next = H + Ak.T @ H @ XY[:, :n]
+            H_next = 0.5 * (H_next + H_next.T)
+            size = np.abs(H_next).max()
+            # one test for singular solves, NaN/inf and divergence: NaN fails it
+            if not size <= 1e14:
+                # an exactly singular R can pass the eigenvalue test by rounding
+                if _singular(R, B.T):
+                    raise ValueError("R must be positive definite")
+                if _singular(lhs, rhs):
+                    raise NoStabilizingSolutionError("Riccati doubling became singular")
+                raise NoStabilizingSolutionError("Riccati iteration diverged")
+            change = np.abs(H_next - H).max()
+            H = H_next
+            if change <= _DARE_TOL * (1.0 + size):
+                break
+            G = G + Ak @ XY[:, n:] @ Ak.T
+            Ak = Ak @ XY[:, :n]
+        else:
+            raise NoStabilizingSolutionError("Riccati iteration exceeded the doubling limit")
+        BtH = B.T @ H
+        lhs, rhs = R + BtH @ B, BtH @ A
+        K = -_solve(lhs, rhs)
+        # NaN, from a singular step, fails the test as well; a finite
+        # residual leaves A + B K finite for the eigenvalue solver
+        if not np.abs(Q + A.T @ H @ (A + B @ K) - H).max() < 1e-6:
+            if _singular(lhs, rhs):
+                raise NoStabilizingSolutionError("Riccati step became singular")
+            raise NoStabilizingSolutionError("Riccati fixed point not reached")
+        if _radius(A + B @ K) >= 1.0:
+            raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
     return H, K
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control_linalg import dare_solve
+from .control_linalg import _is_pd, dare_solve
 from .errors import ActionGovError, NumericalError
 from .governor import ActionDistance, GovernorState, govern
 from .trajectory import Trajectory
@@ -70,14 +70,27 @@ def supervised_step(env: SupervisedEnv, t: int, x, u1, gs: GovernorState, traj: 
 # tabular Q-learning
 
 
-def require_keys(data, keys, what: str):
+def require_keys(data, keys, what: str, scalars=()):
     """Raise ``ValueError`` unless ``data``, a saved ``what`` read from
-    JSON, is an object holding every key in ``keys``."""
+    JSON, is an object holding every key in ``keys``, and each key in
+    ``scalars`` holds a number (not a bool)."""
     if not isinstance(data, dict):
         raise ValueError(f"the {what} file holds no JSON object")
     missing = [k for k in keys if k not in data]
     if missing:
         raise ValueError(f"the {what} file lacks the keys {missing}")
+    for k in scalars:
+        if isinstance(data[k], bool) or not isinstance(data[k], numbers.Real):
+            raise ValueError(f"the {what} file's {k!r} must be a number, got {data[k]!r}")
+
+
+def float_array(data, key: str, what: str) -> np.ndarray:
+    """``data[key]`` of a saved ``what`` as a float array; ``ValueError`` if
+    it nests anything but numbers and lists."""
+    try:
+        return np.asarray(data[key], dtype=float)
+    except TypeError:
+        raise ValueError(f"the {what} file's {key!r} must be an array of numbers") from None
 
 
 @dataclass
@@ -123,9 +136,10 @@ class QTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QTable":
-        require_keys(data, ("values", "gamma", "alpha", "epsilon", "penalty_m"), "Q table")
+        require_keys(data, ("values", "gamma", "alpha", "epsilon", "penalty_m"), "Q table",
+                     scalars=("gamma", "alpha", "epsilon", "penalty_m"))
         return cls(
-            np.asarray(data["values"], dtype=float),
+            float_array(data, "values", "Q table"),
             data["gamma"],
             data["alpha"],
             data["epsilon"],
@@ -207,7 +221,9 @@ class ObservableMap:
     """Named lifting of the state into observable space.
 
     The original state coordinates are expected to lead the lifted vector,
-    which the shipped maps and the regulator penalties rely on.
+    which the shipped maps and the regulator penalties rely on.  A lift of
+    the wrong size is a ``ValueError``; a non-finite one, the mark of a
+    diverged state, a :class:`NumericalError`.
     """
 
     fn: Callable
@@ -219,7 +235,7 @@ class ObservableMap:
         if z.size != self.n_z:
             raise ValueError(f"observable map returned {z.size} values, expected {self.n_z}")
         if not np.all(np.isfinite(z)):
-            raise ValueError("observable map produced non-finite values")
+            raise NumericalError("observable map produced non-finite values")
         return z
 
 
@@ -287,10 +303,8 @@ def rls_update(km: KoopmanModel, z_prev, u1_prev, z_now) -> KoopmanModel:
     theta = np.hstack([km.A, km.B]) + np.outer(err, gain_row)
     new_cov = (km.gamma_cov - np.outer(gamma_phi, gain_row)) / km.lam
     new_cov = 0.5 * (new_cov + new_cov.T)
-    try:
-        np.linalg.cholesky(new_cov)
-    except np.linalg.LinAlgError:
-        raise NumericalError("the recursive update lost positive definiteness") from None
+    if not _is_pd(new_cov):
+        raise NumericalError("the recursive update lost positive definiteness")
     nz = km.observables.n_z
     new = copy.copy(km)
     new.A, new.B, new.gamma_cov = theta[:, :nz], theta[:, nz:], new_cov

@@ -30,6 +30,7 @@ from .safe_learning import (
     QTable,
     SafeQEnv,
     SupervisedEnv,
+    float_array,
     koopman_control,
     require_keys,
     run_safe_koopman,
@@ -100,14 +101,15 @@ def example_initial_koopman(lam: float = 1.0, delta: float = 1e3) -> KoopmanMode
 
 
 def koopman_model_from_dict(data: dict) -> KoopmanModel:
-    require_keys(data, ("A", "B", "gamma_cov", "lam", "observables"), "Koopman model")
+    what = "Koopman model"
+    require_keys(data, ("A", "B", "gamma_cov", "lam", "observables"), what, scalars=("lam",))
     obs = example_observables()
     if data["observables"] != obs.name:
         raise ValueError(f"unknown observable map {data['observables']!r}")
     return KoopmanModel(
-        np.asarray(data["A"], dtype=float),
-        np.asarray(data["B"], dtype=float),
-        np.asarray(data["gamma_cov"], dtype=float),
+        float_array(data, "A", what),
+        float_array(data, "B", what),
+        float_array(data, "gamma_cov", what),
         float(data["lam"]),
         obs,
     )

@@ -78,22 +78,37 @@ def is_subset(p: HPolytope, q: HPolytope, tol: float = DEFAULT_TOL) -> bool:
 HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
-def highs_support(c, a_ub, b_ub):
+def _highs_ray(c, a_ub) -> bool:
+    """Whether HiGHS finds a ray along ``c`` in the recession cone of
+    ``{a_ub z <= b_ub}``: ``max c.r`` over ``a_ub r <= 0``, ``|r| <= 1``,
+    exceeds 1e-9."""
+    ray = linprog(-c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=[(-1, 1)] * c.size,
+                  method="highs", options=HIGHS_TIGHT)
+    return ray.status == 0 and -ray.fun > 1e-9
+
+
+def highs_bounded(a_ub) -> bool:
+    """Whether HiGHS finds the recession cone of ``{a_ub z <= b_ub}`` to be
+    ``{0}``: no ray along any ``+-e_i``.  A ray ``r`` scaled to
+    ``max |r_i| = 1`` would reach 1 along one of them."""
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    n = a_ub.shape[1]
+    return not any(_highs_ray(d, a_ub) for d in np.vstack([np.eye(n), -np.eye(n)]))
+
+
+def highs_support(c, a_ub, b_ub, bounded=False):
     """HiGHS's ``(status, max c.z)`` over ``{a_ub z <= b_ub}`` at its
     tightest tolerances: status 0 optimal, 2 infeasible, 3 unbounded.
-    Unboundedness is decided on the recession cone (``max c.r`` over
-    ``a_ub r <= 0``, ``|r| <= 1``), where HiGHS itself can report numerical
-    trouble at these tolerances."""
+    Unboundedness is decided on the recession cone, where HiGHS itself can
+    report numerical trouble at these tolerances.  ``bounded=True``, when
+    :func:`highs_bounded` holds for ``a_ub``, skips that LP."""
     c = np.asarray(c, dtype=float)
     a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
     free = [(None, None)] * c.size
-    if np.any(c):
-        ray = linprog(-c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=[(-1, 1)] * c.size,
-                      method="highs", options=HIGHS_TIGHT)
-        if ray.status == 0 and -ray.fun > 1e-9:
-            feasible = linprog(np.zeros(c.size), A_ub=a_ub, b_ub=b_ub, bounds=free,
-                               method="highs", options=HIGHS_TIGHT)
-            return (3, np.inf) if feasible.status == 0 else (2, np.nan)
+    if not bounded and np.any(c) and _highs_ray(c, a_ub):
+        feasible = linprog(np.zeros(c.size), A_ub=a_ub, b_ub=b_ub, bounds=free,
+                           method="highs", options=HIGHS_TIGHT)
+        return (3, np.inf) if feasible.status == 0 else (2, np.nan)
     ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=free, method="highs", options=HIGHS_TIGHT)
     return ref.status, (-ref.fun if ref.status == 0 else np.nan)
 

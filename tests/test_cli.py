@@ -13,6 +13,7 @@ from actiongov.simlab import (
     build_grid_backend,
     build_moas_backend,
     build_rig,
+    example_initial_koopman,
     learn_koopman,
 )
 from actiongov.trajectory import CSV_HEADER, fmt
@@ -109,7 +110,14 @@ class TestExitCodes:
         ("koopman", {"A": [[1.0]]}, "lacks the keys ['B', 'gamma_cov', 'lam', 'observables']"),
         ("qlearning", [[1.0]], "holds no JSON object"),
         ("koopman", [[1.0]], "holds no JSON object"),
-    ], ids=["q-table-missing-keys", "koopman-missing-keys", "q-table-array", "koopman-array"])
+        ("qlearning", {**QTable.zeros(2, 2).to_dict(), "gamma": "x"},
+         "'gamma' must be a number, got 'x'"),
+        ("koopman", {**example_initial_koopman().to_dict(), "lam": None},
+         "'lam' must be a number, got None"),
+        ("koopman", {**example_initial_koopman().to_dict(), "A": {"rows": 4}},
+         "'A' must be an array of numbers"),
+    ], ids=["q-table-missing-keys", "koopman-missing-keys", "q-table-array", "koopman-array",
+            "q-table-gamma-text", "koopman-lam-null", "koopman-a-object"])
     def test_malformed_model_file_is_bad_input(self, tmp_path, capsys, controller, payload,
                                                message):
         model = tmp_path / "model.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from actiongov import control_linalg
 from actiongov.control_linalg import (
     ClosedLoop,
     LinearPlant,
@@ -13,7 +14,8 @@ from actiongov.control_linalg import (
     spectral_radius,
 )
 from actiongov.convexset import HPolytope
-from actiongov.errors import InstabilityError, NoStabilizingSolutionError
+from actiongov.errors import InstabilityError, NoStabilizingSolutionError, NumericalError
+from actiongov.safe_learning import KoopmanModel, ObservableMap, rls_update
 from actiongov.simlab import example_system
 
 
@@ -134,9 +136,85 @@ class TestDare:
             dare_solve(1.5 * np.eye(2), np.zeros((2, 1)), np.eye(2), [[1.0]])
 
     def test_singular_gain_system_on_the_two_input_path(self):
-        # equal input columns and a negligible R make R + B'PB exactly singular
-        with pytest.raises(NoStabilizingSolutionError, match="singular"):
-            dare_solve(np.eye(2), np.ones((2, 2)), np.eye(2), 1e-20 * np.eye(2))
+        # equal input columns and an R below the rounding of B'PB make
+        # R + B'PB exactly singular, while I + GH keeps its 1
+        with pytest.raises(NoStabilizingSolutionError, match="step became singular"):
+            dare_solve([[0.5]], [[1e-3, 1e-3]], [[1.0]], 1e-30 * np.eye(2))
+
+    @pytest.mark.parametrize("B, R", [(np.ones((2, 1)), [[1e-20]]),
+                                      (np.ones((2, 2)), 1e-20 * np.eye(2))],
+                             ids=["one-input", "two-input"])
+    def test_singular_doubling_system(self, B, R):
+        # G = B R^-1 B' of 1e20 swamps the 1 of I + GH, whose rows are then equal
+        with pytest.raises(NoStabilizingSolutionError, match="doubling became singular"):
+            dare_solve(np.eye(2), B, np.eye(2), R)
+
+    def test_r_singular_by_rounding_is_not_positive_definite(self):
+        # an exactly singular R whose rounded eigenvalues are both positive
+        R = [[196.0, 42.0], [42.0, 9.0]]
+        assert np.linalg.eigvalsh(R).min() > 0.0
+        with pytest.raises(ValueError, match="R must be positive definite"):
+            dare_solve(np.eye(2), np.ones((2, 2)), np.eye(2), R)
+
+
+class TestLapackGufuncs:
+    """The private ``numpy.linalg._umath_linalg`` gufuncs behind the DARE and
+    the RLS check must give the public functions' bits and failures."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            for _ in range(40):
+                yield rng, rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+
+    def test_solve_bits(self):
+        for rng, a in self.matrices():
+            b = rng.normal(size=(a.shape[0], 2 * a.shape[0]))
+            assert control_linalg._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+    def test_eigvals_bits(self):
+        for _, a in self.matrices():
+            # the public function drops a zero imaginary part
+            want = np.linalg.eigvals(a).astype(complex)
+            assert control_linalg._eigvals(a).tobytes() == want.tobytes()
+            assert spectral_radius(a) == float(np.max(np.abs(np.linalg.eigvals(a))))
+
+    def test_eigvalsh_bits(self):
+        for _, a in self.matrices():
+            s = a + a.T
+            assert control_linalg._eigvalsh(s).tobytes() == np.linalg.eigvalsh(s).tobytes()
+
+    def test_positive_definiteness_as_cholesky_decides_it(self):
+        outcomes = set()
+        for rng, a in self.matrices():
+            s = a @ a.T + rng.choice([-1.0, 0.0, 1.0]) * np.eye(a.shape[0])
+            try:
+                np.linalg.cholesky(s)
+                want = True
+            except np.linalg.LinAlgError:
+                want = False
+            assert control_linalg._is_pd(s) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_singular_solve_is_nan_and_diagnosed(self):
+        a, b = np.ones((3, 3)), np.eye(3)
+        with np.errstate(all="ignore"):
+            assert np.isnan(control_linalg._solve(a, b)).all()
+        assert control_linalg._singular(a, b)
+        assert not control_linalg._singular(np.eye(3), b)
+
+    def test_lost_definiteness_raises_from_rls_update(self):
+        km = KoopmanModel.initial(np.eye(2), np.ones((2, 1)),
+                                  ObservableMap(fn=lambda x: x, n_z=2), lam=1.0)
+        km.gamma_cov = np.diag([1.0, 1.0, -1e-3])  # indefinite, as a drifted estimate
+        with pytest.raises(NumericalError, match="recursive update lost positive definiteness"):
+            rls_update(km, np.zeros(2), [0.0], np.zeros(2))
+
+    def test_non_finite_matrix_has_no_spectral_radius(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            spectral_radius([[1.0, np.nan], [0.0, 1.0]])
 
 
 class TestRiccatiFinite:

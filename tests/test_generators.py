@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from actiongov.convexset import Generators, HPolytope, project_out, remove_redundancy
 from actiongov.errors import EmptySetError
-from references import highs_support
+from references import highs_bounded, highs_support
 
 KINDS = ("bounded", "unbounded", "duplicate", "near_parallel", "degenerate", "far", "empty")
 
@@ -101,8 +101,9 @@ def test_supports_agree_with_highs(instance):
     # rounding scales with the data: offsets reach 1e6 in the far kind
     tol = 1e-10 * (1.0 + np.abs(b).max())
     rng = np.random.default_rng(a.shape[0])
+    bounded = highs_bounded(a)
     for d in np.vstack([a, rng.normal(size=(8, a.shape[1]))]):
-        status, value = highs_support(d, a, b)
+        status, value = highs_support(d, a, b, bounded)
         if status == 3:
             assert gens.support(d) == np.inf, kind
         else:

@@ -539,6 +539,18 @@ class TestRunSafeKoopman:
         assert str(info.value).startswith("step 20: ")
         assert len(steps) == 20
 
+    def test_non_finite_lift_is_a_numerical_error_of_its_step(self):
+        # a reset to a non-finite state is a diverged run, not bad input
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        env = linear_koopman_env(A, B)
+        env.sample_reset = lambda rng: np.array([np.nan, 0.0])
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            run_safe_koopman(env, KoopmanModel.initial(A, B, identity_observables(2)),
+                             40, 20, np.random.default_rng(0))
+        assert info.value.step == 20
+        assert str(info.value).startswith("step 20: ")
+
     def test_no_resets_when_period_is_infinite(self):
         A = np.array([[0.9, 0.0], [0.0, 0.9]])
         B = np.array([[1.0], [1.0]])
@@ -623,3 +635,7 @@ class TestValidation:
         bad = ObservableMap(fn=lambda x: [1.0], n_z=2)
         with pytest.raises(ValueError):
             bad(np.zeros(2))
+        # a non-finite lift is a numerical failure of the run, not bad input
+        diverged = ObservableMap(fn=lambda x: [np.inf, 0.0], n_z=2)
+        with pytest.raises(NumericalError, match="non-finite"):
+            diverged(np.zeros(2))
