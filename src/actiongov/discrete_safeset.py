@@ -12,20 +12,22 @@ pair-at-a-time sweep because the marked sets only ever grow.
 
 The nominal loop holds the reference, so every successor of a pair
 ``(x, v)`` is a pair of the same reference slice ``v``, and no slice reads
-another.  The set-up therefore holds one slice's successor rows at a time:
+another.  The set-up therefore holds one slice's successors at a time:
 :func:`discretize` prepares the snapping, and
-:meth:`TransitionTable.slice_rows` tabulates the rows of some states of
-one slice into a buffer that the next slice overwrites.  The
-classification reads the rows of admissible pairs only (an inadmissible
-pair is unsafe before any sweep, and the seed and the safe set lie inside
-the invariant set), so one pass per slice tabulates just those rows and
-takes them through all three stages, then certifies that the slice's safe
-set is closed on the same rows.  Sweep ``r`` of a slice marks exactly the
-pairs of that slice that sweep ``r`` over the whole grid would mark; the
-totals after sweep ``r`` of the whole grid are therefore the totals before
-the growth plus every slice's growth in its first ``r`` sweeps.  The whole
-table, :attr:`TransitionTable.table`, is assembled from the slices on
-demand; no pipeline reads it.
+:meth:`TransitionTable.slice_block` tabulates the successors of some
+states of one slice into a buffer that the next slice overwrites.  The
+block is disturbance-major, one contiguous row per disturbance and one
+column per state, so the sweeps reduce across a few long rows.  The
+classification reads the successors of admissible pairs only (an
+inadmissible pair is unsafe before any sweep, and the seed and the safe
+set lie inside the invariant set), so one pass per slice tabulates just
+those columns and takes them through all three stages, then certifies
+that the slice's safe set is closed on the same block.  Sweep ``r`` of a
+slice marks exactly the pairs of that slice that sweep ``r`` over the
+whole grid would mark; the totals after sweep ``r`` of the whole grid are
+therefore the totals before the growth plus every slice's growth in its
+first ``r`` sweeps.  The whole table, :attr:`TransitionTable.table`, is
+assembled from the slices on demand; no pipeline reads it.
 
 Each successor coordinate is snapped along the axes it moves with only: a
 coordinate the reference does not move is snapped once per table, and one
@@ -227,7 +229,7 @@ class TransitionTable:
     """Successor x-pair indices of ``(x, v, w)`` grid triples, for some
     states of one reference slice at a time.
 
-    Entry ``[r, k]`` of :meth:`slice_rows` ``(j, states)`` is the flat
+    Entry ``[k, r]`` of :meth:`slice_block` ``(j, states)`` is the flat
     index of the grid state nearest to the closed-loop successor of grid
     state ``states[r]`` under reference ``j`` and disturbance ``k``, or -1
     when the successor leaves the grid range.  :attr:`table` holds every
@@ -235,30 +237,31 @@ class TransitionTable:
     loop ``cl`` from the table.
     """
 
-    __slots__ = ("grid", "cl", "_snaps", "_rows", "_table")
+    __slots__ = ("grid", "cl", "_snaps", "_block", "_table")
 
     def __init__(self, snaps, grid: GridSpec, cl: ClosedLoop):
         self.grid = grid
         self.cl = cl
         self._snaps = snaps
-        self._rows = np.empty((grid.n_xpairs, grid.n_w), dtype=np.intp)
+        self._block = np.empty(grid.n_w * grid.n_xpairs, dtype=np.intp)
         self._table = None
 
-    def slice_rows(self, j: int, states: np.ndarray) -> np.ndarray:
-        """The successor rows (len(states), n_w) of the grid states
-        ``states`` (flat x-pair indices) under reference slice ``j``, as
-        intp: row ``r`` is ``table[states[r], j]``.  Written into the first
-        ``len(states)`` rows of one buffer of the table, which the next call
-        overwrites."""
+    def slice_block(self, j: int, states: np.ndarray) -> np.ndarray:
+        """The successors (n_w, len(states)) of the grid states ``states``
+        (flat x-pair indices) under reference slice ``j``, as intp, one row
+        per disturbance: column ``r`` is ``table[states[r], j]``.  A
+        C-contiguous view of the first ``n_w * len(states)`` entries of one
+        buffer of the table, which the next call overwrites."""
+        shape = (self.grid.n_w, len(states))
+        out = self._block[:shape[0] * shape[1]].reshape(shape)
         v = self.grid.v_values[j]
-        out = self._rows[:len(states)]
         return self.grid._flat_index(*(snap(v, states) for snap in self._snaps), out=out)
 
     @property
     def table(self) -> np.ndarray:
-        """Every slice's successor rows, ``table[i, j, k]``, assembled from
-        :meth:`slice_rows` on first read and kept, read-only.  Indices are
-        int16 when every x-pair index fits, int32 otherwise."""
+        """Every slice's successors, ``table[i, j, k]``, assembled from the
+        transposed :meth:`slice_block` on first read and kept, read-only.
+        Indices are int16 when every x-pair index fits, int32 otherwise."""
         if self._table is None:
             grid = self.grid
             narrow = grid.n_xpairs <= np.iinfo(np.int16).max
@@ -266,7 +269,7 @@ class TransitionTable:
                              dtype=np.int16 if narrow else np.int32)
             states = np.arange(grid.n_xpairs)
             for j in range(grid.n_v):
-                table[:, j] = self.slice_rows(j, states)
+                table[:, j] = self.slice_block(j, states).T
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -278,13 +281,13 @@ def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
     Successor coordinate ``a`` of a state ``x`` is ``(At x)_a + Bt_a v +
     E_a w``, formed by the same float operations in the same order as one
     successor at a time, and snapped along the axes it moves with only (see
-    :func:`_coordinate_snap`): here, once, when ``Bt_a`` is 0, and one column
+    :func:`_coordinate_snap`): here, once, when ``Bt_a`` is 0, and one row
     broadcast over the disturbances when ``E_a`` is 0.  A term left out
     adds +-0.0, which leaves the value as it is or turns -0.0 into +0.0, and
-    both snap to the same index, so the rows are those of the full sums.
-    Nothing is tabulated here: :meth:`TransitionTable.slice_rows` snaps
+    both snap to the same index, so the entries are those of the full sums.
+    Nothing is tabulated here: :meth:`TransitionTable.slice_block` snaps
     what depends on the reference, for the states it is given, into the
-    first rows of ``(n_xpairs, n_w)`` buffers allocated here, once per
+    first entries of ``n_w * n_xpairs`` buffers allocated here, once per
     table.
     """
     snaps = [_coordinate_snap(b, bt, e * grid.w_values if e != 0 else None, axis)
@@ -295,52 +298,56 @@ def discretize(cl: ClosedLoop, grid: GridSpec) -> TransitionTable:
 
 def _coordinate_snap(b, bt, ew, axis):
     """``(v, states) -> (index, outside)``: the snap on ``axis`` of the
-    successor coordinate ``(b + bt v)[states, None] + ew`` of the grid
-    states ``states`` (rows) under every disturbance (columns) at the
+    successor coordinate ``(b + bt v)[states] + ew[:, None]`` of the grid
+    states ``states`` (columns) under every disturbance (rows) at the
     reference ``v``.
 
     ``ew`` is None for a zero disturbance entry: the coordinate is then the
-    one column ``b + bt v``.  When ``bt`` is 0 the coordinate does not
-    depend on ``v``: every state is snapped here, once, and each call
-    gathers the rows of ``states``.  Otherwise each call snaps the rows of
-    ``states`` only, into the first ``len(states)`` rows of buffers
-    allocated here for every state, which the next call overwrites; only
-    the column ``b[states] + bt v`` is new per call.
+    one row ``b + bt v``.  When ``bt`` is 0 the coordinate does not depend
+    on ``v``: every state is snapped here, once, and each call gathers the
+    columns of ``states``.  Otherwise each call snaps the columns of
+    ``states`` only, into the first ``n_rows * len(states)`` entries of
+    flat buffers allocated here for every state, which the next call
+    overwrites; only the row ``b[states] + bt v`` is new per call.
     """
-    col = b[:, None]
+    col = None if ew is None else ew[:, None]
     if bt == 0:
-        fixed = GridSpec._snap_axis(col if ew is None else col + ew, axis)
-        return lambda v, states: tuple(a[states] for a in fixed)
-    shape = (b.size, 1 if ew is None else ew.size)
-    sums = None if ew is None else np.empty(shape)
-    buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64),
-               np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+        fixed = GridSpec._snap_axis(b[None, :] if col is None else b + col, axis)
+        return lambda v, states: tuple(a.take(states, axis=1) for a in fixed)
+    n_rows = 1 if col is None else col.size
+    size = n_rows * b.size
+    sums = None if col is None else np.empty(size)
+    buffers = (np.empty(size), np.empty(size), np.empty(size, dtype=np.int64),
+               np.empty(size, dtype=bool), np.empty(size, dtype=bool))
 
     def snap(v, states):
-        m = len(states)
-        vals = col[states]
+        shape = (n_rows, len(states))
+        n = shape[0] * shape[1]
+        vals = b[states]
         vals += bt * v
-        if ew is not None:
-            vals = np.add(vals, ew, out=sums[:m])
-        return GridSpec._snap_axis(vals, axis, tuple(buf[:m] for buf in buffers))
+        vals = vals[None, :]
+        if col is not None:
+            vals = np.add(vals, col, out=sums[:n].reshape(shape))
+        return GridSpec._snap_axis(vals, axis, tuple(buf[:n].reshape(shape) for buf in buffers))
 
     return snap
 
 
-def _forward_closure(core: np.ndarray, table: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+def _forward_closure(core: np.ndarray, block: np.ndarray, col_of: np.ndarray) -> np.ndarray:
     """Smallest superset of ``core`` closed under every disturbance successor.
 
-    ``core`` is a pair mask (n_xpairs,) of one reference slice, ``table``
-    successor rows of that slice and ``row_of`` the row of ``table`` that
-    holds each state's successors; successors keep the reference, so the
-    slice closes on its own, frontier by frontier.  Every state the closure
-    reaches must have a row.  Callers must ensure successors never leave
-    the grid.
+    ``core`` is a pair mask (n_xpairs,) of one reference slice, ``block``
+    successors of that slice, one row per disturbance as
+    :meth:`TransitionTable.slice_block` gives them, and ``col_of`` the
+    column of ``block`` that holds each state's successors; successors keep
+    the reference, so the slice closes on its own, frontier by frontier.
+    Every state the closure reaches must have a column.  Callers must
+    ensure successors never leave the grid.
     """
     reached = core.copy()
     frontier = np.flatnonzero(core)
     while frontier.size:
-        succ = table[row_of[frontier]]
+        succ = block.take(col_of[frontier], axis=1)
         if (succ < 0).any():
             raise SeedConstructionError("seed closure left the grid range")
         new = np.zeros_like(reached)
@@ -377,12 +384,15 @@ def build_seed(tt: TransitionTable, alpha: float) -> np.ndarray:
     v_vals = grid.v_values
     eligible = np.all(coef[None, :] * v_vals[:, None] <= margin[None, :] + 1e-12, axis=1)
 
-    pts = grid.x_points()
-    p_inv = np.linalg.inv(P)
+    x1, x2 = grid.x_points().T.copy()
+    (a11, a12), (a21, a22) = np.linalg.inv(P)
     members = np.zeros((grid.n_xpairs, grid.n_v), dtype=bool)
     for j in np.nonzero(eligible)[0]:
-        d = pts - (xv_dir.ravel() * v_vals[j])
-        quad = np.einsum("ij,jk,ik->i", d, p_inv, d)
+        c1, c2 = xv_dir.ravel() * v_vals[j]
+        d1, d2 = x1 - c1, x2 - c2
+        # d' P^-1 d term by term in the order of np.einsum("ij,jk,ik->i"),
+        # which gives the same bits in a fifth of the time
+        quad = d1 * a11 * d1 + d1 * a12 * d2 + d2 * a21 * d1 + d2 * a22 * d2
         members[:, j] = quad <= 1.0 + 1e-12
     if not members.any():
         raise SeedConstructionError("no grid pair passed the ellipsoid constraint check")
@@ -447,18 +457,18 @@ def _totals(cls: np.ndarray) -> tuple:
     return int(safe), int(minus), int(remain)
 
 
-def _certify_closed(safe, admissible, table, row_of, j):
+def _certify_closed(safe, admissible, block, col_of, j):
     """Raise :class:`SafeSetClosureError` unless every pair of the slice-``j``
     mask ``safe`` is admissible and each of its successors, read from the
-    tabulated ``table`` through ``row_of``, is on the grid and in ``safe``."""
+    tabulated ``block`` through ``col_of``, is on the grid and in ``safe``."""
     pairs = np.flatnonzero(safe)
     bad = ~admissible[pairs]
     if bad.any():
         what = "is inadmissible"
     else:
-        succ = table[row_of[pairs]]
+        succ = block.take(col_of[pairs], axis=1)
         # an off-grid successor (-1) reads an arbitrary entry; the first test decides it
-        bad = ((succ < 0) | ~safe[succ]).any(axis=1)
+        bad = ((succ < 0) | ~safe[succ]).any(axis=0)
         what = "has a successor off the grid or outside the safe set"
     if bad.any():
         raise SafeSetClosureError(
@@ -469,22 +479,28 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     """Classify all grid pairs of the loop discretized in ``tt``.
 
     ``alpha`` is the seed's Lyapunov scaling.  One pass per reference slice
-    tabulates, with :meth:`TransitionTable.slice_rows`, the successor rows
-    of the slice's pairs admissible in the loop's :func:`constraint_table`
-    and of no other pair, so the whole table is never held, and runs three
-    stages on those rows.  The unsafe fixed point marks MINUS every pair
-    with a successor off the grid or MINUS, its witness the first such
-    disturbance-grid index (``WITNESS_CONSTRAINT`` for an inadmissible
-    pair, whose row is never read), so every witness chain ends at a
-    violation or an exit.  The slice's :func:`build_seed` members among the
-    pairs left (the greatest invariant admissible set, at ``WITNESS_NONE``)
-    close forward to the seed, reading each visited pair's row through a
-    state-to-row map.  A pair left becomes SAFE_PLUS once every disturbance
-    successor is; invariant pairs that never reach the seed stay REMAIN.
-    Last, the same rows certify the slice's safe set: every SAFE_PLUS pair
-    must be admissible with every successor on the grid and SAFE_PLUS at
-    the same reference, or :class:`SafeSetClosureError` names the slice and
-    the pair.
+    tabulates, with :meth:`TransitionTable.slice_block`, the successors of
+    the slice's pairs admissible in the loop's :func:`constraint_table` and
+    of no other pair, so the whole table is never held, and runs three
+    stages on that block, one row per disturbance and one column per pair.
+    The unsafe fixed point marks MINUS every pair with a successor off the
+    grid or MINUS, its witness the first such disturbance-grid index
+    (``WITNESS_CONSTRAINT`` for an inadmissible pair, whose column is never
+    read), so every witness chain ends at a violation or an exit.  The
+    slice's :func:`build_seed` members among the pairs left (the greatest
+    invariant admissible set, at ``WITNESS_NONE``) close forward to the
+    seed, reading each visited pair's column through a state-to-column
+    map.  A pair left becomes SAFE_PLUS once every disturbance successor
+    is; invariant pairs that never reach the seed stay REMAIN.  Last, the
+    same block certifies the slice's safe set: every SAFE_PLUS pair must be
+    admissible with every successor on the grid and SAFE_PLUS at the same
+    reference, or :class:`SafeSetClosureError` names the slice and the
+    pair.
+
+    Each sweep reduces over the block's disturbance rows, which is cheap in
+    this layout.  The unsafe fixed point sweeps the whole block every time
+    rather than compacting it; the growth compacts it once, to the
+    invariant pairs outside the seed.
 
     ``sweep_counts`` lists (safe, minus, remain) totals once the seed and
     the MINUS class are known, then after every sweep of the growth: the
@@ -500,39 +516,38 @@ def compute_safe_set(tt: TransitionTable, alpha: float) -> DiscreteSafeSet:
     seed = np.zeros_like(ok)
     minus = 0
     grown = []  # pairs grown in sweep r, summed over the slices
-    # row of the slice's tabulated rows per state; read for admissible states only
-    row_of = np.empty(tt.grid.n_xpairs, dtype=np.intp)
+    # column of the slice's block per state; read for admissible states only
+    col_of = np.empty(tt.grid.n_xpairs, dtype=np.intp)
     for j in range(tt.grid.n_v):
-        rows = np.flatnonzero(ok[:, j])
-        succ = table = tt.slice_rows(j, rows)
-        row_of[rows] = np.arange(rows.size)
+        states = np.flatnonzero(ok[:, j])
+        block = tt.slice_block(j, states)
+        col_of[states] = np.arange(states.size)
         # one extra entry, always marked, which the off-grid successors (-1) read
         unsafe = np.append(~ok[:, j], True)
-        while rows.size:
-            hit = unsafe[succ]
-            new = hit.any(axis=1)
+        while True:
+            hit = unsafe[block]
+            new = hit.any(axis=0) & ~unsafe[states]
             if not new.any():
                 break
-            witness[rows[new], j] = np.argmax(hit[new], axis=1)
-            unsafe[rows[new]] = True
-            rows, succ = rows[~new], succ[~new]
+            marked = states[new]
+            witness[marked, j] = np.argmax(np.compress(new, hit, axis=1), axis=0)
+            unsafe[marked] = True
         unsafe = unsafe[:-1]
-        # rows holds the slice's invariant pairs: their successors are
-        # invariant too, hence on the grid
-        safe = _forward_closure(members[:, j] & ~unsafe, table, row_of)
+        safe = _forward_closure(members[:, j] & ~unsafe, block, col_of)
         seed[:, j] = safe
-        keep = ~safe[rows]
-        rows, succ = rows[keep], succ[keep]
+        # the invariant pairs outside the seed: their successors are
+        # invariant too, hence on the grid
+        keep = np.flatnonzero(~(unsafe[states] | safe[states]))
+        states, succ = states.take(keep), block.take(keep, axis=1)
         for r in itertools.count():
-            new = safe[succ].all(axis=1)
+            new = safe[succ].all(axis=0) & ~safe[states]
             if r == len(grown):
                 grown.append(0)
             grown[r] += int(np.count_nonzero(new))
             if not new.any():
                 break
-            safe[rows[new]] = True
-            rows, succ = rows[~new], succ[~new]
-        _certify_closed(safe, ok[:, j], table, row_of, j)
+            safe[states[new]] = True
+        _certify_closed(safe, ok[:, j], block, col_of, j)
         cls[unsafe, j] = MINUS
         cls[safe, j] = SAFE_PLUS
         minus += int(np.count_nonzero(unsafe))

@@ -289,8 +289,9 @@ def rls_update(km: KoopmanModel, z_prev, u1_prev, z_now) -> KoopmanModel:
 
     The correction pairs the prediction error with a gain row built from
     the covariance; the covariance is deflated by the forgetting factor and
-    re-symmetrized every step.  A covariance that is no longer positive
-    definite raises :class:`NumericalError`, the update's one check.
+    re-symmetrized every step.  A covariance that is not finite, or no
+    longer positive definite, raises :class:`NumericalError`: the Cholesky
+    test alone lets some NaN and infinite entries through.
     """
     u1_prev = np.atleast_1d(np.asarray(u1_prev, dtype=float))
     phi = np.concatenate([z_prev, u1_prev])
@@ -303,6 +304,8 @@ def rls_update(km: KoopmanModel, z_prev, u1_prev, z_now) -> KoopmanModel:
     theta = np.hstack([km.A, km.B]) + np.outer(err, gain_row)
     new_cov = (km.gamma_cov - np.outer(gamma_phi, gain_row)) / km.lam
     new_cov = 0.5 * (new_cov + new_cov.T)
+    if not np.isfinite(new_cov).all():
+        raise NumericalError("the recursive update produced a non-finite covariance")
     if not _is_pd(new_cov):
         raise NumericalError("the recursive update lost positive definiteness")
     nz = km.observables.n_z
@@ -341,10 +344,10 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     always pair the pre-adjustment action with the observed transition of
     the supervised system, so the estimator learns the dynamics as seen
     through the supervisor.  Each state is lifted once (``km.observables``)
-    for the regulator and the update; ``km`` is left unchanged.  A reset
-    draw belongs to the step it starts: library errors of the draw, its
-    lift, the regulator, the supervised step and the update leave with
-    ``step`` set to that step's index.
+    for the regulator and the update; ``km`` is left unchanged.  The start
+    state's lift belongs to step 0 and a reset draw to the step it starts:
+    library errors of the draw, the lift, the regulator, the supervised
+    step and the update leave with ``step`` set to that step's index.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -354,11 +357,12 @@ def run_safe_koopman(env: KoopmanEnv, km: KoopmanModel, steps: int, reset_every,
     gs = GovernorState()
     traj = Trajectory()
     x = np.asarray(env.initial_state, dtype=float).copy()
-    z = km.observables(x)
     for t in range(steps):
         try:
+            if t == 0:
+                z = km.observables(x)
             # t % inf is t, so an infinite period never resets
-            if t > 0 and t % reset_every == 0:
+            elif t % reset_every == 0:
                 x = np.asarray(env.sample_reset(rng), dtype=float)
                 z = km.observables(x)
             u1 = np.atleast_1d(koopman_control(km, z, env.q_z, env.r_u))

@@ -374,27 +374,29 @@ class TestDiscretize:
                    "single": np.array([n // 2]), "empty": np.array([], dtype=np.intp)}
         for j in range(grid.n_v):
             for states in subsets.values():
-                got = tt.slice_rows(j, states)
+                got = tt.slice_block(j, states)
                 want = table[states, j].astype(np.intp)
-                assert got.dtype == np.intp and got.shape == (states.size, grid.n_w)
-                assert got.tobytes() == want.tobytes()
+                assert got.dtype == np.intp and got.shape == (grid.n_w, states.size)
+                assert got.flags.c_contiguous
+                assert got.T.tobytes() == want.tobytes()
 
     def test_slices_share_one_buffer_and_the_table_is_assembled_once(self):
         _, _, _, cl, grid = small_example()
         tt = discretize(cl, grid)
         states = np.arange(grid.n_xpairs)
-        first = tt.slice_rows(0, states).copy()
-        rows = tt.slice_rows(grid.n_v - 1, states)
-        assert rows.dtype == np.intp and rows.shape == (grid.n_xpairs, grid.n_w)
-        again = tt.slice_rows(0, states)
-        assert np.shares_memory(again, rows) and np.array_equal(rows, first)
-        # fewer states fill the first rows of the same buffer
-        assert np.shares_memory(tt.slice_rows(0, states[::2]), rows)
-        assert np.array_equal(rows[:states[::2].size], first[::2])
+        first = tt.slice_block(0, states).copy()
+        block = tt.slice_block(grid.n_v - 1, states)
+        assert block.dtype == np.intp and block.shape == (grid.n_w, grid.n_xpairs)
+        again = tt.slice_block(0, states)
+        assert np.shares_memory(again, block) and np.array_equal(block, first)
+        # fewer states fill the first n_w * m entries of the same buffer
+        m = states[::2].size
+        assert np.shares_memory(tt.slice_block(0, states[::2]), block)
+        assert np.array_equal(block.ravel()[:grid.n_w * m], first[:, ::2].ravel())
         table = tt.table
         assert tt.table is table and not table.flags.writeable
         for j in range(grid.n_v):
-            assert np.array_equal(table[:, j], tt.slice_rows(j, states))
+            assert np.array_equal(table[:, j], tt.slice_block(j, states).T)
 
     @pytest.mark.parametrize("n1, dtype", [(181, np.int16), (182, np.int32)])
     def test_index_width_follows_the_grid_size(self, n1, dtype):
@@ -643,8 +645,8 @@ class TestComputeSafeSet:
         real = discrete_safeset._forward_closure
         slices = iter(range(tt.grid.n_v))
 
-        def unsound(core, table, row_of):
-            reached = real(core, table, row_of)
+        def unsound(core, block, col_of):
+            reached = real(core, block, col_of)
             # the closure runs once per slice, in slice order
             if next(slices) == j:
                 reached[i] = True
@@ -850,14 +852,14 @@ class TestPipeline:
                                                              monkeypatch):
         # the classification reads no inadmissible pair's successors: they
         # are MINUS before any sweep
-        real = TransitionTable.slice_rows
+        real = TransitionTable.slice_block
         tabulated = {}
 
         def spy(self, j, states):
             tabulated[j] = states.copy()
             return real(self, j, states)
 
-        monkeypatch.setattr(TransitionTable, "slice_rows", spy)
+        monkeypatch.setattr(TransitionTable, "slice_block", spy)
         _, _, tt, grid = build_grid_backend(base_cfg, rig)
         ok = constraint_table(tt)
         assert sorted(tabulated) == list(range(grid.n_v))
@@ -927,6 +929,18 @@ class TestSliceWiseStages:
         assert tt.table.dtype == dtype
         self.assert_same(tt, compute_safe_set(tt, 0.75), ref)
 
+    @pytest.mark.parametrize("case", TestDiscretize.LOOPS)
+    def test_snapping_case_grids(self, case):
+        # coordinates that move with the reference, the disturbance, both or
+        # neither, and signed zeros: the gathered and the per-slice snaps
+        # both feed the witness and the sweeps
+        cl, grid = TestDiscretize.snapping_case(case)
+        ref = self.whole_grid(cl, grid, 0.75)
+        tt = discretize(cl, grid)
+        dss = compute_safe_set(tt, 0.75)
+        self.assert_same(tt, dss, ref)
+        assert all(n > 0 for n in dss.sweep_counts[-1])
+
     def test_shipped_grid(self, rig, base_cfg, grid_bundle):
         _, dss, tt, grid = grid_bundle
         ref = self.whole_grid(rig.cl, grid, base_cfg.alpha)
@@ -941,16 +955,16 @@ class TestSliceWiseStages:
         tt, ok = grid_tables(cl, None, grid)
         invariant = invariant_set(tt, ok)
         rng = np.random.default_rng(9)
-        row_of = np.full(grid.n_xpairs, -1)
+        col_of = np.full(grid.n_xpairs, -1)
         for share in (0.001, 0.01, 0.1):
             core = invariant & (rng.random(invariant.shape) < share)
             want = forward_closure_reference(core, tt.table)
             for j in range(grid.n_v):
-                # the admissible rows, as compute_safe_set tabulates them
-                rows = np.flatnonzero(ok[:, j])
-                row_of[rows] = np.arange(rows.size)
+                # the admissible columns, as compute_safe_set tabulates them
+                states = np.flatnonzero(ok[:, j])
+                col_of[states] = np.arange(states.size)
                 got = discrete_safeset._forward_closure(
-                    core[:, j], tt.slice_rows(j, rows), row_of)
+                    core[:, j], tt.slice_block(j, states), col_of)
                 assert np.array_equal(got, want[:, j])
                 assert not (got & ~invariant[:, j]).any()
 
@@ -961,7 +975,7 @@ class TestSliceWiseStages:
         i, j, _ = np.argwhere(tt.table < 0)[0]
         core[i, j] = True
         with pytest.raises(SeedConstructionError, match="left the grid"):
-            discrete_safeset._forward_closure(core[:, j], tt.table[:, j],
+            discrete_safeset._forward_closure(core[:, j], tt.table[:, j].T,
                                               np.arange(grid.n_xpairs))
         with pytest.raises(SeedConstructionError, match="left the grid"):
             forward_closure_reference(core, tt.table)

@@ -325,6 +325,16 @@ def fresh_model(nz=2, m=1, lam=1.0, delta=1e6):
     return KoopmanModel.initial(np.zeros((nz, nz)), np.zeros((nz, m)), obs, lam, delta)
 
 
+def nan_covariance_model():
+    """A model whose covariance holds a NaN on its diagonal, which the
+    constructor's checks would refuse."""
+    km = KoopmanModel.initial(np.diag([0.9, 0.9]), [[1.0], [1.0]], identity_observables(2))
+    cov = km.gamma_cov.copy()
+    cov[1, 1] = np.nan
+    km.gamma_cov = cov
+    return km
+
+
 class TestRls:
     def test_zero_error_keeps_model_but_updates_covariance(self):
         km = fresh_model()
@@ -383,6 +393,13 @@ class TestRls:
         km = fresh_model(lam=1e-16, delta=1e-16)
         with pytest.raises(NumericalError):
             rls_update(km, np.zeros(2), np.zeros(1), np.zeros(2))
+
+    def test_nan_on_the_covariance_diagonal_raises(self):
+        # the Cholesky factorization reports success on a NaN diagonal
+        # entry, so the update tests finiteness first
+        km = nan_covariance_model()
+        with pytest.raises(NumericalError, match="non-finite covariance"):
+            rls_update(km, np.array([1.0, -0.5]), np.array([0.2]), np.array([0.9, 0.4]))
 
     def test_update_leaves_its_argument_unchanged(self):
         km = KoopmanModel(np.diag([0.5, 0.8]), [[0.2], [1.0]], np.eye(3), 0.97,
@@ -550,6 +567,27 @@ class TestRunSafeKoopman:
                              40, 20, np.random.default_rng(0))
         assert info.value.step == 20
         assert str(info.value).startswith("step 20: ")
+
+    def test_non_finite_start_state_is_a_numerical_error_of_step_zero(self):
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        env = dataclasses.replace(linear_koopman_env(A, B), initial_state=[np.nan, 0.0])
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            run_safe_koopman(env, KoopmanModel.initial(A, B, identity_observables(2)),
+                             5, np.inf, np.random.default_rng(0))
+        assert info.value.step == 0
+        assert str(info.value).startswith("step 0: ")
+
+    def test_non_finite_covariance_reports_its_step(self):
+        # caught by the update that produced it, not by the next step's
+        # regulator
+        A = np.array([[0.9, 0.0], [0.0, 0.9]])
+        B = np.array([[1.0], [1.0]])
+        with pytest.raises(NumericalError, match="non-finite covariance") as info:
+            run_safe_koopman(linear_koopman_env(A, B), nan_covariance_model(), 5, np.inf,
+                             np.random.default_rng(0))
+        assert info.value.step == 0
+        assert str(info.value).startswith("step 0: ")
 
     def test_no_resets_when_period_is_infinite(self):
         A = np.array([[0.9, 0.0], [0.0, 0.9]])

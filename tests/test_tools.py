@@ -66,6 +66,25 @@ def test_cli_pairs_runs_each_tree_in_a_fresh_process(tmp_path, capsys):
     assert not (tmp_path / "unused").exists()
 
 
+def test_bench_pairs_compares_every_end_to_end_metric(capsys):
+    tool = _load("bench_pairs")
+    tree = str(TOOLS.parent)
+    assert tool.main([tree, tree, "--workload", "grid-qlearn", "--pairs", "1",
+                      "--seconds", "1", "--size", "tiny"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    metrics = [m["name"] for m in
+               json.loads((TOOLS.parent / "BENCHMARK.json").read_text())["end_to_end"]]
+    number = r"[0-9.]+"
+    for line, side in zip(lines[:2], "AB"):
+        assert re.fullmatch(rf"pair 1 {side}  " + "  ".join(rf"{m} {number}" for m in metrics),
+                            line)
+    assert len(lines) == 2 + len(metrics)
+    for line, name in zip(lines[2:], metrics):
+        assert re.fullmatch(rf"{name} +A +{number} \[{number}, {number}\]  "
+                            rf"B +{number} \[{number}, {number}\]  A IQR {number}  "
+                            r"B wins [01]/1  gain (yes|no)", line)
+
+
 def test_learning_margin_prints_one_row_per_seed(tmp_path, capsys):
     tool = _load("learning_margin")
     config = tmp_path / "short.json"
