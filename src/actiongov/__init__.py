@@ -39,7 +39,7 @@ from .governor import (
     nearest_candidate,
 )
 from .lp import LpResult, LpStatus
-from .moas import LinearMoasOracle, Moas, build_moas, feasible_action_set, linear_ag_step
+from .moas import LinearMoasOracle, Moas, build_moas, feasible_action_set
 from .safe_learning import (
     KoopmanEnv,
     KoopmanModel,

@@ -254,9 +254,11 @@ def dare_solve(A, B, Q, R):
     n = A.shape[0]
     eye = np.eye(n)
     with np.errstate(all="ignore"):
-        if _eigvalsh(0.5 * (Q + Q.T)).min() < -1e-12:
+        # syevd may return finite eigenvalues for a matrix holding NaN, so
+        # finiteness is tested first
+        if not (np.isfinite(Q).all() and _eigvalsh(0.5 * (Q + Q.T)).min() >= -1e-12):
             raise ValueError("Q must be positive semidefinite")
-        if _eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
+        if not (np.isfinite(R).all() and _eigvalsh(0.5 * (R + R.T)).min() > 0.0):
             raise ValueError("R must be positive definite")
         Ak, G, H = A, B @ _solve(R, B.T), Q
         for _ in range(_DARE_MAX_ITER):

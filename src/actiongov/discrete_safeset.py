@@ -81,6 +81,8 @@ class GridSpec:
         for lo, hi, d in (*zip(self.x_lo, self.x_hi, self.x_delta),
                           (self.v_lo, self.v_hi, self.v_delta),
                           (self.w_lo, self.w_hi, self.w_delta)):
+            if not np.isfinite((lo, hi, d)).all():
+                raise ValueError("grid bounds and resolution must be finite")
             if d <= 0:
                 raise ValueError("grid resolution must be positive")
             if lo >= hi:

@@ -47,10 +47,6 @@ class MoasNotDeterminedError(ActionGovError):
     """Admissible-set recursion hit the iteration cap without finite determination."""
 
 
-class InfeasibleStateError(ActionGovError):
-    """The supervisor's feasible-action set is empty at the queried state."""
-
-
 class UninitializedGovernorError(ActionGovError):
     """Backup branch reached with no previously held reference."""
 

@@ -10,9 +10,11 @@ recursion: a candidate row cuts iff its maximum over the vertices exceeds
 its offset, and each kept row cuts the generators in place.  A slightly
 tightened steady-state block keeps the recursion finitely determined.
 
-Also provides the one-step minimal-adjustment action rule for this set
-(a clip to an interval for one input, an LP for more) and the oracle
-through which the governor uses it.
+The governor uses the set through :class:`LinearMoasOracle`, which owns
+the one-step minimal-adjustment action rule for it (a clip to an interval
+for one input, an LP for more).  :func:`feasible_action_set` is that
+rule's action polytope at one state, built from the same rows, for
+references and checks.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ from .convexset import (
     remove_redundancy,
 )
 from .control_linalg import ClosedLoop, LinearPlant, OutputMap
-from .errors import (
-    InfeasibleStateError,
-    MoasConstructionError,
-    MoasNotDeterminedError,
-)
+from .errors import MoasConstructionError, MoasNotDeterminedError
 
 
 class Moas:
@@ -44,15 +42,14 @@ class Moas:
     image and is the constraint carrier of the reduced action rule.
     """
 
-    __slots__ = ("t_star", "set_xv", "proj_x", "proj_x_shrunk", "epsilon", "n_states")
+    __slots__ = ("t_star", "set_xv", "proj_x", "proj_x_shrunk", "epsilon")
 
-    def __init__(self, t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n_states):
+    def __init__(self, t_star, set_xv, proj_x, proj_x_shrunk, epsilon):
         self.t_star = t_star
         self.set_xv = set_xv
         self.proj_x = proj_x
         self.proj_x_shrunk = proj_x_shrunk
         self.epsilon = epsilon
-        self.n_states = n_states
 
     def to_dict(self) -> dict:
         return {
@@ -139,65 +136,44 @@ def build_moas(cl: ClosedLoop, w_set: HPolytope, v_bounds: HPolytope, epsilon: f
     set_xv = remove_redundancy(stacked)
     proj_x = project_out(set_xv, list(range(n, n + r)))
     proj_x_shrunk = pontryagin_diff(proj_x, E, w_set)
-    return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n)
+    return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon)
 
 
-class _ActionRows:
+def _action_rows(moas: Moas, plant: LinearPlant, out: OutputMap):
     """The one-step rule's two constraints on the action at a state ``x``,
     as rows ``normals u <= offsets(x)``: the current output stays
-    admissible, and the robust successor stays in ``proj_x_shrunk``.  The
-    rows and their state-independent parts are built once per set."""
+    admissible, and the robust successor stays in ``proj_x_shrunk``.
+    Returns ``(normals, offsets)``; the rows and the state-independent
+    parts of their offsets are built once, here."""
+    cs, ps = out.constraint_set, moas.proj_x_shrunk
+    normals = np.vstack([cs.normals @ out.D, ps.normals @ plant.B])
+    normals.flags.writeable = False
+    blocks = ((cs.offsets, cs.normals, out.C), (ps.offsets, ps.normals, plant.A))
 
-    def __init__(self, moas: Moas, plant: LinearPlant, out: OutputMap):
-        cs, ps = out.constraint_set, moas.proj_x_shrunk
-        self.normals = np.vstack([cs.normals @ out.D, ps.normals @ plant.B])
-        self.normals.flags.writeable = False
-        self._blocks = ((cs.offsets, cs.normals, out.C), (ps.offsets, ps.normals, plant.A))
+    def offsets(x) -> np.ndarray:
+        return np.concatenate([b - a @ (m @ x) for b, a, m in blocks])
 
-    def offsets(self, x) -> np.ndarray:
-        return np.concatenate([b - a @ (m @ x) for b, a, m in self._blocks])
-
-    def step(self, x, u1, norm: str):
-        """:func:`linear_ag_step` on these rows."""
-        x = np.asarray(x, dtype=float).ravel()
-        u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        offs = self.offsets(x)
-        if np.all(self.normals @ u1 <= offs + DEFAULT_TOL):  # HPolytope.contains
-            return u1.copy(), False
-        m = self.normals.shape[1]
-        sol = nearest_affine_point(HPolytope(self.normals, offs), np.eye(m), np.zeros(m), u1,
-                                   norm=norm)
-        if sol is None:
-            raise InfeasibleStateError("no admissible action at the queried state")
-        return sol[0], True
+    return normals, offsets
 
 
 def feasible_action_set(moas: Moas, plant: LinearPlant, out: OutputMap, x) -> HPolytope:
     """Polytope of actions satisfying the one-step rule's two constraints at ``x``."""
-    rows = _ActionRows(moas, plant, out)
-    return HPolytope(rows.normals, rows.offsets(np.asarray(x, dtype=float).ravel()))
-
-
-def linear_ag_step(moas: Moas, plant: LinearPlant, out: OutputMap, x, u1, norm: str = "l1"):
-    """Minimal adjustment of ``u1`` keeping the current output admissible and
-    the robust successor inside the admissible projection.
-
-    Returns ``(u, adjusted)``; ``u1`` is passed through unchanged when it is
-    itself feasible.  Raises :class:`InfeasibleStateError` when no action is
-    feasible at ``x`` (the caller decides how to proceed).
-    """
-    return _ActionRows(moas, plant, out).step(x, u1, norm)
+    normals, offsets = _action_rows(moas, plant, out)
+    return HPolytope(normals, offsets(np.asarray(x, dtype=float).ravel()))
 
 
 class LinearMoasOracle:
     """Governor oracle backed by a :class:`Moas` of the loop ``cl``.
 
-    Action adjustment is :func:`linear_ag_step` on rows built once, at
-    construction, and the backup picks the reference from the ``v`` slice
-    of the set, both through
+    ``adjust`` is the one-step rule on rows built once, at construction:
+    ``u1`` passes through when it keeps the current output admissible and
+    the robust successor inside the admissible projection, else the
+    nearest such action is taken.  The backup picks the reference from the
+    ``v`` slice of the set.  Both select through
     :func:`~actiongov.convexset.nearest_affine_point`: with one input and
     one reference each selection is a clip to an interval, and an LP is
-    set up only for selections in more than one dimension.
+    set up only for selections in more than one dimension.  Both answer
+    ``None`` when nothing is feasible at ``x``.
     """
 
     def __init__(self, moas: Moas, cl: ClosedLoop):
@@ -205,25 +181,27 @@ class LinearMoasOracle:
         self.plant = cl.plant
         self.gain = cl.gain
         self.out = cl.out
-        self._actions = _ActionRows(moas, cl.plant, cl.out)
+        self._normals, self._offsets = _action_rows(moas, cl.plant, cl.out)
 
     def pi0(self, x, v):
         return self.gain.policy(x, v)
 
     def adjust(self, x, u1, dist):
-        try:
-            u, _ = self._actions.step(x, u1, dist.norm)
-        except InfeasibleStateError:
-            return None
-        return u
+        x = np.asarray(x, dtype=float).ravel()
+        u1 = np.atleast_1d(np.asarray(u1, dtype=float))
+        offs = self._offsets(x)
+        if np.all(self._normals @ u1 <= offs + DEFAULT_TOL):  # HPolytope.contains
+            return u1.copy()
+        m = self._normals.shape[1]
+        sol = nearest_affine_point(HPolytope(self._normals, offs), np.eye(m), np.zeros(m), u1,
+                                   norm=dist.norm)
+        return None if sol is None else sol[0]
 
     def backup(self, x, u1, dist):
         x = np.asarray(x, dtype=float).ravel()
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        n = self.moas.n_states
+        n = self.moas.proj_x.dim
         normals = self.moas.set_xv.normals
         refs = HPolytope(normals[:, n:], self.moas.set_xv.offsets - normals[:, :n] @ x)
         sol = nearest_affine_point(refs, self.gain.L, self.gain.K @ x, u1, norm=dist.norm)
-        if sol is None:
-            return None
-        return sol[0]
+        return None if sol is None else sol[0]

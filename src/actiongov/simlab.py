@@ -154,7 +154,8 @@ def write_cost_csv(path, traj: Trajectory):
 
 
 # annotation of a numeric config field -> the values it accepts (never bools)
-_NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+_NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"),
+                   "float": (numbers.Real, "a finite number")}
 
 
 @dataclass
@@ -202,7 +203,8 @@ class ScenarioConfig:
         for f in fields(self):
             kind, noun = _NUMERIC_FIELDS.get(f.type, (None, None))
             value = getattr(self, f.name)
-            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)
+                                     or isinstance(value, float) and not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         if self.governor not in ("moas", "grid", "none"):
             raise ValueError(f"unknown governor backend {self.governor!r}")
@@ -210,8 +212,12 @@ class ScenarioConfig:
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        self.initial_state = tuple(float(v) for v in self.initial_state)
-        self.koopman_q_diag = tuple(float(v) for v in self.koopman_q_diag)
+        for name, size in (("initial_state", 2), ("koopman_q_diag", example_observables().n_z)):
+            raw = getattr(self, name)
+            value = tuple(float(v) for v in raw)
+            if len(value) != size or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be {size} finite numbers, got {raw!r}")
+            setattr(self, name, value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

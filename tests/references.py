@@ -312,7 +312,7 @@ def build_moas_reference(cl, w_set, v_bounds, epsilon=0.01, t_cap=500) -> Moas:
     set_xv = remove_redundancy_lp(stacked)
     proj_x = project_out_fm(set_xv, list(range(n, n + r)))
     proj_x_shrunk = pontryagin_diff_lp(proj_x, E, w_set)
-    return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon, n)
+    return Moas(t_star, set_xv, proj_x, proj_x_shrunk, epsilon)
 
 
 def batch_fit(z_plus, z, u1, ridge: float = 0.0):

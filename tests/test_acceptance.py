@@ -18,7 +18,7 @@ from actiongov.control_linalg import dare_solve
 from actiongov.convexset import rejection_sample
 from actiongov.cli import main as cli_main
 from actiongov.errors import ActionGovError
-from actiongov.moas import feasible_action_set, linear_ag_step
+from actiongov.moas import feasible_action_set
 from actiongov.safe_learning import (
     QTable,
     KoopmanModel,
@@ -106,7 +106,7 @@ def test_criterion_3_all_time_safety_at_scale():
 
 
 def test_criterion_4_recursive_feasibility(rig, moas_bundle):
-    _, moas = moas_bundle
+    oracle, moas = moas_bundle
     rng = np.random.default_rng(101)
     lo, hi = moas.proj_x.bounding_box()
     lo, hi = lo - 1.0, hi + 1.0
@@ -118,7 +118,7 @@ def test_criterion_4_recursive_feasibility(rig, moas_bundle):
             continue
         tested += 1
         u1 = rng.uniform(-8.0, 8.0, size=1)
-        u, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1)
+        u = oracle.adjust(x, u1, rig.dist)
         for w in (-1.0, 1.0):
             succ = rig.plant.step(x, u, [w])
             if feasible_action_set(moas, rig.plant, rig.out, succ).is_empty:

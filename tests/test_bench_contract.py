@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actiongov import moas as moas_mod
 from actiongov import safe_learning, simlab
 from actiongov.governor import GovernorState, govern
 from actiongov.lp import LpStatus, solve_lp
@@ -102,3 +103,9 @@ def test_workload_entry_points_exist(base_cfg, rig, moas_bundle, grid_bundle):
     for env in (simlab.make_koopman_env(base_cfg, rig, *moas_bundle),
                 simlab.make_grid_q_env(base_cfg, rig, oracle, grid)):
         assert list(inspect.signature(env.step).parameters) == ["x", "u"]
+    # the admissible-set workload re-solves recorded adjustments with HiGHS
+    # over the rule's action polytope at each recorded state
+    assert list(inspect.signature(moas_mod.feasible_action_set).parameters) == [
+        "moas", "plant", "out", "x"]
+    upoly = moas_mod.feasible_action_set(moas_bundle[1], rig.plant, rig.out, np.zeros(2))
+    assert upoly.dim == 1 and upoly.contains([0.0])

@@ -67,6 +67,24 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
 
+    @pytest.mark.parametrize("command, bad", [
+        ("discrete-safe-set", {"grid_dx1": float("inf")}),
+        ("simulate", {"controller": "koopman", "koopman_r": float("nan")}),
+        ("simulate", {"initial_state": [float("nan"), 0.0]}),
+        ("simulate", {"initial_state": [12.0, 6.0, 0.0]}),
+        ("simulate", {"controller": "koopman", "koopman_q_diag": [1.0, 1.0, 0.0]}),
+    ], ids=["grid-step-infinite", "koopman-r-nan", "state-nan", "state-three-entries",
+            "q-diag-three-entries"])
+    def test_non_finite_or_misshapen_values_are_bad_config(self, tmp_path, capsys, command, bad):
+        # JSON's Infinity and NaN parse; they are refused with the key named
+        # before any stage runs, as are vectors of the wrong length
+        path = write_config(tmp_path, out_dir=str(tmp_path), **bad)
+        assert main([command, "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(list(bad)[-1] + " must be")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("bad, message", [
         ({"v_bound": 25.1}, "integer number of steps"),
         ({**small_grid_overrides(), "action_du": 0.64}, "divide the action range"),

@@ -285,3 +285,12 @@ class TestValidation:
             dare_solve(np.eye(2), np.ones((2, 1)), -np.eye(2), [[1.0]])
         with pytest.raises(ValueError):
             dare_solve(np.eye(2), np.ones((2, 1)), np.eye(2), [[0.0]])
+
+    @pytest.mark.parametrize("Q, R, message", [
+        (np.eye(2), [[np.nan]], "R must be positive definite"),
+        ([[1.0, 0.0], [0.0, np.nan]], [[1.0]], "Q must be positive semidefinite"),
+    ], ids=["nan-r", "nan-q"])
+    def test_dare_nan_penalty_is_bad_input(self, Q, R, message):
+        # a NaN penalty is refused before any doubling, not reported as divergence
+        with pytest.raises(ValueError, match=message):
+            dare_solve(0.5 * np.eye(2), [[0.0], [1.0]], Q, R)

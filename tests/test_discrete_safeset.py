@@ -157,6 +157,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((1.0, 0.0), (0.0, 1.0), (0.5, 0.5), 0.0, 1.0, 0.5, 0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("lo, hi, d", [(0.0, 1.0, np.inf), (-np.inf, 1.0, 0.5),
+                                          (0.0, np.nan, 0.5), (0.0, 1.0, np.nan)],
+                             ids=["step-infinite", "lo-infinite", "hi-nan", "step-nan"])
+    def test_non_finite_axis_rejected(self, lo, hi, d):
+        # an infinite step passed the step-count test (0 steps) and built a
+        # one-point axis at 0 * inf = NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec((lo, 0.0), (hi, 1.0), (d, 0.5), 0.0, 1.0, 0.5, 0.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec((0.0, 0.0), (1.0, 1.0), (0.5, 0.5), lo, hi, d, 0.0, 1.0, 0.5)
+
     def test_snap_exact_points_map_to_themselves(self):
         g = GridSpec((-2.0, -2.0), (2.0, 2.0), (0.5, 0.5), -1.0, 1.0, 0.5, -1.0, 1.0, 0.5)
         pts = g.x_points()

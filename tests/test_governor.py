@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actiongov.errors import (
-    InfeasibleStateError,
+    EmptySetError,
     NonFiniteInputError,
     UninitializedGovernorError,
 )
@@ -358,7 +358,7 @@ class FailsAtThird(RingOracle):
     def adjust(self, x, u1, dist):
         self.calls += 1
         if self.calls == 3:
-            raise InfeasibleStateError("lost", 42)
+            raise EmptySetError("lost", 42)
         return u1
 
 
@@ -375,7 +375,7 @@ class TestGovernStep:
         oracle, gs = FailsAtThird(), GovernorState()
         govern(0, [0.0], gs, oracle)
         govern(1, [0.0], gs, oracle)
-        with pytest.raises(InfeasibleStateError) as info:
+        with pytest.raises(EmptySetError) as info:
             govern(2, [0.0], gs, oracle)
         assert info.value.step is None
         assert info.value.args == ("lost", 42)
@@ -384,7 +384,7 @@ class TestGovernStep:
         env, gs, traj = supervised_env(FailsAtThird()), GovernorState(), Trajectory()
         supervised_step(env, 0, 0, [0.0], gs, traj)
         supervised_step(env, 1, 1, [0.0], gs, traj)
-        with pytest.raises(InfeasibleStateError) as info:
+        with pytest.raises(EmptySetError) as info:
             supervised_step(env, 2, 2, [0.0], gs, traj)
         assert info.value.step == 2
         assert info.value.args == ("lost", 42)

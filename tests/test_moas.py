@@ -5,19 +5,10 @@ from actiongov import convexset, lp, simlab
 from actiongov import moas as moas_mod
 from actiongov.control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
 from actiongov.convexset import HPolytope, nearest_affine_point, rejection_sample
-from actiongov.errors import (
-    EmptySetError,
-    InfeasibleStateError,
-    MoasConstructionError,
-    MoasNotDeterminedError,
-)
+from actiongov.errors import EmptySetError, MoasConstructionError, MoasNotDeterminedError
+from actiongov.governor import ActionDistance
 from actiongov.lp import LpStatus, solve_lp
-from actiongov.moas import (
-    Moas,
-    build_moas,
-    feasible_action_set,
-    linear_ag_step,
-)
+from actiongov.moas import LinearMoasOracle, Moas, build_moas, feasible_action_set
 from actiongov.simlab import build_moas_backend, simulate
 from references import (
     build_moas_reference,
@@ -217,7 +208,7 @@ class TestBuild:
         # the largest disturbance term; HiGHS, which reads no vertex,
         # confirms each maximum
         _, moas = moas_bundle
-        cl, n, s = rig.cl, moas.n_states, moas.set_xv
+        cl, n, s = rig.cl, moas.proj_x.dim, moas.set_xv
         verts = s.generators().vertices
         m = cl.n_refs
         M = np.block([[cl.At, cl.Bt], [np.zeros((m, n)), np.eye(m)]])
@@ -246,7 +237,7 @@ class TestBuild:
         # membership in the projection agrees with lift-LP feasibility
         _, moas = moas_bundle
         rng = np.random.default_rng(23)
-        n = moas.n_states
+        n = moas.proj_x.dim
         a_v = moas.set_xv.normals[:, n:]
         for _ in range(200):
             x = rng.uniform([-22, -6], [22, 12])
@@ -261,59 +252,61 @@ class TestBuild:
 
 class TestActionStep:
     def test_origin_passthrough(self, rig, moas_bundle):
-        _, moas = moas_bundle
-        u, adjusted = linear_ag_step(moas, rig.plant, rig.out, [0.0, 0.0], [0.0])
-        assert not adjusted
+        oracle, _ = moas_bundle
+        u = oracle.adjust([0.0, 0.0], [0.0], rig.dist)
+        assert np.array_equal(u, [0.0])  # passed through, not adjusted
         assert u[0] == 0.0
 
     def test_scalar_clamp(self):
         # feasible action interval [-1, 1]: proposals clamp to the boundary
         plant = LinearPlant([[0.0]], [[1.0]], [[1.0]])
         out = OutputMap([[0.0]], [[1.0]], HPolytope([[1.0], [-1.0]], [1.0, 1.0]))
+        cl = ClosedLoop(plant, out, NominalGain([[0.0]], [[0.0]]))
         big = HPolytope.from_bounds([-100.0], [100.0])
         moas = Moas(0, HPolytope.from_bounds([-100.0, -100.0], [100.0, 100.0]),
-                    big, big, 0.01, 1)
-        u, adjusted = linear_ag_step(moas, plant, out, [0.0], [3.0])
-        assert adjusted
+                    big, big, 0.01)
+        u = LinearMoasOracle(moas, cl).adjust([0.0], [3.0], ActionDistance("l1"))
+        assert not np.array_equal(u, [3.0])  # adjusted
         assert u[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_adjusted_action_satisfies_both_constraints(self, rig, moas_bundle):
-        _, moas = moas_bundle
+        oracle, moas = moas_bundle
         x = np.array([12.0, 6.0])
         u1 = rig.gain.K @ x
-        u, adjusted = linear_ag_step(moas, rig.plant, rig.out, x, u1)
-        assert adjusted
+        u = oracle.adjust(x, u1, rig.dist)
+        assert not np.array_equal(u, u1)  # adjusted
         # membership oracle on the returned action
         y = rig.out.C @ x + rig.out.D @ u
         assert rig.out.constraint_set.contains(y, tol=1e-7)
         succ = rig.plant.A @ x + rig.plant.B @ u
         assert moas.proj_x_shrunk.contains(succ, tol=1e-7)
 
-    def test_infeasible_state_raises(self, rig, moas_bundle):
+    def test_infeasible_state_has_no_action_and_no_reference(self, rig, moas_bundle):
         # (14, 6) admits no action keeping the successor inside the robust
         # projection: the position constraint two steps ahead is already
-        # committed by the current position and velocity
-        _, moas = moas_bundle
-        with pytest.raises(InfeasibleStateError):
-            linear_ag_step(moas, rig.plant, rig.out, [14.0, 6.0], [0.0])
+        # committed by the current position and velocity; it lies outside
+        # the projection, so no reference is admissible either
+        oracle, _ = moas_bundle
+        assert oracle.adjust([14.0, 6.0], [0.0], rig.dist) is None
+        assert oracle.backup([14.0, 6.0], [0.0], rig.dist) is None
 
     def test_recursive_feasibility_sampled(self, rig, moas_bundle):
-        _, moas = moas_bundle
+        oracle, moas = moas_bundle
         rng = np.random.default_rng(29)
         xs = rejection_sample(moas.proj_x, rng, 200, margin=1e-9)
         for x in xs:
             u1 = rng.uniform(-8.0, 8.0, size=1)
-            u, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1)
+            u = oracle.adjust(x, u1, rig.dist)
             for w in (-1.0, 1.0):
                 succ = rig.plant.step(x, u, [w])
                 assert not feasible_action_set(moas, rig.plant, rig.out, succ).is_empty
 
-    def test_norm_variants_agree_for_scalar_actions(self, rig, moas_bundle):
-        _, moas = moas_bundle
+    def test_norm_variants_agree_for_scalar_actions(self, moas_bundle):
+        oracle, _ = moas_bundle
         x = np.array([10.0, 5.0])
         for u1 in ([-9.0], [2.0], [7.5]):
-            ul1, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1, "l1")
-            uli, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1, "linf")
+            ul1 = oracle.adjust(x, u1, ActionDistance("l1"))
+            uli = oracle.adjust(x, u1, ActionDistance("linf"))
             assert ul1[0] == pytest.approx(uli[0], abs=1e-9)
 
     def test_any_action_stream_stays_safe_for_500_steps(self, rig, moas_bundle):
@@ -321,12 +314,12 @@ class TestActionStep:
         # closed loop admissible for the whole run
         from actiongov.simlab import disturbance, is_violated
 
-        _, moas = moas_bundle
+        oracle, _ = moas_bundle
         rng = np.random.default_rng(31)
         x = np.array([12.0, 6.0])
         for _ in range(500):
             u1 = rng.uniform(-10.0, 10.0, size=1)
-            u, _ = linear_ag_step(moas, rig.plant, rig.out, x, u1)
+            u = oracle.adjust(x, u1, rig.dist)
             assert not is_violated(x, u)
             x = rig.plant.step(x, u, [disturbance(x)])
 

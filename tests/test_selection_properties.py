@@ -142,7 +142,7 @@ def test_one_dimensional_nearest_point_agrees_with_highs(problem):
 def test_admissible_set_backup_takes_the_nearest_nominal_action(rig, moas_bundle, f1, f2, u1,
                                                                norm):
     oracle, moas = moas_bundle
-    n = moas.n_states
+    n = moas.proj_x.dim
     assert oracle.gain.L.shape == (1, 1)  # one input, one reference
     lo, hi = moas.proj_x.bounding_box()
     x = lo + np.array([f1, f2]) * (hi - lo)  # the box's corners lie outside the projection
