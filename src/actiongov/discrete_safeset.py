@@ -570,10 +570,13 @@ class DiscreteGridOracle:
     configured action-grid values whose current constraint holds and whose
     successors stay inside the safe projection for every disturbance-grid
     value; they depend on the state alone, so they are memoized per grid
-    point and returned read-only.  Both selections score every candidate
-    at once with :meth:`ActionDistance.many` and pick with
-    :func:`nearest_candidate`; the backup scores each safe reference by its
-    nominal action ``K x + L v``.
+    point, keyed by its coordinate pair, and returned read-only.  The
+    action grid is sorted once here, so the feasible actions are ascending
+    and ``adjust``, on this single-input loop where l1 and linf are both
+    ``|u - u1|``, is one argmin whose first minimum is the lowest nearest
+    action, the tie rule of :func:`nearest_candidate`.  The backup scores
+    each safe reference by its nominal action ``K x + L v`` with
+    :meth:`ActionDistance.many` and picks with :func:`nearest_candidate`.
     """
 
     def __init__(self, dss: DiscreteSafeSet, tt: TransitionTable, action_values: np.ndarray):
@@ -581,10 +584,14 @@ class DiscreteGridOracle:
         self.grid = grid = tt.grid
         self.gain = tt.cl.gain
         out = tt.cl.out
-        self.action_values = np.asarray(action_values, dtype=float)
+        plant = tt.cl.plant
+        if plant.B.shape[1] != 1:
+            raise ValueError("the grid oracle supervises a single-input plant")
+        # stable, so equal values (0.0 and -0.0) keep the order they were given in
+        self.action_values = np.sort(np.asarray(action_values, dtype=float).ravel(),
+                                     kind="stable")
         if self.action_values.size == 0:
             raise ValueError("action grid must be nonempty")
-        plant = tt.cl.plant
         self._A = plant.A
         # successor offsets B u + E w, one row per (action, disturbance) pair
         shift = (plant.B.ravel()[None, None, :] * self.action_values[:, None, None]
@@ -595,7 +602,7 @@ class DiscreteGridOracle:
         self._Hy_u = np.outer(self.action_values, (H @ out.D).ravel())  # one row per action
         self._h_tol = out.constraint_set.offsets + 1e-9
         self._axes = tuple(a.tolist() for a in grid.x_axes)
-        self._memo = {}  # flat grid index -> feasible actions at that grid point
+        self._memo = {}  # grid point's (x1, x2) -> feasible actions there
 
     def pi0(self, x, v):
         return self.gain.policy(x, v)
@@ -604,17 +611,20 @@ class DiscreteGridOracle:
         """The feasible actions at ``x``, as a read-only array.
 
         A result is stored only when ``x`` is its grid point coordinate for
-        coordinate, so the memo holds at most ``n_xpairs`` entries; any
-        other state is computed on every call.
+        coordinate, so the memo holds at most ``n_xpairs`` entries and a
+        stored state is answered without a snap; any other state is
+        computed on every call.
         """
         x = np.asarray(x, dtype=float).ravel()
+        key = tuple(x.tolist())
+        feas = self._memo.get(key)
+        if feas is not None:
+            return feas
         i = self.grid.index_of(x)
         a1, a2 = self._axes
         # the grid point of index i, row-major as in GridSpec.x_points
-        if i >= 0 and x.tolist() == [a1[i // len(a2)], a2[i % len(a2)]]:
-            feas = self._memo.get(i)
-            if feas is None:
-                feas = self._memo[i] = self._feasible(x)
+        if i >= 0 and key == (a1[i // len(a2)], a2[i % len(a2)]):
+            feas = self._memo[key] = self._feasible(x)
             return feas
         return self._feasible(x)
 
@@ -629,7 +639,10 @@ class DiscreteGridOracle:
 
     def adjust(self, x, u1, dist):
         feas = self.feasible_actions(x)
-        return nearest_candidate(feas, dist.many(u1, feas))
+        if feas.size == 0:
+            return None
+        k = np.abs(feas - u1).argmin()
+        return feas[k:k + 1].copy()
 
     def backup(self, x, u1, dist):
         i = self.grid.index_of(x)

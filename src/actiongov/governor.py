@@ -14,9 +14,10 @@ An oracle implements the whole contract:
 * ``pi0(x, v)``: the nominal policy.
 
 The polytopic oracle selects by :func:`actiongov.convexset.nearest_affine_point`,
-a clip to an interval for one input (an LP only in more dimensions); finite
+a clip to an interval for one input (an LP only in more dimensions).  Finite
 oracles score all their candidates at once with :meth:`ActionDistance.many`
-and pick with :func:`nearest_candidate`.
+and pick with :func:`nearest_candidate`; the single-input grid oracle's
+``adjust`` needs only one argmin over its sorted feasible actions.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .errors import NonFiniteInputError, UninitializedGovernorError
 class ActionDistance:
     """Distance between actions; ``"l1"`` or ``"linf"``.
 
-    ``dist(u1, u)`` is the distance from ``u1`` to one action;
-    ``dist.many(u1, us)`` the distances to every row of ``us`` (scalars
-    are 1-vectors), evaluated by the same formula.
+    ``dist(u1, u)`` is the distance from ``u1`` to one action of the same
+    size; ``dist.many(u1, us)`` the distances to every row of ``us``
+    (scalars are 1-vectors).  Both take ``|u - u1|`` and then its sum or
+    maximum, so they agree bit for bit.
     """
 
     def __init__(self, norm: str = "l1"):
@@ -50,7 +52,12 @@ class ActionDistance:
         return d.sum(axis=1) if self.norm == "l1" else d.max(axis=1)
 
     def __call__(self, u1, u) -> float:
-        return float(self.many(u1, u)[0])
+        u1 = np.ravel(np.asarray(u1, dtype=float))
+        u = np.ravel(np.asarray(u, dtype=float))
+        if u.size != u1.size:
+            raise ValueError(f"actions of different sizes: {u1.size} and {u.size}")
+        d = np.abs(u - u1)
+        return float(d.sum() if self.norm == "l1" else d.max())
 
 
 class Branch(enum.Enum):

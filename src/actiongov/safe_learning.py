@@ -154,7 +154,7 @@ def epsilon_greedy(q: QTable, state_idx: int, rng) -> int:
     """
     if rng.random() < q.epsilon:
         return int(rng.integers(q.values.shape[1]))
-    return int(np.argmax(q.values[state_idx]))
+    return int(q.values[state_idx].argmax())
 
 
 def modified_reward(r_applied: float, u1, u, m: float, dist: ActionDistance) -> float:
@@ -164,7 +164,7 @@ def modified_reward(r_applied: float, u1, u, m: float, dist: ActionDistance) -> 
 
 def q_target(q: QTable, state_idx: int, action_idx: int, r_tilde: float, next_idx: int) -> float:
     """Blend of the stored estimate and the one-step bootstrapped return."""
-    best_next = float(np.max(q.values[next_idx]))
+    best_next = float(q.values[next_idx].max())
     return (1.0 - q.alpha) * float(q.values[state_idx, action_idx]) + q.alpha * (
         float(r_tilde) + q.gamma * best_next
     )

@@ -153,9 +153,23 @@ def write_cost_csv(path, traj: Trajectory):
 # configuration
 
 
-# annotation of a numeric config field -> the values it accepts (never bools)
-_NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"),
-                   "float": (numbers.Real, "a finite number")}
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A real number, not a bool, finite as a float (a huge integer is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# annotation of a numeric config field -> the test its value must pass
+_NUMERIC_FIELDS = {"int": (_is_integer, "an integer"),
+                   "float": (_is_finite_number, "a finite number")}
 
 
 @dataclass
@@ -201,10 +215,9 @@ class ScenarioConfig:
         if self.seed is None:
             raise ValueError("seed is mandatory")
         for f in fields(self):
-            kind, noun = _NUMERIC_FIELDS.get(f.type, (None, None))
+            valid, noun = _NUMERIC_FIELDS.get(f.type, (None, None))
             value = getattr(self, f.name)
-            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)
-                                     or isinstance(value, float) and not math.isfinite(value)):
+            if valid is not None and not valid(value):
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         if self.governor not in ("moas", "grid", "none"):
             raise ValueError(f"unknown governor backend {self.governor!r}")
@@ -214,10 +227,9 @@ class ScenarioConfig:
             raise ValueError("steps must be positive")
         for name, size in (("initial_state", 2), ("koopman_q_diag", example_observables().n_z)):
             raw = getattr(self, name)
-            value = tuple(float(v) for v in raw)
-            if len(value) != size or not all(map(math.isfinite, value)):
+            if len(raw) != size or not all(map(_is_finite_number, raw)):
                 raise ValueError(f"{name} must be {size} finite numbers, got {raw!r}")
-            setattr(self, name, value)
+            setattr(self, name, tuple(float(v) for v in raw))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -16,8 +15,9 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
+class TrajectoryStep(NamedTuple):
+    """One recorded step; immutable, and each array is the record's own copy."""
+
     t: int
     x: np.ndarray
     u1: np.ndarray
@@ -36,19 +36,17 @@ class Trajectory:
         self.steps: list[TrajectoryStep] = []
 
     def append(self, t, x, u1, u, branch, v_hat, w, cost, violated):
-        self.steps.append(
-            TrajectoryStep(
-                t=int(t),
-                x=np.atleast_1d(np.asarray(x, dtype=float)).copy(),
-                u1=np.atleast_1d(np.asarray(u1, dtype=float)).copy(),
-                u=np.atleast_1d(np.asarray(u, dtype=float)).copy(),
-                branch=str(branch),
-                v_hat=None if v_hat is None else np.atleast_1d(np.asarray(v_hat, dtype=float)).copy(),
-                w=float(w),
-                cost=float(cost),
-                violated=bool(violated),
-            )
-        )
+        self.steps.append(TrajectoryStep(
+            int(t),
+            np.array(x, dtype=float, ndmin=1),
+            np.array(u1, dtype=float, ndmin=1),
+            np.array(u, dtype=float, ndmin=1),
+            str(branch),
+            None if v_hat is None else np.array(v_hat, dtype=float, ndmin=1),
+            float(w),
+            float(cost),
+            bool(violated),
+        ))
 
     def __len__(self):
         return len(self.steps)

@@ -73,11 +73,17 @@ class TestExitCodes:
         ("simulate", {"initial_state": [float("nan"), 0.0]}),
         ("simulate", {"initial_state": [12.0, 6.0, 0.0]}),
         ("simulate", {"controller": "koopman", "koopman_q_diag": [1.0, 1.0, 0.0]}),
+        ("simulate", {"initial_state": ["12", 6]}),
+        ("simulate", {"controller": "koopman", "koopman_q_diag": [1.0, "1.0", 0.0, 0.0]}),
+        ("simulate", {"initial_state": [10 ** 400, 6]}),
+        ("simulate", {"controller": "koopman", "koopman_r": 10 ** 400}),
     ], ids=["grid-step-infinite", "koopman-r-nan", "state-nan", "state-three-entries",
-            "q-diag-three-entries"])
+            "q-diag-three-entries", "state-text", "q-diag-text", "state-huge-integer",
+            "koopman-r-huge-integer"])
     def test_non_finite_or_misshapen_values_are_bad_config(self, tmp_path, capsys, command, bad):
         # JSON's Infinity and NaN parse; they are refused with the key named
-        # before any stage runs, as are vectors of the wrong length
+        # before any stage runs, as are vectors of the wrong length, text
+        # entries and integers too large for a float
         path = write_config(tmp_path, out_dir=str(tmp_path), **bad)
         assert main([command, "--config", str(path)]) == 2
         err = json.loads(capsys.readouterr().err.strip())

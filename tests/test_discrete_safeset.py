@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -736,6 +737,46 @@ class TestOracle:
                 assert got[0] == min(feas, key=lambda u: (abs(u1 - u), u))
 
     @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_midpoint_of_two_feasible_actions_gets_the_lower(self, oracle, norm):
+        orc, _, grid = oracle
+        dist = ActionDistance(norm)
+        seen = 0
+        for x in grid.x_points()[::7]:
+            feas = orc.feasible_actions(x)
+            for lo, hi in zip(feas[:-1], feas[1:]):
+                mid = (lo + hi) / 2  # exact: the action grid steps by 0.5
+                assert mid - lo == hi - mid
+                got = orc.adjust(x, np.array([mid]), dist)
+                assert got.shape == (1,) and got[0] == lo
+                seen += 1
+        assert seen > 100
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_unsorted_action_grid_answers_as_the_sorted_one(self, bundle, oracle, norm):
+        orc, dss, grid = oracle
+        tt = bundle[5]
+        rng = np.random.default_rng(12)
+        shuffled = DiscreteGridOracle(dss, tt, rng.permutation(orc.action_values))
+        dist = ActionDistance(norm)
+        pts = grid.x_points()
+        for i in rng.integers(0, grid.n_xpairs, 300):
+            x = pts[i]
+            # half steps are midpoints, whose tie the lower action takes
+            for u1 in (float(rng.uniform(-8.0, 8.0)), float(rng.integers(-16, 17)) / 2 + 0.25):
+                got = shuffled.adjust(x, np.array([u1]), dist)
+                want = orc.adjust(x, np.array([u1]), dist)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.tobytes() == want.tobytes()
+
+    def test_refuses_a_plant_of_more_inputs(self, oracle):
+        orc, dss, _ = oracle
+        two_inputs = SimpleNamespace(grid=orc.grid, cl=SimpleNamespace(
+            plant=SimpleNamespace(B=np.zeros((2, 2))), gain=orc.gain, out=None))
+        with pytest.raises(ValueError, match="single-input"):
+            DiscreteGridOracle(dss, two_inputs, orc.action_values)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
     def test_backup_matches_exhaustive_member_search(self, oracle, norm):
         orc, dss, grid = oracle
         pts = grid.x_points()
@@ -782,7 +823,7 @@ class TestFeasibleActionsMemo:
             assert orc.feasible_actions(x) is not got
         assert orc._memo == {}
         orc.feasible_actions(x0)
-        assert list(orc._memo) == [origin]
+        assert list(orc._memo) == [tuple(x0.tolist())]
         assert np.array_equal(orc.feasible_actions(x0 + 1e-3),
                               feasible_actions_reference(orc, x0 + 1e-3))
 

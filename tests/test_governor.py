@@ -342,6 +342,28 @@ class TestDistance:
             assert dist(float(u1[0]), float(us[0, 0])) == got[0]
         assert dist.many(u1, np.empty((0, dim))).shape == (0,)
 
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_scalar_call_is_bitwise_the_one_row_batch(self, norm):
+        # the two-action call takes |u - u1| directly; its bits equal those
+        # of the batch's one row, signed zeros and extreme scales included
+        dist = ActionDistance(norm)
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 3):
+            for _ in range(200):
+                u1, u = rng.normal(size=(2, dim)) * 10.0 ** rng.integers(-8, 8, (2, 1))
+                u1[rng.random(dim) < 0.2] = -0.0
+                u[rng.random(dim) < 0.2] = rng.choice([0.0, -0.0])
+                got = dist(u1, u)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == dist.many(u1, [u])[0].tobytes()
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_scalar_call_refuses_actions_of_different_sizes(self, norm):
+        dist = ActionDistance(norm)
+        for u1, u in (([1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0]), ([1.0, 2.0], [1.0, 2.0, 3.0])):
+            with pytest.raises(ValueError, match="different sizes"):
+                dist(u1, u)
+
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError):
             ActionDistance("l2")

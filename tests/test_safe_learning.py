@@ -86,6 +86,22 @@ class TestSupervisedStep:
         assert rec.u1[0] == 1.0 and rec.v_hat[0] == 2.0 and rec.x[0] == 3.0
         assert (x_next, cost) == (4.0, 7.5)
 
+    def test_records_are_immutable_copies(self):
+        traj = Trajectory()
+        x, u1, u, v = np.array([1.0, 2.0]), np.array([0.5]), np.array([0.25]), np.array([3.0])
+        traj.append(np.int64(2), x, u1, u, "adjusted", v, np.float64(0.1), 4, np.bool_(False))
+        rec = traj.steps[0]
+        for field in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+        x[0] = u1[0] = u[0] = v[0] = 99.0
+        assert (rec.x.tolist(), rec.u1.tolist(), rec.u.tolist(), rec.v_hat.tolist()) == (
+            [1.0, 2.0], [0.5], [0.25], [3.0])
+        assert [type(f) for f in (rec.t, rec.w, rec.cost, rec.violated)] == [int, float, float,
+                                                                          bool]
+        traj.append(0, 3.0, 1.0, 1.0, "none", None, 0.0, 0.0, True)
+        assert traj.steps[1].x.shape == (1,) and traj.steps[1].v_hat is None
+
 
 class TestEpsilonGreedy:
     def test_zero_epsilon_always_greedy(self):

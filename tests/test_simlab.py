@@ -295,10 +295,10 @@ class TestModelSerialization:
 
 class TestGridQEnv:
     def test_each_state_is_snapped_once(self, base_cfg, rig, grid_bundle, monkeypatch):
-        # one one-point snap per env step, one per oracle step and one per
-        # episode start, and one batched successor snap per distinct state the
-        # oracle sees; the result equals that of an env whose index re-snaps
-        # every state
+        # one one-point snap per env step and one per episode start; the
+        # oracle snaps each distinct state once (its memo answers the rest by
+        # coordinates) and makes one batched successor snap for it; the result
+        # equals that of an env whose index re-snaps every state
         oracle, dss, tt, grid = grid_bundle
         pts = grid.x_points()
         starts = pts[np.nonzero(dss.proj_mask)[0][::400][:3]]
@@ -339,10 +339,10 @@ class TestGridQEnv:
         assert all(s.branch == "adjusted" for t in trajs for s in t.steps)
         distinct = len(np.unique(np.vstack([t.states for t in trajs]), axis=0))
         batch = base_cfg.action_values().size * grid.n_w
-        assert calls_once.count("index_of") == steps + steps + len(starts)
+        assert calls_once.count("index_of") == steps + distinct + len(starts)
         assert calls_once.count(batch) == distinct < steps
-        assert len(calls_once) == 2 * steps + len(starts) + distinct
-        assert calls_ref.count("index_of") == steps + steps
+        assert len(calls_once) == steps + len(starts) + 2 * distinct
+        assert calls_ref.count("index_of") == steps + distinct
         assert calls_ref.count(1) == steps + len(starts)
         assert calls_ref.count(batch) == distinct
         assert np.array_equal(q_once, q_ref) and csv_once == csv_ref

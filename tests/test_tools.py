@@ -172,3 +172,20 @@ def test_setup_memory_prints_one_line_per_backend(tmp_path, capsys, tiny_grid):
     for m in rows:
         before, after, _, peak = (float(g) for g in m.groups()[1:])
         assert 0 < before <= after and peak > 0
+
+
+def test_step_split_prints_every_part_of_each_learner(tmp_path, capsys):
+    tool = _load("step_split")
+    config = _tiny_config(tmp_path)
+    assert tool.main(["--config", str(config), "--states", "5", "--repeat", "2"]) == 0
+    rows = [re.fullmatch(r"(\S+) +(\S+) +([0-9.]+) us", line).groups()
+            for line in capsys.readouterr().out.splitlines()]
+    assert [(learner, part) for learner, part, _ in rows] == [
+        *(("grid-q", p) for p in ("epsilon_greedy", "govern", "env_step", "cost", "violated",
+                                  "append", "reward", "target", "sum")),
+        *(("koopman", p) for p in ("regulator_solve", "rls_update", "govern", "env_step", "lift",
+                                   "append", "sum"))]
+    for learner in ("grid-q", "koopman"):
+        us = [float(v) for name, _, v in rows if name == learner]
+        assert all(v > 0 for v in us) and abs(sum(us[:-1]) - us[-1]) < 0.01 * len(us)
+    assert not (tmp_path / "unused").exists()
