@@ -103,7 +103,7 @@ def spectral_radius(m) -> float:
 
 
 class LinearPlant:
-    """Dynamics ``x+ = A x + B u + E w``."""
+    """Dynamics ``x+ = A x + B u + E w``, held as its three matrices."""
 
     __slots__ = ("A", "B", "E")
 
@@ -116,20 +116,6 @@ class LinearPlant:
             raise ValueError("A must be square")
         if self.B.shape[0] != n or self.E.shape[0] != n:
             raise ValueError("B and E must have as many rows as A")
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    def step(self, x, u, w):
-        x = np.asarray(x, dtype=float).ravel()
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        return self.A @ x + self.B @ u + self.E @ w
 
 
 class OutputMap:
@@ -175,9 +161,10 @@ class ClosedLoop:
     __slots__ = ("At", "Bt", "Ct", "Dt", "plant", "out", "gain")
 
     def __init__(self, plant: LinearPlant, out: OutputMap, gain: NominalGain):
-        if gain.K.shape[1] != plant.n_states or gain.K.shape[0] != plant.n_inputs:
+        n, m = plant.A.shape[0], plant.B.shape[1]
+        if gain.K.shape != (m, n):
             raise ValueError("gain K must be m x n for the given plant")
-        if out.C.shape[1] != plant.n_states or out.D.shape[1] != plant.n_inputs:
+        if out.C.shape[1] != n or out.D.shape[1] != m:
             raise ValueError("output map dimensions must match the plant")
         At = plant.A + plant.B @ gain.K
         rho = spectral_radius(At)

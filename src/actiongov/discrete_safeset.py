@@ -47,6 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .control_linalg import ClosedLoop, dlyap_scaled
+from .convexset import DEFAULT_TOL
 from .errors import SafeSetClosureError, SeedConstructionError
 from .governor import nearest_candidate
 
@@ -433,7 +434,7 @@ class DiscreteSafeSet:
         return self._proj
 
     def counts(self) -> dict:
-        safe, minus, remain = _totals(self.class_map)
+        safe, minus, remain = self.sweep_counts[-1]
         return {"safe": safe, "minus": minus, "remain": remain}
 
 
@@ -450,13 +451,8 @@ def constraint_table(tt: TransitionTable) -> np.ndarray:
     for s in range(0, grid.n_xpairs, 256):
         block = ok[s:s + 256]
         for r in range(h.size):
-            block &= xh[s:s + 256, r, None] + vh[:, r] <= h[r] + 1e-9
+            block &= xh[s:s + 256, r, None] + vh[:, r] <= h[r] + DEFAULT_TOL
     return ok
-
-
-def _totals(cls: np.ndarray) -> tuple:
-    remain, safe, minus = np.bincount(cls.ravel(), minlength=3)
-    return int(safe), int(minus), int(remain)
 
 
 def _certify_closed(safe, admissible, block, col_of, j):
@@ -600,7 +596,7 @@ class DiscreteGridOracle:
         H = out.constraint_set.normals
         self._Hy_c = H @ out.C
         self._Hy_u = np.outer(self.action_values, (H @ out.D).ravel())  # one row per action
-        self._h_tol = out.constraint_set.offsets + 1e-9
+        self._h_tol = out.constraint_set.offsets + DEFAULT_TOL
         self._axes = tuple(a.tolist() for a in grid.x_axes)
         self._memo = {}  # grid point's (x1, x2) -> feasible actions there
 

@@ -37,8 +37,10 @@ class SupervisedEnv:
     """The true system a supervised loop runs on.
 
     ``step(x, u) -> (x_next, w)`` advances it and reports the disturbance;
-    ``cost(x, u)`` and ``violated(x, u)`` score the applied action.  With
-    ``oracle=None`` the proposals pass through unsupervised.
+    ``cost(x, u)`` and ``violated(x, u)`` score the applied action.  Every
+    loop passes ``x`` and ``u`` as 1-D float arrays, so these need not
+    convert them.  With ``oracle=None`` the proposals pass through
+    unsupervised.
     """
 
     initial_state: object

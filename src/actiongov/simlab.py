@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .control_linalg import ClosedLoop, LinearPlant, NominalGain, OutputMap
-from .convexset import HPolytope, rejection_sample
+from .convexset import DEFAULT_TOL, HPolytope, rejection_sample
 from .discrete_safeset import DiscreteGridOracle, GridSpec, compute_safe_set, discretize
 from .errors import ActionGovError
 from .governor import ActionDistance, GovernorState
@@ -45,7 +45,6 @@ U_BOUNDS = (-6.0, 6.0)
 # the disturbance set W; the grid classification is sound only if the
 # grid's disturbance range is exactly this interval
 W_BOUNDS = (-1.0, 1.0)
-_GUARD = 1e-9  # floating-point guard on the binary violation checks
 
 
 def example_system():
@@ -73,7 +72,7 @@ def example_system():
 
 def disturbance(x) -> float:
     """True state-dependent disturbance; always inside the unit interval."""
-    return float(np.sin(10.0 * np.asarray(x, dtype=float).ravel()[0]))
+    return float(np.sin(10.0 * x[0]))
 
 
 def disturbance_bound() -> HPolytope:
@@ -117,19 +116,16 @@ def koopman_model_from_dict(data: dict) -> KoopmanModel:
 
 def step_cost(x, u) -> float:
     """Single-step quadratic cost ||x||^2 + 10 |u|^2."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return float(x @ x + 10.0 * float(u @ u))
+    return float(x @ x + 10.0 * (u @ u))
 
 
 def is_violated(x, u) -> bool:
-    """Hard-bound check on state and action (1e-9 floating-point guard)."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = float(np.atleast_1d(np.asarray(u, dtype=float))[0])
+    """Hard-bound check on state and action, each bound widened by
+    ``DEFAULT_TOL`` as :meth:`HPolytope.contains` widens it."""
     return not (
-        X1_BOUNDS[0] - _GUARD <= x[0] <= X1_BOUNDS[1] + _GUARD
-        and X2_BOUNDS[0] - _GUARD <= x[1] <= X2_BOUNDS[1] + _GUARD
-        and U_BOUNDS[0] - _GUARD <= u <= U_BOUNDS[1] + _GUARD
+        X1_BOUNDS[0] - DEFAULT_TOL <= x[0] <= X1_BOUNDS[1] + DEFAULT_TOL
+        and X2_BOUNDS[0] - DEFAULT_TOL <= x[1] <= X2_BOUNDS[1] + DEFAULT_TOL
+        and U_BOUNDS[0] - DEFAULT_TOL <= u[0] <= U_BOUNDS[1] + DEFAULT_TOL
     )
 
 
@@ -328,7 +324,7 @@ def nominal_controller(rig: ExampleRig):
     K = rig.gain.K
 
     def control(x):
-        return K @ np.asarray(x, dtype=float).ravel()
+        return K @ x
 
     return control
 
@@ -359,11 +355,13 @@ def _qtable_controller(cfg: ScenarioConfig, qtable: QTable, grid: GridSpec):
 
 
 def true_step(rig: ExampleRig):
-    """The true system's step ``(x, u) -> (x_next, w)`` under :func:`disturbance`."""
+    """The true system's step ``(x, u) -> (x_next, w)``: ``A x + B u + E w``
+    with ``w = disturbance(x)``, on the 1-D float arrays every loop passes."""
+    A, B, E = rig.plant.A, rig.plant.B, rig.plant.E[:, 0]
 
     def step(x, u):
         w = disturbance(x)
-        return rig.plant.step(x, u, [w]), w
+        return A @ x + B @ u + E * w, w
 
     return step
 

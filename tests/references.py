@@ -11,7 +11,8 @@ library's loop must match bitwise (and the random two-input models
 both are checked on), the whole-grid classification stages the slice-wise
 library stages must match exactly, the grid oracle's feasible actions its
 memo must match, the admissible-set oracle's action polytope its prebuilt
-rows must match, and membership queries on both oracles' safe sets."""
+rows must match, membership queries on both oracles' safe sets, and the
+plant step on any array-likes that ``simlab.true_step`` must match."""
 
 from types import SimpleNamespace
 
@@ -350,6 +351,15 @@ def hpolytope_from_dict(data: dict) -> HPolytope:
     """The inverse of ``HPolytope.to_dict``."""
     return HPolytope(np.asarray(data["normals"], dtype=float),
                      np.asarray(data["offsets"], dtype=float))
+
+
+def plant_step(plant, x, u, w) -> np.ndarray:
+    """``A x + B u + E w`` of ``plant`` for any array-likes: ``x`` is
+    flattened, ``u`` and ``w`` taken as vectors."""
+    x = np.asarray(x, dtype=float).ravel()
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    return plant.A @ x + plant.B @ u + plant.E @ w
 
 
 def output_admissible(out, x, u, tol: float = 1e-9) -> bool:

@@ -36,7 +36,8 @@ from actiongov.simlab import (
     run_supervised,
     simulate,
 )
-from references import batch_fit, identity_observables
+from chain_mdp import chain_env, value_iteration
+from references import batch_fit, identity_observables, plant_step
 
 
 def report(num, ok, detail=""):
@@ -120,7 +121,7 @@ def test_criterion_4_recursive_feasibility(rig, moas_bundle):
         u1 = rng.uniform(-8.0, 8.0, size=1)
         u = oracle.adjust(x, u1, rig.dist)
         for w in (-1.0, 1.0):
-            succ = rig.plant.step(x, u, [w])
+            succ = plant_step(rig.plant, x, u, [w])
             if feasible_action_set(moas, rig.plant, rig.out, succ).is_empty:
                 counterexamples += 1
     ok = counterexamples == 0
@@ -248,42 +249,9 @@ def test_criterion_9_learned_control_neighborhood(base_cfg, rig, moas_bundle,
     assert stats["learned"] < stats["nominal"]
 
 
-def _chain_env():
-    """Deterministic 3-state chain with action 0 moving left, 1 right."""
-    from actiongov.safe_learning import SafeQEnv
-
-    transitions = np.array([[0, 1], [0, 2], [1, 2]])
-    rewards = np.array([[0.0, 1.0], [0.5, 2.0], [-1.0, 3.0]])
-
-    def step(x, u):
-        a = int(round(float(np.atleast_1d(u)[0])))
-        return int(transitions[int(x), a]), 0.0
-
-    env = SafeQEnv(
-        actions=np.array([0.0, 1.0]),
-        initial_state=0,
-        state_index=lambda x: int(x),
-        step=step,
-        cost=lambda x, u: -float(
-            rewards[int(x), int(round(float(np.atleast_1d(u)[0])))]
-        ),
-        violated=lambda x, u: False,
-    )
-    return env, transitions, rewards
-
-
-def _value_iteration(transitions, rewards, gamma, tol=1e-12):
-    q = np.zeros_like(rewards)
-    while True:
-        nxt = rewards + gamma * np.max(q[transitions], axis=2)
-        if np.max(np.abs(nxt - q)) < tol:
-            return nxt
-        q = nxt
-
-
 def test_criterion_10_safe_q_learning(base_cfg, rig, grid_bundle):
-    env, transitions, rewards = _chain_env()
-    q_star = _value_iteration(transitions, rewards, 0.9)
+    env, transitions, rewards = chain_env()
+    q_star = value_iteration(transitions, rewards, 0.9)
     q0 = QTable.zeros(3, 2, gamma=0.9, alpha=1.0, epsilon=0.2)
     q1, _ = run_safe_q(env, q0, 1, 10000, np.random.default_rng(104))
     chain_err = float(np.max(np.abs(q1.values - q_star)))

@@ -40,6 +40,7 @@ from references import (
     grid_proj_member,
     grow_reference,
     output_admissible,
+    plant_step,
     snap_v,
     unsafe_witness_reference,
 )
@@ -589,6 +590,9 @@ class TestComputeSafeSet:
             if prev is not None:
                 assert safe >= prev[0] and minus >= prev[1] and remain <= prev[2]
             prev = (safe, minus, remain)
+        # the last entry is the final classification, which counts() reports
+        remain, safe, minus = np.bincount(dss.class_map.ravel(), minlength=3)
+        assert dss.counts() == {"safe": safe, "minus": minus, "remain": remain}
 
     @pytest.mark.parametrize("grid", SMALL_GRIDS)
     def test_sequential_reference_reaches_the_same_fixed_point(self, grid):
@@ -716,7 +720,7 @@ class TestOracle:
             for u in orc.feasible_actions(x):
                 assert output_admissible(out, x, [u])
                 for w in grid.w_values:
-                    succ = plant.step(x, [u], [w])
+                    succ = plant_step(plant, x, [u], [w])
                     idx = grid.snap_x([succ])[0]
                     assert idx >= 0 and proj[idx]
 

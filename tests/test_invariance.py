@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from actiongov.governor import GovernorState, govern
 from actiongov.simlab import W_BOUNDS, is_violated
+from references import plant_step
 
 STEPS = 25
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None,
@@ -43,7 +44,7 @@ def test_admissible_set_backend_stays_in_its_projection(rig, moas_bundle, f1, f2
     x0 = lo + np.array([f1, f2]) * (hi - lo)
     assume(moas.proj_x.contains(x0))
     supervise(x0, us, ws, oracle, rig.dist,
-              lambda x, u, w: rig.plant.step(x, u, [w]), moas.proj_x.contains)
+              lambda x, u, w: plant_step(rig.plant, x, u, [w]), moas.proj_x.contains)
 
 
 @PROPERTY_SETTINGS
@@ -57,7 +58,7 @@ def test_grid_backend_stays_in_its_projection(rig, grid_bundle, data, us):
                    label="disturbance indices")
 
     def snapped_step(x, u, w):
-        idx = grid.index_of(rig.plant.step(x, u, [w]))
+        idx = grid.index_of(plant_step(rig.plant, x, u, [w]))
         assert idx >= 0, "successor left the grid"
         return pts[idx]
 

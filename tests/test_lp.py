@@ -181,6 +181,52 @@ def test_dual_phase_one_failure_falls_back(solve_lp_calls):
     assert len(solve_lp_calls) == 2
 
 
+# -- two row-scaled LPs solve_lp answers wrongly --------------------------------
+# Each instance carries its own certificate, checked by an unmarked test, so
+# the strict xfail below it pins solve_lp's answer against the certificate
+# rather than against HiGHS.
+
+# max c.z: solve_lp reports a maximum of 4.197e-06 at (-0.0815, 0.3288)
+SUBOPTIMAL = (np.array([0.0003893, 0.0001093]),
+              np.array([[4260.0, 5919.0], [-1.018e-08, -1.618e-08], [-13270000.0, 2685000.0]]),
+              np.array([1599.0, 2.216e-07, 1965000.0]))
+# (154.24560105, -110.74290597) meets every row to 3e-11 of its terms; shrunk
+# towards the origin, which is strictly feasible, it meets every row strictly
+SUBOPTIMAL_POINT = 0.999999 * np.array([154.24560105, -110.74290597])
+
+# min c.z: solve_lp reports OPTIMAL, -4.62e-04 at (-1.0863, -5.9988)
+UNBOUNDED = (np.array([4.294214e-05, 6.923831e-05]),
+             np.array([[-4.206728e+05, -1.127644e+05], [4.547689e-02, 1.801741e-02],
+                       [-6.956778e+05, -2.205313e+03], [-8.772590e+04, 2.091354e+04]]),
+             np.array([1.133410e+06, 3.098323e-02, 7.689209e+05, 1.416348e+05]))
+UNBOUNDED_POINT, UNBOUNDED_RAY = np.array([-0.09, -9.0]), np.array([1.0, -3.0])
+
+
+def test_suboptimal_instance_has_a_better_point():
+    c, a, b = SUBOPTIMAL
+    assert np.all(a @ SUBOPTIMAL_POINT < b)
+    assert c @ SUBOPTIMAL_POINT > 0.0479
+
+
+@pytest.mark.xfail(strict=True, reason="solve_lp stops at a suboptimal vertex of a row-scaled LP")
+def test_suboptimal_instance_is_solved():
+    c, a, b = SUBOPTIMAL
+    res = solve_lp(-c, a, b)
+    assert res.status is LpStatus.OPTIMAL and -res.value >= c @ SUBOPTIMAL_POINT
+    assert max_exceeds(c, a, b, 0.04)
+
+
+def test_unbounded_instance_has_a_descent_ray():
+    c, a, b = UNBOUNDED
+    assert np.all(a @ UNBOUNDED_POINT < b)
+    assert np.all(a @ UNBOUNDED_RAY < 0.0) and c @ UNBOUNDED_RAY < 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="solve_lp reports OPTIMAL on a row-scaled unbounded LP")
+def test_unbounded_instance_is_reported_unbounded():
+    assert solve_lp(*UNBOUNDED).status is LpStatus.UNBOUNDED
+
+
 KINDS = ("random", "degenerate", "redundant", "scaled", "infeasible", "unbounded")
 # thresholds as offsets from the optimum, relative to 1 + |optimum|
 OFFSETS = (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-5, -1e-5, 0.1, -0.1, 3.0, -3.0)

@@ -16,6 +16,7 @@ from references import (
     highs_support,
     moas_member,
     moas_proj_member,
+    plant_step,
 )
 
 
@@ -126,7 +127,7 @@ class TestBuild:
         # vertices; its one simplex run is the emptiness check (a zero
         # objective) of the stacked set after the steady-state block, which
         # keeps the lp.solve span bench/workloads.json asks of the set-up
-        # (ROADMAP item 7 drops it)
+        # (ROADMAP item 2 drops it)
         costs = []
         two_phase = lp._two_phase
 
@@ -298,7 +299,7 @@ class TestActionStep:
             u1 = rng.uniform(-8.0, 8.0, size=1)
             u = oracle.adjust(x, u1, rig.dist)
             for w in (-1.0, 1.0):
-                succ = rig.plant.step(x, u, [w])
+                succ = plant_step(rig.plant, x, u, [w])
                 assert not feasible_action_set(moas, rig.plant, rig.out, succ).is_empty
 
     def test_norm_variants_agree_for_scalar_actions(self, moas_bundle):
@@ -321,7 +322,7 @@ class TestActionStep:
             u1 = rng.uniform(-10.0, 10.0, size=1)
             u = oracle.adjust(x, u1, rig.dist)
             assert not is_violated(x, u)
-            x = rig.plant.step(x, u, [disturbance(x)])
+            x = plant_step(rig.plant, x, u, [disturbance(x)])
 
 
 class TestGovernWithLinearOracle:

@@ -28,6 +28,7 @@ from actiongov.safe_learning import (
     supervised_step,
 )
 from actiongov.trajectory import Trajectory
+from chain_mdp import chain_env, value_iteration
 from enumerated_oracle import EnumeratedOracle
 from references import batch_fit, identity_observables, prediction_residual
 
@@ -166,34 +167,6 @@ class TestQTarget:
                     da = q_target(qa, s, a, 0.5, s2)
                     db = q_target(qb, s, a, 0.5, s2)
                     assert abs(da - db) <= 0.9 * c + 1e-12
-
-
-def chain_env():
-    """Deterministic 3-state chain: action 0 moves left, action 1 right."""
-    transitions = np.array([[0, 1], [0, 2], [1, 2]])
-    rewards = np.array([[0.0, 1.0], [0.5, 2.0], [-1.0, 3.0]])
-
-    def step(x, u):
-        a = int(round(float(np.atleast_1d(u)[0])))
-        return int(transitions[int(x), a]), 0.0
-
-    return SafeQEnv(
-        actions=np.array([0.0, 1.0]),
-        initial_state=0,
-        state_index=lambda x: int(x),
-        step=step,
-        cost=lambda x, u: -float(rewards[int(x), int(round(float(np.atleast_1d(u)[0])))]),
-        violated=lambda x, u: False,
-    ), transitions, rewards
-
-
-def value_iteration(transitions, rewards, gamma, tol=1e-12):
-    q = np.zeros_like(rewards)
-    while True:
-        nxt = rewards + gamma * np.max(q[transitions], axis=2)
-        if np.max(np.abs(nxt - q)) < tol:
-            return nxt
-        q = nxt
 
 
 class TestRunSafeQ:

@@ -61,7 +61,7 @@ def highs_nearest_on_line(a, b, gain, shift, target):
        st.sampled_from(["l1", "linf"]))
 def test_admissible_set_adjustment_moves_the_least(rig, moas_bundle, f1, f2, u1, norm):
     oracle, moas = moas_bundle
-    assert rig.plant.n_inputs == 1  # so both norms measure |u - u1|
+    assert rig.plant.B.shape[1] == 1  # so both norms measure |u - u1|
     lo, hi = moas.proj_x.bounding_box()
     x = lo + np.array([f1, f2]) * (hi - lo)
     assume(moas.proj_x.contains(x))

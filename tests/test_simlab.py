@@ -1,11 +1,12 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from actiongov.control_linalg import dare_solve
+from actiongov.control_linalg import LinearPlant, dare_solve
 from actiongov.errors import EmptySetError
 from actiongov.governor import GovernorState, govern
 from actiongov.discrete_safeset import DiscreteGridOracle, GridSpec
@@ -28,8 +29,10 @@ from actiongov.simlab import (
     run_supervised,
     simulate,
     step_cost,
+    true_step,
 )
 from actiongov.trajectory import CSV_HEADER
+from references import plant_step
 
 
 class TestExampleSystem:
@@ -61,6 +64,36 @@ class TestExampleSystem:
         lo, hi = out.constraint_set.bounding_box()
         assert np.allclose(lo, [-20.0, -4.0, -6.0])
         assert np.allclose(hi, [20.0, 10.0, 6.0])
+
+
+def signed_zeros(rng, a, share=0.1):
+    """``a`` with about ``share`` of its entries replaced by 0.0 or -0.0."""
+    hit = rng.random(a.shape) < share
+    return np.where(hit, np.where(rng.random(a.shape) < 0.5, 0.0, -0.0), a)
+
+
+class TestTrueStep:
+    def test_successor_is_bitwise_the_reference_plant_step(self, rig):
+        # true_step sums A x + B u + E[:, 0] w, the reference A x + B u + E @ [w];
+        # a matmul sum starts from +0.0, so the disturbance terms can differ in
+        # the sign of a zero, which adding them to A x + B u hides
+        rng = np.random.default_rng(41)
+        cases = [(rig.plant, 100_000)] + [
+            (LinearPlant(*(signed_zeros(rng, rng.normal(size=shape), 0.2)
+                           for shape in ((2, 2), (2, 1), (2, 1)))), 2_000)
+            for _ in range(50)]
+        assert sum(n for _, n in cases) == 200_000
+        zero_sign_differs = 0
+        for plant, n in cases:
+            step = true_step(SimpleNamespace(plant=plant))
+            xs = signed_zeros(rng, rng.uniform(-25.0, 25.0, size=(n, 2)))
+            us = signed_zeros(rng, rng.uniform(-8.0, 8.0, size=(n, 1)))
+            for x, u in zip(xs, us):
+                succ, w = step(x, u)
+                assert w == disturbance(x)
+                assert succ.tobytes() == plant_step(plant, x, u, [w]).tobytes(), (x, u)
+                zero_sign_differs += (plant.E[:, 0] * w).tobytes() != (plant.E @ [w]).tobytes()
+        assert zero_sign_differs > 0
 
 
 class TestSimulate:

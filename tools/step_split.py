@@ -7,15 +7,17 @@ admissible-set backend.  Each part of a step is then called again, in this
 process, on the inputs every recorded step had, ``--repeat`` times per
 step; a part's figure is the median over the steps of its best call.
 
-- grid Q: ``epsilon_greedy``, ``govern``, the env step, the cost, the
-  violation check, the trajectory append, ``modified_reward`` and
-  ``q_target``;
+- grid Q: ``epsilon_greedy``, ``govern``, the env step and, within it,
+  the plant step ``simlab.true_step`` (the rest of the env step is the
+  snap onto the grid), the cost, the violation check, the trajectory
+  append, ``modified_reward`` and ``q_target``;
 - Koopman: the regulator solve (``koopman_control``), ``rls_update``,
   ``govern``, the env step, the lift (``km.observables``) and the
   trajectory append.
 
 A supervised step is about the sum of its parts; the loop's own glue is
-not timed.  The parts read the learned table and the learned model, so
+not timed.  A part named ``a.b`` is the share of part ``a`` that ``b``
+takes, and is left out of the sum.  The parts read the learned table and the learned model, so
 the split is that of a run's late steps.  Comparing two checkouts is one
 diff of a run in each:
 
@@ -66,6 +68,7 @@ def grid_q_parts(cfg, rig, n_steps: int, repeat: int) -> dict:
 
     oracle, _, _, grid = simlab.build_grid_backend(cfg, rig)
     env = simlab.make_grid_q_env(cfg, rig, oracle, grid)
+    plant_step = simlab.true_step(rig)
     rng = np.random.default_rng(cfg.seed)
     q, traj = run_safe_q(env, simlab.make_example_qtable(cfg, grid), cfg.q_tmax, n_steps, rng)
     recs = traj.steps
@@ -79,6 +82,7 @@ def grid_q_parts(cfg, rig, n_steps: int, repeat: int) -> dict:
         "epsilon_greedy": lambda s: epsilon_greedy(q, s[1], rng),
         "govern": lambda s: govern(s[0].x, s[0].u1, s[5], env.oracle, env.dist),
         "env_step": lambda s: env.step(s[0].x, s[0].u),
+        "env_step.true_step": lambda s: plant_step(s[0].x, s[0].u),
         "cost": lambda s: env.cost(s[0].x, s[0].u),
         "violated": lambda s: env.violated(s[0].x, s[0].u),
         "append": lambda s: sink.append(*s[6]),
@@ -131,8 +135,9 @@ def main(argv=None) -> int:
     for learner, measure in (("grid-q", grid_q_parts), ("koopman", koopman_parts)):
         parts = measure(cfg, rig, args.states, args.repeat)
         for name, us in parts.items():
-            print(f"{learner:<8} {name:<16} {us:>9.2f} us")
-        print(f"{learner:<8} {'sum':<16} {sum(parts.values()):>9.2f} us", flush=True)
+            print(f"{learner:<8} {name:<20} {us:>9.2f} us")
+        total = sum(us for name, us in parts.items() if "." not in name)
+        print(f"{learner:<8} {'sum':<20} {total:>9.2f} us", flush=True)
     return 0
 
 
