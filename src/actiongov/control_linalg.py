@@ -20,6 +20,13 @@ functions.  A gufunc reports a LAPACK failure as a NaN result and the
 floating-point invalid flag, so each public function enters one
 ``np.errstate`` and asks why a result is NaN only once a test on it failed.
 
+The DARE and the recursive model update form their products with
+``np.dot``, not ``@``: on these operands both call the same BLAS routines
+with the same bits, and ``np.dot`` skips the matmul ufunc's dispatch,
+which on 4x4 matrices costs more than the arithmetic.
+``tests/test_control_linalg.py`` pins the two against each other on
+every operand layout the code passes.
+
 Gain sign convention used everywhere: feedback is applied as ``u = K x``,
 so stabilizing gains carry their own negative sign.
 """
@@ -247,11 +254,11 @@ def dare_solve(A, B, Q, R):
             raise ValueError("Q must be positive semidefinite")
         if not (np.isfinite(R).all() and _eigvalsh(0.5 * (R + R.T)).min() > 0.0):
             raise ValueError("R must be positive definite")
-        Ak, G, H = A, B @ _solve(R, B.T), Q
+        Ak, G, H = A, np.dot(B, _solve(R, B.T)), Q
         for _ in range(_DARE_MAX_ITER):
-            lhs, rhs = eye + G @ H, np.concatenate((Ak, G), axis=1)
+            lhs, rhs = eye + np.dot(G, H), np.concatenate((Ak, G), axis=1)
             XY = _solve(lhs, rhs)
-            H_next = H + Ak.T @ H @ XY[:, :n]
+            H_next = H + np.dot(np.dot(Ak.T, H), XY[:, :n])
             H_next = 0.5 * (H_next + H_next.T)
             size = np.abs(H_next).max()
             # one test for singular solves, NaN/inf and divergence: NaN fails it
@@ -266,20 +273,23 @@ def dare_solve(A, B, Q, R):
             H = H_next
             if change <= _DARE_TOL * (1.0 + size):
                 break
-            G = G + Ak @ XY[:, n:] @ Ak.T
-            Ak = Ak @ XY[:, :n]
+            # [A X | A Y] in one product: the next A, and A Y for the G update
+            AXY = np.dot(Ak, XY)
+            G = G + np.dot(AXY[:, n:], Ak.T)
+            Ak = AXY[:, :n]
         else:
             raise NoStabilizingSolutionError("Riccati iteration exceeded the doubling limit")
-        BtH = B.T @ H
-        lhs, rhs = R + BtH @ B, BtH @ A
+        BtH = np.dot(B.T, H)
+        lhs, rhs = R + np.dot(BtH, B), np.dot(BtH, A)
         K = -_solve(lhs, rhs)
+        ABK = A + np.dot(B, K)
         # NaN, from a singular step, fails the test as well; a finite
         # residual leaves A + B K finite for the eigenvalue solver
-        if not np.abs(Q + A.T @ H @ (A + B @ K) - H).max() < 1e-6:
+        if not np.abs(Q + np.dot(np.dot(A.T, H), ABK) - H).max() < 1e-6:
             if _singular(lhs, rhs):
                 raise NoStabilizingSolutionError("Riccati step became singular")
             raise NoStabilizingSolutionError("Riccati fixed point not reached")
-        if _radius(A + B @ K) >= 1.0:
+        if _radius(ABK) >= 1.0:
             raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
     return H, K
 

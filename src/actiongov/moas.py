@@ -151,7 +151,7 @@ def _action_rows(moas: Moas, plant: LinearPlant, out: OutputMap):
     blocks = ((cs.offsets, cs.normals, out.C), (ps.offsets, ps.normals, plant.A))
 
     def offsets(x) -> np.ndarray:
-        return np.concatenate([b - a @ (m @ x) for b, a, m in blocks])
+        return np.concatenate([b - np.dot(a, np.dot(m, x)) for b, a, m in blocks])
 
     return normals, offsets
 
@@ -190,7 +190,7 @@ class LinearMoasOracle:
         x = np.asarray(x, dtype=float).ravel()
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
         offs = self._offsets(x)
-        if np.all(self._normals @ u1 <= offs + DEFAULT_TOL):  # HPolytope.contains
+        if (np.dot(self._normals, u1) <= offs + DEFAULT_TOL).all():  # HPolytope.contains
             return u1.copy()
         m = self._normals.shape[1]
         sol = nearest_affine_point(HPolytope(self._normals, offs), np.eye(m), np.zeros(m), u1,

@@ -14,7 +14,6 @@ proposer and the learning update are their own.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -236,7 +235,8 @@ class ObservableMap:
         z = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float).ravel()
         if z.size != self.n_z:
             raise ValueError(f"observable map returned {z.size} values, expected {self.n_z}")
-        if not np.all(np.isfinite(z)):
+        # a scalar loop: on these few entries it is cheaper than np.isfinite
+        if not all(map(math.isfinite, z.tolist())):
             raise NumericalError("observable map produced non-finite values")
         return z
 
@@ -258,6 +258,9 @@ class KoopmanModel:
         gamma_cov = np.atleast_2d(np.asarray(gamma_cov, dtype=float))
         if gamma_cov.shape != (p, p):
             raise ValueError("covariance must be (n_z + m) square")
+        for name, value in (("A", self.A), ("B", self.B), ("gamma_cov", gamma_cov)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if np.max(np.abs(gamma_cov - gamma_cov.T)) > 1e-9:
             raise ValueError("covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(gamma_cov)) <= 0.0:
@@ -297,22 +300,26 @@ def rls_update(km: KoopmanModel, z_prev, u1_prev, z_now) -> KoopmanModel:
     """
     u1_prev = np.atleast_1d(np.asarray(u1_prev, dtype=float))
     phi = np.concatenate([z_prev, u1_prev])
-    gamma_phi = km.gamma_cov @ phi
-    denom = float(phi @ gamma_phi) + km.lam
+    gamma_phi = np.dot(km.gamma_cov, phi)
+    denom = float(np.dot(phi, gamma_phi)) + km.lam
     if abs(denom) < 1e-14:
         raise NumericalError("vanishing denominator in the recursive update")
     gain_row = gamma_phi / denom
-    err = z_now - km.A @ z_prev - km.B @ u1_prev
-    theta = np.hstack([km.A, km.B]) + np.outer(err, gain_row)
-    new_cov = (km.gamma_cov - np.outer(gamma_phi, gain_row)) / km.lam
+    err = z_now - np.dot(km.A, z_prev) - np.dot(km.B, u1_prev)
+    # np.outer(a, b) is the product a[:, None] * b[None, :]
+    theta = (np.concatenate((km.A, km.B), axis=1)
+             + err[:, None] * gain_row[None, :])
+    new_cov = (km.gamma_cov - gamma_phi[:, None] * gain_row[None, :]) / km.lam
     new_cov = 0.5 * (new_cov + new_cov.T)
     if not np.isfinite(new_cov).all():
         raise NumericalError("the recursive update produced a non-finite covariance")
     if not _is_pd(new_cov):
         raise NumericalError("the recursive update lost positive definiteness")
     nz = km.observables.n_z
-    new = copy.copy(km)
+    # the checks of __init__ hold by construction, so they are not re-run
+    new = object.__new__(KoopmanModel)
     new.A, new.B, new.gamma_cov = theta[:, :nz], theta[:, nz:], new_cov
+    new.lam, new.observables = km.lam, km.observables
     return new
 
 

@@ -226,6 +226,17 @@ class ScenarioConfig:
             if len(raw) != size or not all(map(_is_finite_number, raw)):
                 raise ValueError(f"{name} must be {size} finite numbers, got {raw!r}")
             setattr(self, name, tuple(float(v) for v in raw))
+        # the Koopman regulator's and estimator's own checks would refuse
+        # these only after the admissible-set build, without the key
+        if not self.koopman_r > 0.0:
+            raise ValueError(f"koopman_r must be positive, got {self.koopman_r!r}")
+        if min(self.koopman_q_diag) < 0.0:
+            raise ValueError(f"koopman_q_diag must have no negative entry, "
+                             f"got {self.koopman_q_diag!r}")
+        if not 0.0 < self.koopman_lambda <= 1.0:
+            raise ValueError(f"koopman_lambda must lie in (0, 1], got {self.koopman_lambda!r}")
+        if not self.koopman_delta > 0.0:
+            raise ValueError(f"koopman_delta must be positive, got {self.koopman_delta!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

@@ -6,21 +6,34 @@ decisions (with LP redundancy removal, Fourier-Motzkin projection and LP
 supports) that the vertex build must agree with, the batch
 least-squares fit the recursive estimator must match, the identity lifting
 for linear test systems, the plain fixed-point DARE loop whose outcome the
-doubling DARE must reach, the plain finite-horizon Riccati recursion the
+doubling DARE must reach, the doubling DARE and the recursive update as
+written with ``@`` products, whose bytes the library's ``np.dot``
+versions must return, the plain finite-horizon Riccati recursion the
 library's loop must match bitwise (and the random two-input models
-both are checked on), the whole-grid classification stages the slice-wise
+all three are checked on), the whole-grid classification stages the slice-wise
 library stages must match exactly, the grid oracle's feasible actions its
 memo must match, the admissible-set oracle's action polytope its prebuilt
 rows must match, membership queries on both oracles' safe sets, and the
 plant step on any array-likes that ``simlab.true_step`` must match."""
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
 
 from actiongov import lp
-from actiongov.control_linalg import dlyap_scaled, spectral_radius
+from actiongov.control_linalg import (
+    _DARE_MAX_ITER,
+    _DARE_TOL,
+    _eigvalsh,
+    _is_pd,
+    _radius,
+    _singular,
+    _solve,
+    dlyap_scaled,
+    spectral_radius,
+)
 from actiongov.convexset import DEFAULT_TOL, HPolytope, _dedupe_rows
 from actiongov.discrete_safeset import (
     MINUS,
@@ -409,6 +422,85 @@ def dare_reference(A, B, Q, R, tol: float = 1e-9, max_iter: int = 100000):
     if spectral_radius(A + B @ K) >= 1.0:
         raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
     return P, K
+
+
+def dare_solve_reference(A, B, Q, R):
+    """``control_linalg.dare_solve`` as written with ``@`` products and
+    ``Ak @ XY[:, n:] @ Ak.T``: structure-preserving doubling, then one
+    Riccati step at ``P``.  The library must return its bytes."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    n = A.shape[0]
+    eye = np.eye(n)
+    with np.errstate(all="ignore"):
+        # syevd may return finite eigenvalues for a matrix holding NaN, so
+        # finiteness is tested first
+        if not (np.isfinite(Q).all() and _eigvalsh(0.5 * (Q + Q.T)).min() >= -1e-12):
+            raise ValueError("Q must be positive semidefinite")
+        if not (np.isfinite(R).all() and _eigvalsh(0.5 * (R + R.T)).min() > 0.0):
+            raise ValueError("R must be positive definite")
+        Ak, G, H = A, B @ _solve(R, B.T), Q
+        for _ in range(_DARE_MAX_ITER):
+            lhs, rhs = eye + G @ H, np.concatenate((Ak, G), axis=1)
+            XY = _solve(lhs, rhs)
+            H_next = H + Ak.T @ H @ XY[:, :n]
+            H_next = 0.5 * (H_next + H_next.T)
+            size = np.abs(H_next).max()
+            # one test for singular solves, NaN/inf and divergence: NaN fails it
+            if not size <= 1e14:
+                # an exactly singular R can pass the eigenvalue test by rounding
+                if _singular(R, B.T):
+                    raise ValueError("R must be positive definite")
+                if _singular(lhs, rhs):
+                    raise NoStabilizingSolutionError("Riccati doubling became singular")
+                raise NoStabilizingSolutionError("Riccati iteration diverged")
+            change = np.abs(H_next - H).max()
+            H = H_next
+            if change <= _DARE_TOL * (1.0 + size):
+                break
+            G = G + Ak @ XY[:, n:] @ Ak.T
+            Ak = Ak @ XY[:, :n]
+        else:
+            raise NoStabilizingSolutionError("Riccati iteration exceeded the doubling limit")
+        BtH = B.T @ H
+        lhs, rhs = R + BtH @ B, BtH @ A
+        K = -_solve(lhs, rhs)
+        # NaN, from a singular step, fails the test as well; a finite
+        # residual leaves A + B K finite for the eigenvalue solver
+        if not np.abs(Q + A.T @ H @ (A + B @ K) - H).max() < 1e-6:
+            if _singular(lhs, rhs):
+                raise NoStabilizingSolutionError("Riccati step became singular")
+            raise NoStabilizingSolutionError("Riccati fixed point not reached")
+        if _radius(A + B @ K) >= 1.0:
+            raise NoStabilizingSolutionError("Riccati gain is not stabilizing")
+    return H, K
+
+
+def rls_update_reference(km, z_prev, u1_prev, z_now):
+    """``safe_learning.rls_update`` as written with ``@``, ``np.outer``,
+    ``np.hstack`` and ``copy.copy``: one recursive least-squares step.
+    The library must return a model of its bytes."""
+    u1_prev = np.atleast_1d(np.asarray(u1_prev, dtype=float))
+    phi = np.concatenate([z_prev, u1_prev])
+    gamma_phi = km.gamma_cov @ phi
+    denom = float(phi @ gamma_phi) + km.lam
+    if abs(denom) < 1e-14:
+        raise NumericalError("vanishing denominator in the recursive update")
+    gain_row = gamma_phi / denom
+    err = z_now - km.A @ z_prev - km.B @ u1_prev
+    theta = np.hstack([km.A, km.B]) + np.outer(err, gain_row)
+    new_cov = (km.gamma_cov - np.outer(gamma_phi, gain_row)) / km.lam
+    new_cov = 0.5 * (new_cov + new_cov.T)
+    if not np.isfinite(new_cov).all():
+        raise NumericalError("the recursive update produced a non-finite covariance")
+    if not _is_pd(new_cov):
+        raise NumericalError("the recursive update lost positive definiteness")
+    nz = km.observables.n_z
+    new = copy.copy(km)
+    new.A, new.B, new.gamma_cov = theta[:, :nz], theta[:, nz:], new_cov
+    return new
 
 
 def riccati_finite_reference(A, B, Q, R, Qf, N: int):

@@ -91,6 +91,21 @@ class TestExitCodes:
         assert err["message"].startswith(list(bad)[-1] + " must be")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("bad", [
+        {"koopman_r": 0.0}, {"koopman_r": -1.0}, {"koopman_q_diag": [1.0, 1.0, -0.5, 0.0]},
+        {"koopman_lambda": 0.0}, {"koopman_lambda": 1.5}, {"koopman_delta": 0.0},
+    ], ids=["r-zero", "r-negative", "q-diag-negative", "lambda-zero", "lambda-above-one",
+            "delta-zero"])
+    def test_bad_koopman_values_are_named_before_any_build(self, tmp_path, capsys, bad):
+        # the regulator and the estimator would refuse these too, but only
+        # after the admissible-set build and without the key
+        path = write_config(tmp_path, out_dir=str(tmp_path), **bad)
+        assert main(["learn-koopman", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(list(bad)[0] + " must")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("bad, message", [
         ({"v_bound": 25.1}, "integer number of steps"),
         ({**small_grid_overrides(), "action_du": 0.64}, "divide the action range"),
@@ -140,8 +155,17 @@ class TestExitCodes:
          "'lam' must be a number, got None"),
         ("koopman", {**example_initial_koopman().to_dict(), "A": {"rows": 4}},
          "'A' must be an array of numbers"),
+        # JSON's NaN and Infinity parse; the model refuses them before its
+        # symmetry and eigenvalue checks, and before any regulator solve
+        ("koopman", {**example_initial_koopman().to_dict(),
+                     "A": np.where(np.eye(4), np.nan, 0.0).tolist()},
+         "A must be finite"),
+        ("koopman", {**example_initial_koopman().to_dict(),
+                     "gamma_cov": np.where(np.eye(5), np.inf, 0.0).tolist()},
+         "gamma_cov must be finite"),
     ], ids=["q-table-missing-keys", "koopman-missing-keys", "q-table-array", "koopman-array",
-            "q-table-gamma-text", "koopman-lam-null", "koopman-a-object"])
+            "q-table-gamma-text", "koopman-lam-null", "koopman-a-object", "koopman-a-nan",
+            "koopman-covariance-infinite"])
     def test_malformed_model_file_is_bad_input(self, tmp_path, capsys, controller, payload,
                                                message):
         model = tmp_path / "model.json"

@@ -217,6 +217,60 @@ class TestLapackGufuncs:
             spectral_radius([[1.0, np.nan], [0.0, 1.0]])
 
 
+def _m(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-3, 3)
+
+
+def _v(rng, size):
+    return rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+
+
+# every operand layout that dare_solve (n = 4, m = 1 or 2), rls_update and
+# the shipped admissible-set oracle pass to np.dot: C-contiguous arrays,
+# transposed views, column slices of a wider array, and vectors
+_DOT_LAYOUTS = {
+    "4x4 by 4x4": lambda r, m: (_m(r, 4, 4), _m(r, 4, 4)),
+    "4x4 .T by 4x4": lambda r, m: (_m(r, 4, 4).T, _m(r, 4, 4)),
+    "4x4 by 4x4 .T": lambda r, m: (_m(r, 4, 4), _m(r, 4, 4).T),
+    "4x4 by 4x8": lambda r, m: (_m(r, 4, 4), _m(r, 4, 8)),
+    "4x4 by [:, :4] of 4x8": lambda r, m: (_m(r, 4, 4), _m(r, 4, 8)[:, :4]),
+    "[:, :4] of 4x8 by 4x8": lambda r, m: (_m(r, 4, 8)[:, :4], _m(r, 4, 8)),
+    "[:, :4] of 4x8, .T, by 4x4": lambda r, m: (_m(r, 4, 8)[:, :4].T, _m(r, 4, 4)),
+    "[:, 4:] of 4x8 by 4x4 .T": lambda r, m: (_m(r, 4, 8)[:, 4:], _m(r, 4, 4).T),
+    "[:, 4:] of 4x8 by its [:, :4] .T": lambda r, m: (lambda w: (w[:, 4:], w[:, :4].T))(
+        _m(r, 4, 8)),
+    "4xm by mx4": lambda r, m: (_m(r, 4, m), _m(r, m, 4)),
+    "4xm .T by 4x4": lambda r, m: (_m(r, 4, m).T, _m(r, 4, 4)),
+    "mx4 by 4xm": lambda r, m: (_m(r, m, 4), _m(r, 4, m)),
+    "mx4 by 4x4": lambda r, m: (_m(r, m, 4), _m(r, 4, 4)),
+    "4x4 by 4-vector": lambda r, m: (_m(r, 4, 4), _v(r, 4)),
+    "[:, :4] of 4x(4+m) by 4-vector": lambda r, m: (_m(r, 4, 4 + m)[:, :4], _v(r, 4)),
+    "[:, 4:] of 4x(4+m) by m-vector": lambda r, m: (_m(r, 4, 4 + m)[:, 4:], _v(r, m)),
+    "(4+m)x(4+m) by (4+m)-vector": lambda r, m: (_m(r, 4 + m, 4 + m), _v(r, 4 + m)),
+    "(4+m)-vector by (4+m)-vector": lambda r, m: (_v(r, 4 + m), _v(r, 4 + m)),
+    "2x2 by 2-vector": lambda r, m: (_m(r, 2, 2), _v(r, 2)),
+    "3x2 by 2-vector": lambda r, m: (_m(r, 3, 2), _v(r, 2)),
+    "6x3 by 3-vector": lambda r, m: (_m(r, 6, 3), _v(r, 3)),
+    "11x2 by 2-vector": lambda r, m: (_m(r, 11, 2), _v(r, 2)),
+    "17xm by m-vector": lambda r, m: (_m(r, 17, m), _v(r, m)),
+}
+
+
+class TestDotIsMatmul:
+    """``np.dot`` must give ``@``'s bits on every operand layout the DARE,
+    the recursive update and the admissible-set oracle pass it.  A numpy
+    release that routes one of these layouts to another kernel fails here,
+    instead of moving the learning run's floats, and criterion 8, silently."""
+
+    @pytest.mark.parametrize("layout", list(_DOT_LAYOUTS))
+    def test_dot_bits_equal_matmul_bits(self, layout):
+        rng = np.random.default_rng(41)
+        for m in (1, 2):
+            for _ in range(100):
+                a, b = _DOT_LAYOUTS[layout](rng, m)
+                assert np.dot(a, b).tobytes() == (a @ b).tobytes(), f"m = {m}"
+
+
 class TestRiccatiFinite:
     def test_zero_terminal_single_step(self):
         K = riccati_finite([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], 1)

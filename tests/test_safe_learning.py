@@ -658,6 +658,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             KoopmanModel(np.zeros((3, 2)), np.zeros((2, 1)), np.eye(3), 1.0, obs)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("A", np.nan), ("B", -np.inf), ("gamma_cov", np.nan), ("gamma_cov", np.inf)])
+    def test_non_finite_koopman_model_is_named(self, name, bad):
+        # refused before the covariance's symmetry and eigenvalue checks,
+        # which NaN passes and an infinite entry makes LAPACK fail on
+        parts = {"A": np.eye(2), "B": np.ones((2, 1)), "gamma_cov": np.eye(3)}
+        parts[name][-1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            KoopmanModel(parts["A"], parts["B"], parts["gamma_cov"], 1.0, identity_observables(2))
+
     def test_observable_map_checks(self):
         bad = ObservableMap(fn=lambda x: [1.0], n_z=2)
         with pytest.raises(ValueError):
