@@ -36,7 +36,6 @@ from .governor import (
     GovernorOutcome,
     GovernorState,
     govern,
-    nearest_candidate,
 )
 from .lp import LpResult, LpStatus
 from .moas import LinearMoasOracle, Moas, build_moas, feasible_action_set

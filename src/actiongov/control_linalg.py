@@ -189,12 +189,6 @@ class ClosedLoop:
     def n_refs(self) -> int:
         return self.Bt.shape[1]
 
-    def step(self, x, v, w):
-        x = np.asarray(x, dtype=float).ravel()
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        return self.At @ x + self.Bt @ v + self.plant.E @ w
-
 
 def dlyap_scaled(At, E, alpha: float):
     """Solve ``(1/alpha) At P At' - P + (1/(1-alpha)) E E' = 0``.

@@ -35,6 +35,9 @@ the disturbance does not move is snapped once per state and broadcast over
 the disturbances.  The rest is snapped slice by slice, for the requested
 states only, into buffers allocated once per table, so tabulating a slice
 frees and re-faults no slice-sized temporaries.
+
+The governor reads the classification through :class:`DiscreteGridOracle`,
+which makes both of its selections on its own, each with one argmin.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import numpy as np
 from .control_linalg import ClosedLoop, dlyap_scaled
 from .convexset import DEFAULT_TOL
 from .errors import SafeSetClosureError, SeedConstructionError
-from .governor import nearest_candidate
 
 REMAIN = 0
 SAFE_PLUS = 1
@@ -566,13 +568,13 @@ class DiscreteGridOracle:
     configured action-grid values whose current constraint holds and whose
     successors stay inside the safe projection for every disturbance-grid
     value; they depend on the state alone, so they are memoized per grid
-    point, keyed by its coordinate pair, and returned read-only.  The
-    action grid is sorted once here, so the feasible actions are ascending
-    and ``adjust``, on this single-input loop where l1 and linf are both
-    ``|u - u1|``, is one argmin whose first minimum is the lowest nearest
-    action, the tie rule of :func:`nearest_candidate`.  The backup scores
-    each safe reference by its nominal action ``K x + L v`` with
-    :meth:`ActionDistance.many` and picks with :func:`nearest_candidate`.
+    point, keyed by its coordinate pair, and returned read-only.  On this
+    single-input loop l1 and linf are both ``|u - u1|``, so each selection
+    is one argmin over an ascending array, whose first minimum is the
+    lowest of the tied candidates: ``adjust`` over the feasible actions
+    (the action grid is sorted once here), and ``backup`` over the safe
+    references of the state's row (a masked slice of the ascending
+    ``grid.v_values``), scored by their nominal actions ``K x + L v``.
     """
 
     def __init__(self, dss: DiscreteSafeSet, tt: TransitionTable, action_values: np.ndarray):
@@ -645,6 +647,9 @@ class DiscreteGridOracle:
         if i < 0:
             return None
         refs = self.grid.v_values[self.dss.class_map[i] == SAFE_PLUS]
+        if refs.size == 0:
+            return None
         x = np.asarray(x, dtype=float).ravel()
-        nominal = self.gain.K @ x + refs[:, None] @ self.gain.L.T
-        return nearest_candidate(refs, dist.many(u1, nominal))
+        nominal = self.gain.K @ x + refs[:, None] @ self.gain.L.T  # one row per reference
+        k = np.abs(nominal - u1).argmin()
+        return refs[k:k + 1].copy()

@@ -13,11 +13,10 @@ An oracle implements the whole contract:
   whose nominal action is nearest ``u1``, or ``None`` outside the projection;
 * ``pi0(x, v)``: the nominal policy.
 
-The polytopic oracle selects by :func:`actiongov.convexset.nearest_affine_point`,
-a clip to an interval for one input (an LP only in more dimensions).  Finite
-oracles score all their candidates at once with :meth:`ActionDistance.many`
-and pick with :func:`nearest_candidate`; the single-input grid oracle's
-``adjust`` needs only one argmin over its sorted feasible actions.
+Each oracle makes its own selections.  The polytopic oracle selects by
+:func:`actiongov.convexset.nearest_affine_point`, a clip to an interval for
+one input (an LP only in more dimensions); the single-input grid oracle
+takes one argmin over its sorted feasible actions or safe references.
 """
 
 from __future__ import annotations
@@ -36,20 +35,13 @@ class ActionDistance:
     """Distance between actions; ``"l1"`` or ``"linf"``.
 
     ``dist(u1, u)`` is the distance from ``u1`` to one action of the same
-    size; ``dist.many(u1, us)`` the distances to every row of ``us``
-    (scalars are 1-vectors).  Both take ``|u - u1|`` and then its sum or
-    maximum, so they agree bit for bit.
+    size (scalars are 1-vectors): the sum or the maximum of ``|u - u1|``.
     """
 
     def __init__(self, norm: str = "l1"):
         if norm not in ("l1", "linf"):
             raise ValueError(f"unsupported norm {norm!r}")
         self.norm = norm
-
-    def many(self, u1, us) -> np.ndarray:
-        u1 = np.ravel(np.asarray(u1, dtype=float))
-        d = np.abs(np.reshape(np.asarray(us, dtype=float), (-1, u1.size)) - u1)
-        return d.sum(axis=1) if self.norm == "l1" else d.max(axis=1)
 
     def __call__(self, u1, u) -> float:
         u1 = np.ravel(np.asarray(u1, dtype=float))
@@ -78,24 +70,6 @@ class GovernorState:
 class GovernorOutcome:
     u: np.ndarray
     branch: Branch
-
-
-def nearest_candidate(candidates, distances):
-    """Candidate of least distance, or ``None`` when there are none; exact
-    ties go to the lexicographically smallest candidate.
-
-    Candidates are the rows of ``candidates`` (scalars become 1-vectors);
-    ``distances`` holds one distance per candidate, in the same order.
-    """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        return None
-    cands = cands.reshape(cands.shape[0], -1)
-    dvals = np.asarray(distances, dtype=float)
-    tied = np.flatnonzero(dvals == dvals.min())
-    if tied.size > 1:
-        tied = tied[np.lexsort(cands[tied].T[::-1])]
-    return cands[tied[0]].copy()
 
 
 def govern(x, u1, gs: GovernorState, oracle, dist: ActionDistance = None):

@@ -178,9 +178,7 @@ class LinearMoasOracle:
 
     def __init__(self, moas: Moas, cl: ClosedLoop):
         self.moas = moas
-        self.plant = cl.plant
         self.gain = cl.gain
-        self.out = cl.out
         self._normals, self._offsets = _action_rows(moas, cl.plant, cl.out)
 
     def pi0(self, x, v):

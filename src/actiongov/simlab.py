@@ -163,9 +163,12 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-# annotation of a numeric config field -> the test its value must pass
-_NUMERIC_FIELDS = {"int": (_is_integer, "an integer"),
-                   "float": (_is_finite_number, "a finite number")}
+# annotation of a scalar config field -> the test its value must pass
+_FIELD_TYPES = {"int": (_is_integer, "an integer"),
+                "float": (_is_finite_number, "a finite number"),
+                "str": (lambda value: isinstance(value, str), "a string"),
+                "Optional[str]": (lambda value: value is None or isinstance(value, str),
+                                  "a string or null")}
 
 
 @dataclass
@@ -211,7 +214,7 @@ class ScenarioConfig:
         if self.seed is None:
             raise ValueError("seed is mandatory")
         for f in fields(self):
-            valid, noun = _NUMERIC_FIELDS.get(f.type, (None, None))
+            valid, noun = _FIELD_TYPES.get(f.type, (None, None))
             value = getattr(self, f.name)
             if valid is not None and not valid(value):
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
@@ -240,6 +243,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError("the config file holds no JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -375,6 +375,15 @@ def plant_step(plant, x, u, w) -> np.ndarray:
     return plant.A @ x + plant.B @ u + plant.E @ w
 
 
+def closed_loop_step(cl, x, v, w) -> np.ndarray:
+    """``At x + Bt v + E w`` of the closed loop ``cl`` for any array-likes:
+    ``x`` is flattened, ``v`` and ``w`` taken as vectors."""
+    x = np.asarray(x, dtype=float).ravel()
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    return cl.At @ x + cl.Bt @ v + cl.plant.E @ w
+
+
 def output_admissible(out, x, u, tol: float = 1e-9) -> bool:
     """Whether the output ``C x + D u`` of ``out`` meets its constraint set."""
     y = out.C @ np.asarray(x, dtype=float).ravel() + out.D @ np.atleast_1d(

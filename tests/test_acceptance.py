@@ -37,7 +37,7 @@ from actiongov.simlab import (
     simulate,
 )
 from chain_mdp import chain_env, value_iteration
-from references import batch_fit, identity_observables, plant_step
+from references import batch_fit, closed_loop_step, identity_observables, plant_step
 
 
 def report(num, ok, detail=""):
@@ -61,7 +61,7 @@ def test_criterion_2_moas_validity(rig, moas_bundle):
     for z in pts:
         x, v = z[:2], z[2:]
         for w in (-1.0, 1.0):
-            succ = np.concatenate([rig.cl.step(x, v, [w]), v])
+            succ = np.concatenate([closed_loop_step(rig.cl, x, v, [w]), v])
             if not moas.set_xv.contains(succ, tol=1e-7):
                 failures += 1
     start_inside = moas.proj_x.contains([14.0, 6.0])

@@ -3,14 +3,16 @@
 ``bench/run.py --trace 1`` wraps the entry points listed in
 ``bench/tracer.py`` and reads attributes of their results through the
 tracer's hooks (the supervision step's outcome, the grid build, the
-admissible-set build, the LP solve); a refactor that moves one of them
-would otherwise only show when the benchmark runs.
+admissible-set build, the LP solve), and ``bench/workloads.py`` reads the
+rig, both backends, trajectories and saved models; a refactor that moves
+one of them would otherwise only show when the benchmark runs.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ import pytest
 
 from actiongov import moas as moas_mod
 from actiongov import safe_learning, simlab
-from actiongov.governor import GovernorState, govern
+from actiongov.control_linalg import LinearPlant, OutputMap
+from actiongov.governor import ActionDistance, GovernorState, govern
 from actiongov.lp import LpStatus, solve_lp
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -109,3 +112,32 @@ def test_workload_entry_points_exist(base_cfg, rig, moas_bundle, grid_bundle):
         "moas", "plant", "out", "x"]
     upoly = moas_mod.feasible_action_set(moas_bundle[1], rig.plant, rig.out, np.zeros(2))
     assert upoly.dim == 1 and upoly.contains([0.0])
+    # every other attribute the workloads read from the rig, the two
+    # backends, a trajectory and the saved models
+    oracle, moas = moas_bundle
+    assert isinstance(rig.plant, LinearPlant) and isinstance(rig.out, OutputMap)
+    assert rig.gain.K.shape == (1, 2) and isinstance(rig.dist, ActionDistance)
+    cs = rig.out.constraint_set
+    assert rig.out.C.shape[1] == 2 and rig.out.D.shape[1] == 1
+    assert cs.normals.shape[0] == cs.offsets.shape[0]
+    # a supervised episode's trajectory, tallied and hashed by each pass
+    traj = simlab.run_supervised(rig, simlab.nominal_controller(rig), oracle, np.zeros(2), 3,
+                                 rig.dist)
+    assert traj.states.shape == (3, 2) and traj.actions.shape == (3, 1)
+    assert traj.costs.shape == (3,) and traj.violation_count == 0
+    assert [s.t for s in traj.steps] == [0, 1, 2]
+    step = traj.steps[0]
+    assert isinstance(step.branch, str) and step.u.shape == step.u1.shape == (1,)
+    assert step.x.shape == (2,)
+    assert isinstance(traj.to_csv(), str)
+    # the grid workload's set-up digest and start states
+    dss = grid_bundle[1]
+    assert dss.class_map.shape == (grid.n_xpairs, grid.n_v)
+    assert dss.proj_mask.shape == (grid.n_xpairs,) and dss.proj_mask.dtype == bool
+    assert grid.x_points().shape == (grid.n_xpairs, 2)
+    # the admissible-set workloads' start states and the three digested models
+    assert moas.proj_x.dim == 2 and moas.proj_x.contains(np.zeros(2))
+    km = simlab.example_initial_koopman(base_cfg.koopman_lambda, base_cfg.koopman_delta)
+    assert km.A.shape == (4, 4) and km.B.shape == (4, 1)
+    for model in (moas, km, simlab.make_example_qtable(base_cfg, grid)):
+        assert isinstance(json.dumps(model.to_dict(), sort_keys=True), str)

@@ -77,18 +77,40 @@ class TestExitCodes:
         ("simulate", {"controller": "koopman", "koopman_q_diag": [1.0, "1.0", 0.0, 0.0]}),
         ("simulate", {"initial_state": [10 ** 400, 6]}),
         ("simulate", {"controller": "koopman", "koopman_r": 10 ** 400}),
+        ("simulate", {"out_dir": 5}),
+        ("simulate", {"out_dir": ["a"]}),
+        ("simulate", {"model_path": ["x"]}),
+        ("simulate", {"model_path": 7}),
+        ("simulate", {"model_path": True}),
+        ("simulate", {"governor": 5}),
+        ("simulate", {"controller": None}),
+        ("simulate", {"norm": 1}),
     ], ids=["grid-step-infinite", "koopman-r-nan", "state-nan", "state-three-entries",
             "q-diag-three-entries", "state-text", "q-diag-text", "state-huge-integer",
-            "koopman-r-huge-integer"])
+            "koopman-r-huge-integer", "out-dir-number", "out-dir-list", "model-path-list",
+            "model-path-number", "model-path-bool", "governor-number", "controller-null",
+            "norm-number"])
     def test_non_finite_or_misshapen_values_are_bad_config(self, tmp_path, capsys, command, bad):
         # JSON's Infinity and NaN parse; they are refused with the key named
         # before any stage runs, as are vectors of the wrong length, text
-        # entries and integers too large for a float
-        path = write_config(tmp_path, out_dir=str(tmp_path), **bad)
+        # entries, integers too large for a float, and text fields of
+        # another JSON type (a number for model_path would name a file
+        # descriptor to open, and a non-text out_dir fail inside pathlib)
+        path = write_config(tmp_path, **{"out_dir": str(tmp_path), **bad})
         assert main([command, "--config", str(path)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
         assert err["message"].startswith(list(bad)[-1] + " must be")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("payload", [5, None, "text", ["seed"], [{"seed": 0}]],
+                             ids=["number", "null", "text", "list-of-key", "list-of-object"])
+    def test_config_that_is_no_json_object_is_bad_config(self, tmp_path, capsys, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "the config file holds no JSON object"}
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("bad", [

@@ -31,6 +31,7 @@ from actiongov.errors import SafeSetClosureError, SeedConstructionError
 from actiongov.governor import ActionDistance
 from actiongov.simlab import ScenarioConfig, build_grid_backend, example_system
 from ellipsoids import Ellipsoid, ellipsoid_support
+from enumerated_oracle import nearest_candidate
 from references import (
     build_seed_reference,
     discretize_reference,
@@ -754,6 +755,55 @@ class TestOracle:
                 assert got.shape == (1,) and got[0] == lo
                 seen += 1
         assert seen > 100
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_midpoint_of_two_safe_references_gets_the_lower(self, oracle, norm):
+        orc, dss, grid = oracle
+        dist = ActionDistance(norm)
+        seen = 0
+        for x in grid.x_points()[::7]:
+            refs = [v for v in grid.v_values if grid_member(orc, x, v)]
+            nominal = [float(orc.pi0(x, [v])[0]) for v in refs]
+            for lo, a, b in zip(refs[:-1], nominal[:-1], nominal[1:]):
+                mid = (a + b) / 2
+                if abs(a - mid) != abs(b - mid):
+                    continue  # not an exact tie in floats
+                got = orc.backup(x, np.array([mid]), dist)
+                assert got.shape == (1,) and got[0] == lo
+                seen += 1
+        assert seen > 100
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_backup_is_bytewise_the_enumerated_selection(self, oracle, norm):
+        # grid states, states between grid points and states outside the
+        # grid; proposals drawn at random, at a reference's nominal action
+        # and at the midpoint of two, where the lower reference must win
+        orc, dss, grid = oracle
+        dist = ActionDistance(norm)
+        rng = np.random.default_rng(13)
+        pts = grid.x_points()
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        states = np.concatenate([pts[rng.integers(0, grid.n_xpairs, 300)],
+                                 rng.uniform(lo, hi, (300, 2)),
+                                 rng.uniform(lo - 10.0, hi + 10.0, (100, 2))])
+        answered = ties = 0
+        for x in states:
+            refs = [v for v in grid.v_values if grid_member(orc, x, v)]
+            nominal = [float(orc.pi0(x, [v])[0]) for v in refs]
+            u1s = [float(rng.uniform(-8.0, 8.0))]
+            if len(refs) > 1:
+                k = int(rng.integers(len(refs) - 1))
+                u1s += [nominal[k], (nominal[k] + nominal[k + 1]) / 2]
+            for u1 in u1s:
+                got = orc.backup(x, np.array([u1]), dist)
+                scores = [dist(u1, u) for u in nominal]
+                want = nearest_candidate(refs, scores)
+                assert (got is None) == (want is None), (x, u1)
+                if want is not None:
+                    assert got.shape == (1,) and got.tobytes() == want.tobytes(), (x, u1)
+                    answered += 1
+                    ties += scores.count(min(scores)) > 1
+        assert answered > 500 and ties > 100, (answered, ties)
 
     @pytest.mark.parametrize("norm", ["l1", "linf"])
     def test_unsorted_action_grid_answers_as_the_sorted_one(self, bundle, oracle, norm):

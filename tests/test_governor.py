@@ -11,12 +11,11 @@ from actiongov.governor import (
     Branch,
     GovernorState,
     govern,
-    nearest_candidate,
 )
 from actiongov.safe_learning import SupervisedEnv, supervised_step
 from actiongov.simlab import ScenarioConfig, build_grid_backend, build_rig
 from actiongov.trajectory import Trajectory
-from enumerated_oracle import EnumeratedOracle
+from enumerated_oracle import EnumeratedOracle, nearest_candidate
 
 
 def eq9_feasible(oracle, x):
@@ -327,25 +326,21 @@ class TestDistance:
     @pytest.mark.parametrize("norm, reduce", [("l1", sum), ("linf", max)])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_many_is_bitwise_the_scalar_call(self, norm, reduce, dim):
+        # the call on many actions, each equal to the plain float reduction
         dist = ActionDistance(norm)
         rng = np.random.default_rng(dim)
         u1 = rng.normal(size=dim) * 1e3
         us = np.concatenate([rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-8, 8, (40, 1)),
                              u1[None, :], -u1[None, :]])
-        got = dist.many(u1, us)
-        assert got.shape == (us.shape[0],)
-        for d, u in zip(got, us):
-            assert d == dist(u1, u)
-            assert d == reduce(abs(float(a) - float(b)) for a, b in zip(u1, u))
+        for u in us:
+            assert dist(u1, u) == reduce(abs(float(a) - float(b)) for a, b in zip(u1, u))
         if dim == 1:
-            assert np.array_equal(dist.many(u1, us.ravel()), got)
-            assert dist(float(u1[0]), float(us[0, 0])) == got[0]
-        assert dist.many(u1, np.empty((0, dim))).shape == (0,)
+            assert dist(float(u1[0]), float(us[0, 0])) == dist(u1, us[0])
 
     @pytest.mark.parametrize("norm", ["l1", "linf"])
     def test_scalar_call_is_bitwise_the_one_row_batch(self, norm):
-        # the two-action call takes |u - u1| directly; its bits equal those
-        # of the batch's one row, signed zeros and extreme scales included
+        # the call's bits are those of |u - u1| reduced by numpy over the one
+        # row, signed zeros and extreme scales included
         dist = ActionDistance(norm)
         rng = np.random.default_rng(11)
         for dim in (1, 2, 3):
@@ -355,7 +350,9 @@ class TestDistance:
                 u[rng.random(dim) < 0.2] = rng.choice([0.0, -0.0])
                 got = dist(u1, u)
                 assert type(got) is float
-                assert np.float64(got).tobytes() == dist.many(u1, [u])[0].tobytes()
+                d = np.abs(u - u1)
+                want = d.sum() if norm == "l1" else d.max()
+                assert np.float64(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("norm", ["l1", "linf"])
     def test_scalar_call_refuses_actions_of_different_sizes(self, norm):

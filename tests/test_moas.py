@@ -12,6 +12,7 @@ from actiongov.moas import LinearMoasOracle, Moas, build_moas, feasible_action_s
 from actiongov.simlab import build_moas_backend, simulate
 from references import (
     build_moas_reference,
+    closed_loop_step,
     feasible_action_set_reference,
     highs_support,
     moas_member,
@@ -231,7 +232,7 @@ class TestBuild:
         for z in pts:
             x, v = z[:2], z[2:]
             for w in (-1.0, 1.0):
-                succ = np.concatenate([rig.cl.step(x, v, [w]), v])
+                succ = np.concatenate([closed_loop_step(rig.cl, x, v, [w]), v])
                 assert moas.set_xv.contains(succ, tol=1e-7)
 
     def test_projection_consistency(self, moas_bundle):

@@ -1,13 +1,13 @@
 """Property tests of the supervisor's selections.
 
-``nearest_candidate`` breaks exact distance ties towards the
-lexicographically smallest candidate.  The admissible-set oracle selects
-through ``nearest_affine_point``, which for a scalar variable and map clips
-to an interval instead of solving an LP; HiGHS solves the LP and is the
-reference.  The clip agrees with it on random one-dimensional problems,
-the oracle's ``adjust`` moves a proposal by the least distance that
-satisfies the one-step rule, and its ``backup`` picks the reference whose
-nominal action is nearest the proposal.
+The finite test oracles' ``nearest_candidate`` breaks exact distance ties
+towards the lexicographically smallest candidate.  The admissible-set
+oracle selects through ``nearest_affine_point``, which for a scalar
+variable and map clips to an interval instead of solving an LP; HiGHS
+solves the LP and is the reference.  The clip agrees with it on random
+one-dimensional problems, the oracle's ``adjust`` moves a proposal by the
+least distance that satisfies the one-step rule, and its ``backup`` picks
+the reference whose nominal action is nearest the proposal.
 """
 
 import numpy as np
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from actiongov.convexset import DEFAULT_TOL, HPolytope, nearest_affine_point
-from actiongov.governor import ActionDistance, nearest_candidate
+from actiongov.governor import ActionDistance
 from actiongov.moas import feasible_action_set
+from enumerated_oracle import nearest_candidate
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
